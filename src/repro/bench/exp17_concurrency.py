@@ -51,7 +51,12 @@ from repro.cracking.bounds import Interval
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
 from repro.engine.selection_cracking import SelectionCrackingEngine
-from repro.server.executor import ServerExecutor, canonicalize, digest_columns
+from repro.server.executor import (
+    DEFAULT_CACHE_BYTES,
+    ServerExecutor,
+    canonicalize,
+    digest_columns,
+)
 
 #: The acceptance floor: served throughput at 4 workers vs serial.
 TARGET_SPEEDUP = 2.5
@@ -136,7 +141,8 @@ def run_served(
     """One server configuration: batched admission over the whole workload."""
     db = _fresh_database(arrays)
     with ServerExecutor(
-        db, workers=workers, partitions=partitions, cache=cache
+        db, workers=workers, partitions=partitions,
+        cache_bytes=DEFAULT_CACHE_BYTES if cache else 0,
     ) as executor:
         if partitions:
             executor.partition("R", "A")

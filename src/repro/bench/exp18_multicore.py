@@ -50,7 +50,7 @@ from repro.bench.registry.components import uniform_table
 from repro.bench.report import format_table
 from repro.engine.database import Database
 from repro.engine.query import Query
-from repro.server.executor import ServerExecutor
+from repro.server.executor import DEFAULT_CACHE_BYTES, ServerExecutor
 
 #: The acceptance floor: served throughput at 4 process workers vs serial.
 TARGET_SPEEDUP = 2.5
@@ -68,14 +68,14 @@ def run_served(
     workers: int,
     partitions: int = 0,
     processes: int = 0,
-    cache: bool = True,
+    cache_bytes: int = DEFAULT_CACHE_BYTES,
 ) -> tuple[list[str], float, dict]:
     """One server configuration: batched admission over the whole workload."""
     db = _fresh_database(arrays)
     try:
         with ServerExecutor(
             db, workers=workers, partitions=partitions,
-            processes=processes, cache=cache,
+            processes=processes, cache_bytes=cache_bytes,
         ) as executor:
             if partitions or processes:
                 executor.partition("R", "A")
@@ -133,7 +133,7 @@ def run(
         ("processes=1", dict(workers=4, processes=1)),
         ("processes=2", dict(workers=4, processes=2)),
         ("processes=4", dict(workers=4, processes=4)),
-        ("processes=4,nocache", dict(workers=4, processes=4, cache=False)),
+        ("processes=4,nocache", dict(workers=4, processes=4, cache_bytes=0)),
     )
     for name, kwargs in configs:
         digests, seconds, stats = run_served(arrays, workload, **kwargs)

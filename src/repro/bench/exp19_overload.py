@@ -114,7 +114,7 @@ def run_unloaded(
 ) -> dict:
     """The calibration phase: one sequential client, no admission limits."""
     db = _fresh_database(arrays)
-    with ServerExecutor(db, workers=4, processes=2, cache=False) as executor:
+    with ServerExecutor(db, workers=4, processes=2, cache_bytes=0) as executor:
         executor.partition("R", "A")
         latencies: list[float] = []
         mismatches = 0
@@ -150,7 +150,7 @@ def run_overloaded(
         for _ in range(clients)
     ]
     with ServerExecutor(
-        db, workers=4, processes=2, cache=False,
+        db, workers=4, processes=2, cache_bytes=0,
         max_inflight=max(3, clients // 2),
         max_queue=max(2, clients // 4),
         shed_policy="deadline-aware",
@@ -246,10 +246,10 @@ def run_breaker_lifecycle(arrays: dict[str, np.ndarray], seed: int) -> dict:
     db = _fresh_database(arrays)
     timeline: list[dict] = []
     with ServerExecutor(
-        db, workers=2, processes=2, cache=False, resilience=config
+        db, workers=2, processes=2, cache_bytes=0, resilience=config
     ) as executor:
         column = executor.partition("R", "A")
-        worker = column.workers[0]
+        worker = column.shards[0]
         edge = max(2, int(worker.hi // 2))
         query = Query(
             "R", (Predicate("A", Interval.open(0, edge)),),

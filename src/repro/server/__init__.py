@@ -14,16 +14,17 @@ every structure.  This package layers concurrent serving on top of them:
     version-keyed result cache; results are canonicalized so concurrent
     interleavings stay bit-identical to a serial run.
 :mod:`repro.server.partition`
-    Partition-parallel execution: range-partitioned shards of one column,
-    each an independently-cracked :class:`~repro.cracking.column.CrackerColumn`
-    over shared NumPy arrays, queried with pruning and a scatter-gather
-    merge.
+    Partition-parallel execution: one range-sharded column
+    (:class:`~repro.server.partition.ShardedColumn`) owning layout,
+    pruning, scatter-gather and update routing over a small per-shard
+    contract, plus the in-process shard kind — an independently-cracked
+    :class:`~repro.cracking.column.CrackerColumn` under its own lock.
 :mod:`repro.server.procpool`
-    The process backend of the partition path: one long-lived worker
-    process per shard over :class:`~repro.storage.shared.SharedBAT`
-    segments, driven by a compact command protocol with per-request
-    deadlines and deterministic respawn-and-replay on worker death —
-    shard cracks on separate cores instead of one GIL.
+    The worker-process shard kind: one long-lived process per shard over
+    :class:`~repro.storage.shared.SharedBAT` segments, driven by a compact
+    command protocol with per-request deadlines and deterministic
+    respawn-and-replay from the shard's tape on worker death — shard
+    cracks on separate cores instead of one GIL.
 :mod:`repro.server.serve`
     An asyncio TCP front end speaking newline-delimited JSON, plus an
     in-process handle used by tests and the ``repro serve`` CLI subcommand.

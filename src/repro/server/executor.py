@@ -2,7 +2,7 @@
 
 A :class:`ServerExecutor` owns a thread pool, a
 :class:`~repro.server.locks.LockRegistry`, optional
-:class:`~repro.server.partition.PartitionedColumn` shards, and a
+:class:`~repro.server.partition.ShardedColumn` shards, and a
 version-keyed result cache, and serves SQL strings or programmatic
 :class:`~repro.engine.query.Query` objects concurrently over one shared
 :class:`~repro.engine.database.Database`.
@@ -25,9 +25,10 @@ Execution paths, fastest first:
     :meth:`delete`, which route pending updates under the table's
     exclusive lock — a query sees either all of an update or none of it.
 ``process``
-    The same scatter-gather, but each shard lives in its own **worker
-    process** (:class:`~repro.server.procpool.ProcessShardPool`): payloads
-    sit in shared-memory segments, commands cross a pipe, and qualifying
+    The same scatter-gather — the same code — but each shard lives in its
+    own **worker process**
+    (:class:`~repro.server.procpool.ProcessShardPool`): payloads sit in
+    shared-memory segments, commands cross a pipe, and qualifying
     keys come back through shared result buffers, so shard cracks run on
     separate cores instead of interleaving under one GIL.  Enabled with
     ``processes > 0``; results stay bit-identical to every other path.
@@ -61,7 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -78,7 +79,7 @@ from repro.engine.query import Query, QueryResult, compute_aggregates
 from repro.engine.selection_cracking import SelectionCrackingEngine
 from repro.errors import QueryTimeout, ServerError, ServerOverloaded
 from repro.server.locks import LockRegistry, Mutex
-from repro.server.partition import PartitionedColumn
+from repro.server.partition import GatherResult, PartitionedColumn, ShardedColumn
 from repro.server.procpool import ProcessShardPool
 from repro.server.resilience import Deadline, ResilienceConfig
 
@@ -99,6 +100,12 @@ BUDGET_TRIM_FRACTION = 0.5
 
 #: The trimmed per-query crack allowance (elements).
 BUDGET_TRIM_ELEMENTS = 4096
+
+#: How many of the most recent served latencies feed ``latency_p50`` /
+#: ``latency_p99`` and the deadline-aware shed policy's service-time
+#: estimate.  A window, not a history: memory and the per-decision sort stay
+#: bounded for the life of the server.
+LATENCY_WINDOW = 1024
 
 
 class ResultCacheLRU:
@@ -302,16 +309,14 @@ class ServerExecutor:
     partitions:
         Shard count for :meth:`partition` columns (the ``--partitions``
         knob); ``0`` disables the partition path entirely.
-    cache:
-        Enable the version-keyed result cache.
     processes:
         ``> 0`` selects the **process** backend: :meth:`partition` builds
         :class:`~repro.server.procpool.ProcessShardPool` columns whose
         shards live in worker processes over shared memory (the
         ``--processes`` knob).  ``0`` keeps the in-process thread shards.
     cache_bytes:
-        The result cache's LRU budget in bytes (``--cache-bytes``);
-        ``0`` disables caching like ``cache=False``.
+        The version-keyed result cache's LRU budget in bytes
+        (``--cache-bytes``); ``0`` disables caching.
     max_queue:
         Bound on *waiting* (admitted but not yet executing) requests
         (``--max-queue``); ``None`` leaves admission unbounded.
@@ -335,7 +340,6 @@ class ServerExecutor:
         engine: Engine | None = None,
         workers: int = 4,
         partitions: int = 0,
-        cache: bool = True,
         default_timeout: float | None = DEFAULT_TIMEOUT,
         processes: int = 0,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
@@ -379,11 +383,9 @@ class ServerExecutor:
             if fanout > 1
             else None
         )
-        self._partitioned: dict[
-            tuple[str, str], "PartitionedColumn | ProcessShardPool"
-        ] = {}
+        self._partitioned: dict[tuple[str, str], ShardedColumn] = {}
         self._partition_mutex = Mutex("executor.partition")
-        self._cache_enabled = cache and cache_bytes > 0
+        self._cache_enabled = cache_bytes > 0
         self._cache = ResultCacheLRU(cache_bytes)
         self._cache_mutex = Mutex("executor.cache")
         self._stats_mutex = Mutex("executor.stats")
@@ -407,7 +409,7 @@ class ServerExecutor:
         self.queries_served = 0
         self.cache_hits = 0
         self.path_counts: dict[str, int] = {}
-        self.latencies: list[float] = []
+        self.latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         # Deep sweeps must skip structures busy under another worker's
         # write lock (that worker validates them at its own checkpoint).
         if db.sanitizer is not None:
@@ -443,16 +445,13 @@ class ServerExecutor:
             self._pool.shutdown(wait=True)
             if self._shard_pool is not None:
                 self._shard_pool.shutdown(wait=True)
-            # Process pools last: their workers may still be draining
-            # commands submitted by in-flight queries above.  Closing
-            # unlinks every shared-memory segment the pools own.
+            # Sharded columns last: worker-process shards may still be
+            # draining commands submitted by in-flight queries above.
+            # Closing unlinks every shared-memory segment they own.
             with self._partition_mutex:
-                pools = [
-                    column for column in self._partitioned.values()
-                    if isinstance(column, ProcessShardPool)
-                ]
-            for pool in pools:
-                pool.close()
+                columns = list(self._partitioned.values())
+            for column in columns:
+                column.close()
             self._closed = True
 
     def __enter__(self) -> "ServerExecutor":
@@ -465,13 +464,16 @@ class ServerExecutor:
 
     def partition(
         self, table: str, attr: str, partitions: int | None = None
-    ) -> "PartitionedColumn | ProcessShardPool":
+    ) -> ShardedColumn:
         """Range-partition ``table.attr`` into independently-cracked shards.
 
-        With ``processes > 0`` the shards are built as a
+        This is the one place that picks a shard backend: with
+        ``processes > 0`` a
         :class:`~repro.server.procpool.ProcessShardPool` — one worker
-        process per shard over shared-memory payloads; otherwise as the
+        process per shard over shared-memory payloads; otherwise the
         in-process :class:`~repro.server.partition.PartitionedColumn`.
+        Everything downstream sees a
+        :class:`~repro.server.partition.ShardedColumn`.
 
         Thread-safe and idempotent: racing calls agree on one column
         (double-checked under ``_partition_mutex``), and the scatter
@@ -484,10 +486,9 @@ class ServerExecutor:
             existing = self._partitioned.get(key)
         if existing is not None:
             return existing
-        if self.processes > 0:
-            count = self.processes if partitions is None else partitions
-        else:
-            count = self.partitions if partitions is None else partitions
+        count = partitions
+        if count is None:
+            count = self.processes or self.partitions
         if count < 1:
             raise ServerError(
                 f"cannot partition {table}.{attr}: partition count {count} < 1"
@@ -497,26 +498,26 @@ class ServerExecutor:
                 existing = self._partitioned.get(key)
                 if existing is not None:
                     return existing
+            base = self.db.table(table).column(attr)
+            cracking = dict(
+                budget=self.db.crack_budget, policy=self.db.crack_policy,
+                crack_seed=self.db.crack_seed,
+            )
             if self.processes > 0:
                 column = ProcessShardPool(
-                    self.db.table(table).column(attr), count,
-                    table, attr, self.db.recorder,
-                    budget=self.db.crack_budget, policy=self.db.crack_policy,
-                    crack_seed=self.db.crack_seed,
-                    resilience=self.resilience,
+                    base, count, table, attr, self.db.recorder,
+                    resilience=self.resilience, **cracking,
                 )
             else:
                 column = PartitionedColumn(
-                    self.db.table(table).column(attr), count, self.registry,
-                    table, attr, self.db.recorder,
-                    budget=self.db.crack_budget, policy=self.db.crack_policy,
-                    crack_seed=self.db.crack_seed,
+                    base, count, self.registry, table, attr,
+                    self.db.recorder, **cracking,
                 )
             with self._partition_mutex:
                 self._partitioned[key] = column
         return column
 
-    def _partitioned_for(self, table: str) -> list[tuple[str, PartitionedColumn]]:
+    def _partitioned_for(self, table: str) -> list[tuple[str, ShardedColumn]]:
         """Snapshot of this table's partitioned columns (mutex-guarded, so
         a concurrent :meth:`partition` call cannot resize mid-iteration)."""
         with self._partition_mutex:
@@ -622,10 +623,10 @@ class ServerExecutor:
 
     def _observed_p50(self) -> float:
         with self._stats_mutex:
-            if not self.latencies:
-                return 0.0
-            ordered = sorted(self.latencies)
-            return ordered[len(ordered) // 2]
+            recent = list(self.latencies)
+        # Sorted outside the stats mutex (the caller still holds the
+        # admission mutex); the window bounds the cost either way.
+        return sorted(recent)[len(recent) // 2] if recent else 0.0
 
     def submit(self, request: "ServedQuery | Query | str"):
         """Enqueue one query; returns a ``concurrent.futures.Future``.
@@ -796,12 +797,12 @@ class ServerExecutor:
         table_lock = self.registry.lock_for(query.table)
         with table_lock.read():
             version = self._capture_version(query.table)
-            scatter = self._try_partition_keys(query, deadline)
-            if scatter is not None:
-                partition_keys, path, recovered, degraded = scatter
+            gathered = self._try_partition_keys(query, deadline)
+            if gathered is not None:
                 return self._finish_from_keys(
-                    query, partition_keys, path, version,
-                    fault_recovered=recovered, degraded=degraded,
+                    query, gathered.keys, gathered.path, version,
+                    fault_recovered=gathered.recovered,
+                    degraded=gathered.degraded,
                 )
             if not query.group_by:
                 keys = self._try_read_only_keys(query)
@@ -877,17 +878,18 @@ class ServerExecutor:
                 racesan.note_access(f"cracker[{cracker.label}].tape", "write")
 
     def _try_partition_keys(
-        self, query: Query, deadline: "Deadline | None" = None
-    ) -> "tuple[np.ndarray, str, bool, bool] | None":
+        self, query: Query, deadline: Deadline
+    ) -> "GatherResult | None":
         """Scatter-gather path: single-predicate query on a partitioned attr.
 
-        Returns ``(keys, path, fault_recovered, degraded)`` — path
-        ``"partition"`` for in-process thread shards, ``"process"`` for
-        the shared-memory worker-process backend — or ``None`` when the
-        query is not scatter-shaped.  Caller holds the table's read lock,
-        so the scatter cannot overlap an :meth:`insert`/:meth:`delete`
-        routing pending rows (those hold the table's write lock); shard
-        locks (and worker pipes) nest strictly inside.
+        Returns the column's :class:`~repro.server.partition.GatherResult`
+        — ``path`` is ``"partition"`` for in-process thread shards,
+        ``"process"`` for the shared-memory worker-process backend — or
+        ``None`` when the query is not scatter-shaped.  Caller holds the
+        table's read lock, so the scatter cannot overlap an
+        :meth:`insert`/:meth:`delete` routing pending rows (those hold the
+        table's write lock); shard locks (and worker pipes) nest strictly
+        inside.
         """
         if query.group_by or len(query.predicates) != 1:
             return None
@@ -896,37 +898,14 @@ class ServerExecutor:
             column = self._partitioned.get((query.table, pred.attr))
         if column is None:
             return None
-        if deadline is not None and deadline.cancelled:
+        if deadline.cancelled:
             # Scatter boundary: a cancelled request stops here instead of
             # fanning work out to every shard.
             raise QueryTimeout(
                 f"query on {query.table!r} cancelled before the scatter",
                 seconds=deadline.budget,
             )
-        if isinstance(column, ProcessShardPool):
-            gathered = column.select(
-                pred.interval, deadline=deadline, pool=self._shard_pool
-            )
-            return gathered.keys, "process", gathered.recovered, gathered.degraded
-        shards = column.relevant_shards(pred.interval)
-        if len(shards) > 1 and self._shard_pool is not None:
-            # Scatter onto the shard pool (each task takes one shard lock)...
-            futures = [
-                self._shard_pool.submit(column.select_one, shard, pred.interval)
-                for shard in shards[1:]
-            ]
-            parts = [column.select_one(shards[0], pred.interval)]
-            parts += [f.result() for f in futures]
-        else:
-            parts = [column.select_one(shard, pred.interval) for shard in shards]
-        pruned = len(column.shards) - len(shards)
-        if pruned:
-            self.db.recorder.event("index_lookups", pruned)
-        if not parts:
-            return np.empty(0, dtype=np.int64), "partition", False, False
-        # ... and gather.
-        keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return keys, "partition", False, False
+        return column.select(pred.interval, deadline, self._shard_pool)
 
     def _try_read_only_keys(self, query: Query) -> np.ndarray | None:
         """Answer the selection with zero reorganization, or give up.
@@ -1113,16 +1092,11 @@ class ServerExecutor:
         breakers: dict[str, str] = {}
         workers_alive: dict[str, bool] = {}
         with self._partition_mutex:
-            partitioned = dict(self._partitioned)
-        for (table, attr), column in partitioned.items():
-            if not isinstance(column, ProcessShardPool):
-                continue
-            for worker in column.workers:
-                name = f"{table}.{attr}#{worker.index}"
-                breakers[name] = worker.breaker.state
-                workers_alive[name] = bool(
-                    worker.process is not None and worker.process.is_alive()
-                )
+            partitioned = list(self._partitioned.values())
+        for column in partitioned:
+            report = column.health()
+            breakers.update(report["breakers"])
+            workers_alive.update(report["workers_alive"])
         degraded = any(state != "closed" for state in breakers.values()) \
             or not all(workers_alive.values())
         return {
@@ -1139,7 +1113,7 @@ class ServerExecutor:
 
     def stats(self) -> dict[str, object]:
         with self._stats_mutex:
-            latencies = sorted(self.latencies)
+            latencies = list(self.latencies)
             served = self.queries_served
             hits = self.cache_hits
             paths = dict(self.path_counts)
@@ -1150,6 +1124,7 @@ class ServerExecutor:
             shed = self.shed
             queue_depth = len(self._queued)
             inflight = self._inflight
+        latencies.sort()  # a bounded window, sorted outside both mutexes
 
         def pct(p: float) -> float:
             if not latencies:

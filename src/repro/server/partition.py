@@ -1,20 +1,36 @@
-"""Partition-parallel cracking: range-sharded columns with scatter-gather.
+"""Partition-parallel cracking: one range-sharded column, two shard kinds.
 
-A :class:`PartitionedColumn` splits one attribute into ``k`` contiguous
-value ranges.  Each shard is an ordinary
-:class:`~repro.cracking.column.CrackerColumn` built over that range's rows
-(values plus their *global* tuple keys, shared-memory NumPy slices of one
-scatter pass), so every shard cracks independently under its own
-:class:`~repro.server.locks.RWLock` — a hot column no longer serializes all
-queries behind one structure-wide critical section.
+A :class:`ShardedColumn` splits one attribute into ``k`` contiguous value
+ranges and owns everything that does not depend on *where* a shard lives:
+the quantile layout, interval → shard pruning, the scatter onto a thread
+pool, the gather, value → shard update routing, and the common statistics.
+What a shard *is* hides behind a five-method contract —
+
+``select(interval, deadline) -> ShardReply``
+    this shard's qualifying keys (probe when already cracked, else crack);
+``update(ins_values, ins_keys, del_values, del_keys)``
+    queue routed rows on the shard's pending buffers;
+``apply_pending()``
+    drain those buffers;
+``health()``
+    ``{"breaker": state, "alive": bool}``, or ``None`` for a shard that has
+    nothing to be sick with;
+``close()``
+    release whatever the shard owns
+
+— plus ``lo``/``hi`` (its value range) and ``rows``.  There are exactly two
+implementations: the in-process :class:`_Shard` below (an ordinary
+:class:`~repro.cracking.column.CrackerColumn` under its own
+:class:`~repro.server.locks.RWLock`; built by :class:`PartitionedColumn`)
+and the worker-process shard of :mod:`repro.server.procpool` (built by
+:class:`~repro.server.procpool.ProcessShardPool`).
 
 Queries run as **prune → per-shard select → gather**:
 
 * shards whose value range cannot intersect the interval are pruned without
   taking any lock (the partition bounds are immutable after construction);
-* each surviving shard answers under its own lock — shared when its
-  :meth:`~repro.cracking.column.CrackerColumn.probe` fast path applies,
-  exclusive for the budget-bounded crack otherwise;
+* each surviving shard answers through the contract — scattered over the
+  caller's thread pool when there is more than one;
 * the per-shard key arrays are concatenated (the scatter-gather merge).
 
 Because the shards partition the *value* domain, a shard's result is exactly
@@ -27,22 +43,29 @@ stay bit-identical.
 
 from __future__ import annotations
 
+import time
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.analysis import racesan
 from repro.cracking.bounds import Interval
 from repro.cracking.column import CrackerColumn
 from repro.cracking.stochastic import policy_rng
-from repro.errors import PlanError
+from repro.errors import PlanError, ServerError
 from repro.server.locks import LockRegistry, RWLock
+from repro.server.resilience import Deadline
 from repro.stats.counters import StatsRecorder, global_recorder
 from repro.storage.bat import BAT
+
+#: Default per-command deadline (seconds) when the caller supplies none.
+DEFAULT_DEADLINE = 30.0
 
 
 def partition_layout(
     values: np.ndarray, partitions: int
 ) -> tuple[list[float], np.ndarray, list[tuple[int, int]]]:
-    """The quantile scatter both shard backends share.
+    """The quantile scatter every sharded column is built from.
 
     Returns ``(edges, order, spans)``: shard value edges (first ``-inf``,
     last ``+inf``), one stable argsort grouping rows by shard while
@@ -91,8 +114,75 @@ def route_masks(
     return out
 
 
+def probe_shard(
+    cracker: CrackerColumn, interval: Interval
+) -> "tuple[np.ndarray | None, str]":
+    """The read-only half of one shard's select, shared by both shard kinds.
+
+    Returns ``(keys, path)``: ``"empty"`` for a degenerate shard (quantile
+    collapse on low-cardinality data), ``"probe"`` when the existing pieces
+    already answer, or ``(None, "crack")`` when the caller must run the
+    budget-bounded ``cracker.select(interval)`` — under the shard's write
+    lock in process, lock-free inside a single-threaded worker.
+    """
+    if not len(cracker) and not cracker.pending.has_pending():
+        return np.empty(0, dtype=np.int64), "empty"
+    keys = cracker.probe(interval)
+    return keys, "crack" if keys is None else "probe"
+
+
+def queue_update(
+    cracker: CrackerColumn,
+    ins_values: np.ndarray,
+    ins_keys: np.ndarray,
+    del_values: np.ndarray,
+    del_keys: np.ndarray,
+) -> None:
+    """Queue one routed update on a shard's pending buffers."""
+    if len(ins_values):
+        cracker.add_insertions(ins_values, ins_keys)
+    if len(del_values):
+        cracker.add_deletions(del_values, del_keys)
+
+
+@dataclass
+class ShardReply:
+    """One shard's answer: the keys (if any) plus timing/path meta.
+
+    ``recovered`` — the shard's worker died and was respawn-and-replayed;
+    ``degraded`` — the reply was synthesized by the scan fallback because
+    the shard's circuit breaker was open (or its retries were exhausted):
+    exact keys, but served without cracking.  In-process shards set
+    neither.
+    """
+
+    keys: np.ndarray | None
+    meta: dict
+    recovered: bool = False
+    degraded: bool = False
+    dispatch_seconds: float = 0.0
+
+
+@dataclass(frozen=True)
+class GatherResult:
+    """What one scatter-gather :meth:`ShardedColumn.select` produced.
+
+    ``path`` is the executor's label for the backend that answered
+    (``"partition"`` or ``"process"``).  ``recovered`` — at least one shard
+    died and was respawn-and-replayed; ``degraded`` — at least one shard's
+    range was answered by the scan fallback.  Either flag keeps the result
+    out of the executor's cache; ``degraded`` additionally surfaces in the
+    wire payload so clients know the answer skipped the cracking path.
+    """
+
+    keys: np.ndarray
+    path: str
+    recovered: bool = False
+    degraded: bool = False
+
+
 class _Shard:
-    """One partition: its value range, cracker column, and lock."""
+    """The in-process shard: a cracker column under its own lock."""
 
     __slots__ = ("lo", "hi", "cracker", "lock")
 
@@ -104,22 +194,265 @@ class _Shard:
         self.cracker = cracker
         self.lock = lock
 
+    @property
+    def rows(self) -> int:
+        return len(self.cracker)
 
-class PartitionedColumn:
+    def select(
+        self, interval: Interval, deadline: Deadline | None = None
+    ) -> ShardReply:
+        """Probe under the shared read side, then the budget-bounded crack
+        under exclusive write.  The executor scatters while holding the
+        table's *read* lock, which serializes the whole scatter-gather
+        against updates (they take the table's write lock); the hierarchy
+        is strictly table → shard, so no cycle can form."""
+        label = self.cracker.label
+        with self.lock.read():
+            keys, path = probe_shard(self.cracker, interval)
+            racesan.note_access(f"{label}.pieces", "read")
+        if keys is None:
+            with self.lock.write():
+                keys = self.cracker.select(interval)
+                racesan.note_access(f"{label}.pieces", "write")
+                racesan.note_access(f"{label}.tape", "write")
+                racesan.note_access(f"{label}.pendings", "write")
+        return ShardReply(keys, {"path": path})
+
+    def update(
+        self,
+        ins_values: np.ndarray,
+        ins_keys: np.ndarray,
+        del_values: np.ndarray,
+        del_keys: np.ndarray,
+    ) -> None:
+        """Mutate the pending buffers under the shard's write lock, so
+        routing never races a concurrent :meth:`select` probing or cracking
+        the same shard.  Callers holding the table write lock are fine: the
+        lock hierarchy is table → shard everywhere."""
+        with self.lock.write():
+            queue_update(self.cracker, ins_values, ins_keys, del_values, del_keys)
+            racesan.note_access(f"{self.cracker.label}.pendings", "write")
+
+    def apply_pending(self) -> None:
+        with self.lock.write():
+            self.cracker.apply_pending()
+            racesan.note_access(f"{self.cracker.label}.pendings", "write")
+
+    def health(self) -> None:
+        return None
+
+    def close(self) -> None:
+        pass
+
+
+class ShardedColumn:
     """Range-partitioned shards of one attribute, independently cracked.
 
-    Parameters
-    ----------
-    base:
-        The attribute's base :class:`~repro.storage.bat.BAT`.
-    partitions:
-        Shard count; bounds are value quantiles of the data, so shards are
-        balanced even under skew.  Duplicate quantiles (low-cardinality
-        data) collapse, so the effective count can be smaller.
-    registry:
-        The owning server's :class:`~repro.server.locks.LockRegistry`; each
-        shard's lock is registered under ``(table, attr, i)`` and bound to
-        the shard's cracker so sanitizer sweeps honor it.
+    The single implementation of layout, pruning, scatter, gather, update
+    routing and the common statistics; a backend supplies only
+    ``make_shard(index, lo, hi, shard_bat)``, which builds its shard kind
+    over one range's rows (values plus their *global* tuple keys).
+
+    ``base`` is the attribute's base :class:`~repro.storage.bat.BAT`;
+    ``partitions`` the requested shard count — bounds are value quantiles
+    of the data, so shards are balanced even under skew, and duplicate
+    quantiles (low-cardinality data) collapse, so the effective count can
+    be smaller.
+    """
+
+    #: The executor's path label for results gathered from this column.
+    path = "partition"
+
+    def __init__(
+        self,
+        base: BAT,
+        partitions: int,
+        table: str,
+        attr: str,
+        recorder: StatsRecorder | None,
+        make_shard,
+    ) -> None:
+        self.table = table
+        self.attr = attr
+        self._recorder = recorder or global_recorder()
+        self._closed = False
+        values = base.values
+        edges, order, spans = partition_layout(values, partitions)
+        self._recorder.sequential(2 * len(values))
+        self._recorder.write(2 * len(values))
+        #: The shard edges (first ``-inf`` and last ``+inf`` included).
+        self.partition_bounds = edges
+        self.shards: list = []
+        built = False
+        try:
+            for i, (start, end) in enumerate(spans):
+                shard_bat = base.gather(order[start:end])
+                self.shards.append(
+                    make_shard(i, edges[i], edges[i + 1], shard_bat)
+                )
+            built = True
+        finally:
+            # A mid-construction failure must not leak what the shards
+            # already built own (worker processes, shared segments).
+            if not built:
+                self.close()
+
+    def __len__(self) -> int:
+        return sum(shard.rows for shard in self.shards)
+
+    # -- querying ------------------------------------------------------------
+
+    def relevant(self, interval: Interval) -> list:
+        """Shards whose value range can intersect ``interval`` (pruning)."""
+        lo = interval.lower_bound()
+        hi = interval.upper_bound()
+        out = []
+        for shard in self.shards:
+            if lo is not None and shard.hi != np.inf and lo.value >= shard.hi:
+                continue
+            if hi is not None and shard.lo != -np.inf and hi.value < shard.lo:
+                continue
+            out.append(shard)
+        return out
+
+    def select(
+        self,
+        interval: Interval,
+        deadline: "Deadline | float | None" = DEFAULT_DEADLINE,
+        pool=None,
+    ) -> GatherResult:
+        """Keys qualifying ``interval``, scatter-gathered across shards.
+
+        ``pool`` (a thread pool) overlaps the per-shard selects: in-process
+        shards interleave under their own locks, worker-process shards
+        compute concurrently while the dispatching threads merely block on
+        pipe I/O with the GIL released.  ``deadline`` may be a
+        :class:`~repro.server.resilience.Deadline` (the executor threads
+        the per-request budget through) or legacy float seconds.
+        """
+        if self._closed:
+            raise ServerError(f"sharded column {self.table}.{self.attr} is closed")
+        deadline = Deadline.coerce(deadline)
+        relevant = self.relevant(interval)
+        pruned = len(self.shards) - len(relevant)
+        if pruned:
+            self._recorder.event("index_lookups", pruned)
+        if pool is not None and len(relevant) > 1:
+            futures = [
+                pool.submit(self.select_one, shard, interval, deadline)
+                for shard in relevant[1:]
+            ]
+            replies = [self.select_one(relevant[0], interval, deadline)]
+            replies += [f.result() for f in futures]
+        else:
+            replies = [
+                self.select_one(shard, interval, deadline) for shard in relevant
+            ]
+        gather_started = time.perf_counter()
+        if not replies:
+            keys = np.empty(0, dtype=np.int64)
+        elif len(replies) == 1:
+            keys = replies[0].keys
+        else:
+            keys = np.concatenate([r.keys for r in replies])
+        self._note_gather(replies, time.perf_counter() - gather_started)
+        return GatherResult(
+            keys,
+            self.path,
+            recovered=any(r.recovered for r in replies),
+            degraded=any(r.degraded for r in replies),
+        )
+
+    @staticmethod
+    def select_one(
+        shard, interval: Interval, deadline: Deadline | None = None
+    ) -> ShardReply:
+        """One unpruned shard's share of a scatter (the pool task)."""
+        return shard.select(interval, deadline)
+
+    def _note_gather(self, replies: list[ShardReply], seconds: float) -> None:
+        """Hook for a backend that keeps a scatter-gather timing ledger."""
+
+    # -- maintenance ----------------------------------------------------------
+
+    def add_insertions(self, values: np.ndarray, keys: np.ndarray) -> None:
+        """Route new rows to their shards' pending buffers (the caller
+        holds the table's write lock)."""
+        self._route(values, keys, insert=True)
+
+    def add_deletions(self, values: np.ndarray, keys: np.ndarray) -> None:
+        """Route deletions to the shards holding the victims."""
+        self._route(values, keys, insert=False)
+
+    def _route(self, values: np.ndarray, keys: np.ndarray, insert: bool) -> None:
+        values = np.asarray(values)
+        keys = np.asarray(keys, dtype=np.int64)
+        none_v, none_k = values[:0], keys[:0]
+        masks = route_masks(values, self.partition_bounds)
+        for shard, mask in zip(self.shards, masks):
+            if not mask.any():
+                continue
+            if insert:
+                shard.update(values[mask], keys[mask], none_v, none_k)
+            else:
+                shard.update(none_v, none_k, values[mask], keys[mask])
+
+    def apply_pending_all(self) -> None:
+        """Drain pending updates on every shard."""
+        for shard in self.shards:
+            shard.apply_pending()
+
+    # -- lifecycle and introspection -------------------------------------------
+
+    def health(self) -> dict[str, dict]:
+        """Breaker states and liveness of the shards that have any, keyed
+        ``table.attr#i`` (in-process shards report nothing)."""
+        breakers: dict[str, str] = {}
+        workers_alive: dict[str, bool] = {}
+        for i, shard in enumerate(self.shards):
+            report = shard.health()
+            if report is not None:
+                name = f"{self.table}.{self.attr}#{i}"
+                breakers[name] = report["breaker"]
+                workers_alive[name] = report["alive"]
+        return {"breakers": breakers, "workers_alive": workers_alive}
+
+    def close(self) -> None:
+        """Release everything the shards own.  Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        for shard in self.shards:
+            shard.close()
+
+    def __enter__(self) -> "ShardedColumn":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def stats(self) -> dict[str, object]:
+        shard_rows = [shard.rows for shard in self.shards]
+        return {
+            "table": self.table,
+            "attr": self.attr,
+            "partitions": len(self.shards),
+            "rows": sum(shard_rows),
+            "shard_rows": shard_rows,
+        }
+
+
+class PartitionedColumn(ShardedColumn):
+    """The thread backend: every shard is an in-process :class:`_Shard`.
+
+    Each shard's :class:`~repro.cracking.column.CrackerColumn` is built
+    over that range's rows (values plus their *global* tuple keys) and
+    cracks independently under its own lock — a hot column no longer
+    serializes all queries behind one structure-wide critical section.
+    ``registry`` is the owning server's
+    :class:`~repro.server.locks.LockRegistry`; each shard's lock is
+    registered under ``(table, attr, i)`` and bound to the shard's cracker
+    so sanitizer sweeps honor it.
     """
 
     def __init__(
@@ -134,147 +467,23 @@ class PartitionedColumn:
         policy: object = None,
         crack_seed: int = 42,
     ) -> None:
-        self.table = table
-        self.attr = attr
-        self._recorder = recorder or global_recorder()
-        values = base.values
-        n = len(values)
-        edges, order, spans = partition_layout(values, partitions)
-        self._recorder.sequential(2 * n)
-        self._recorder.write(2 * n)
-        self.shards: list[_Shard] = []
-        for i, (start, end) in enumerate(spans):
-            positions = order[start:end]
-            shard_bat = base.gather(positions)  # values + global keys
+        def make_shard(index: int, lo: float, hi: float, shard_bat: BAT) -> _Shard:
             cracker = CrackerColumn(
                 shard_bat,
                 self._recorder,
                 policy=policy,
                 budget=budget,
-                rng=policy_rng(crack_seed, "shard", table, attr, i),
-                label=f"shard[{table}.{attr}#{i}]",
+                rng=policy_rng(crack_seed, "shard", table, attr, index),
+                label=f"shard[{table}.{attr}#{index}]",
             )
-            lock = registry.lock_for(table, attr, i)
+            lock = registry.lock_for(table, attr, index)
             registry.bind(cracker, lock)
-            self.shards.append(_Shard(edges[i], edges[i + 1], cracker, lock))
+            return _Shard(lo, hi, cracker, lock)
 
-    def __len__(self) -> int:
-        return sum(len(s.cracker) for s in self.shards)
-
-    @property
-    def partition_bounds(self) -> list[float]:
-        """The shard edges (first ``-inf`` and last ``+inf`` included)."""
-        return [self.shards[0].lo, *(s.hi for s in self.shards)]
-
-    # -- querying ------------------------------------------------------------
-
-    def _relevant(self, interval: Interval) -> list[_Shard]:
-        """Shards whose value range can intersect ``interval`` (pruning)."""
-        lo = interval.lower_bound()
-        hi = interval.upper_bound()
-        out = []
-        for shard in self.shards:
-            if lo is not None and shard.hi != np.inf and lo.value >= shard.hi:
-                continue
-            if hi is not None and shard.lo != -np.inf and hi.value < shard.lo:
-                continue
-            out.append(shard)
-        return out
-
-    def select(self, interval: Interval) -> np.ndarray:
-        """Keys qualifying ``interval``, scatter-gathered across shards.
-
-        Each relevant shard is answered under its own lock — probe first
-        under a shared read, then the budget-bounded crack under exclusive
-        write — one shard lock at a time.  The serving executor calls this
-        while holding the table's *read* lock, which serializes the whole
-        scatter-gather against updates (they take the table's write lock);
-        the lock hierarchy is strictly table → shard, so no cycle can form.
-        """
-        relevant = self._relevant(interval)
-        pruned = len(self.shards) - len(relevant)
-        parts = [self.select_one(shard, interval) for shard in relevant]
-        if pruned:
-            self._recorder.event("index_lookups", pruned)
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def relevant_shards(self, interval: Interval) -> list[_Shard]:
-        """The scatter half of scatter-gather: the unpruned shards.
-
-        The executor maps these onto its worker pool (each worker runs
-        :meth:`select_one`) and gathers with ``np.concatenate``.
-        """
-        return self._relevant(interval)
-
-    @staticmethod
-    def select_one(shard: _Shard, interval: Interval) -> np.ndarray:
-        """One shard's share of a scatter-gather select (pool worker body)."""
-        label = shard.cracker.label
-        with shard.lock.read():
-            # Degenerate shards (quantile collapse on low-cardinality data)
-            # answer without ever taking the write side.
-            if not len(shard.cracker) and not shard.cracker.pending.has_pending():
-                return np.empty(0, dtype=np.int64)
-            keys = shard.cracker.probe(interval)
-            racesan.note_access(f"{label}.pieces", "read")
-        if keys is None:
-            with shard.lock.write():
-                keys = shard.cracker.select(interval)
-                racesan.note_access(f"{label}.pieces", "write")
-                racesan.note_access(f"{label}.tape", "write")
-                racesan.note_access(f"{label}.pendings", "write")
-        return keys
-
-    # -- maintenance ----------------------------------------------------------
-
-    def apply_pending_all(self) -> None:
-        """Drain pending updates on every shard (under its write lock)."""
-        for shard in self.shards:
-            with shard.lock.write():
-                shard.cracker.apply_pending()
-                racesan.note_access(f"{shard.cracker.label}.pendings", "write")
-
-    def add_insertions(self, values: np.ndarray, keys: np.ndarray) -> None:
-        """Route new rows to their shards' pending buffers.
-
-        Each shard's buffer is mutated under that shard's write lock, so
-        routing never races a concurrent :meth:`select_one` probing or
-        cracking the same shard.  Callers holding the table write lock are
-        fine: the lock hierarchy is table → shard everywhere.
-        """
-        values = np.asarray(values)
-        keys = np.asarray(keys, dtype=np.int64)
-        masks = route_masks(values, self.partition_bounds)
-        for shard, mask in zip(self.shards, masks):
-            if mask.any():
-                with shard.lock.write():
-                    shard.cracker.add_insertions(values[mask], keys[mask])
-                    racesan.note_access(
-                        f"{shard.cracker.label}.pendings", "write"
-                    )
-
-    def add_deletions(self, values: np.ndarray, keys: np.ndarray) -> None:
-        """Route deletions to the shards holding the victims (under each
-        shard's write lock, like :meth:`add_insertions`)."""
-        values = np.asarray(values)
-        keys = np.asarray(keys, dtype=np.int64)
-        masks = route_masks(values, self.partition_bounds)
-        for shard, mask in zip(self.shards, masks):
-            if mask.any():
-                with shard.lock.write():
-                    shard.cracker.add_deletions(values[mask], keys[mask])
-                    racesan.note_access(
-                        f"{shard.cracker.label}.pendings", "write"
-                    )
+        super().__init__(base, partitions, table, attr, recorder, make_shard)
 
     def stats(self) -> dict[str, object]:
         return {
-            "table": self.table,
-            "attr": self.attr,
-            "partitions": len(self.shards),
-            "rows": len(self),
-            "shard_rows": [len(s.cracker) for s in self.shards],
-            "locks": [s.lock.stats() for s in self.shards],
+            **super().stats(),
+            "locks": [shard.lock.stats() for shard in self.shards],
         }

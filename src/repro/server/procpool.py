@@ -1,9 +1,10 @@
 """Process-parallel shard workers over shared memory.
 
-The thread-mode scatter-gather of :mod:`repro.server.partition` keeps every
-shard crack inside one GIL: shards interleave, they do not overlap.  This
-module is the serving layer's *process* backend — real multi-core
-scatter-gather:
+In-process shards keep every shard crack inside one GIL: shards interleave,
+they do not overlap.  This module supplies the *worker-process* shard kind
+of :class:`~repro.server.partition.ShardedColumn` — the same layout,
+pruning, scatter, gather and update routing, with each shard's cracker on
+its own core:
 
 * one **long-lived worker process per shard**.  At startup the worker maps
   its shard's value/key payload from :class:`~repro.storage.shared.SharedBAT`
@@ -12,11 +13,11 @@ scatter-gather:
   the thread-mode shard (``policy_rng(seed, "shard", table, attr, i)``) so
   the two backends crack identically;
 * a compact **command protocol** over one duplex pipe per worker —
-  ``probe`` / ``select`` / ``crack`` / ``update`` / ``replay`` /
-  ``snapshot`` / ``shutdown``.  Commands and replies are small tuples;
-  qualifying keys come back through a per-worker **shared result buffer**
-  (the parent reads ``result[:n]``), so result payloads never cross the
-  pipe either;
+  ``select`` / ``update`` / ``apply_pending`` / ``replay`` /
+  ``snapshot``, plus the transport-only ``remap`` / ``shutdown``.
+  Commands and replies are small tuples; qualifying keys come back
+  through a per-worker **shared result buffer** (the parent reads
+  ``result[:n]``), so result payloads never cross the pipe either;
 * **per-request deadlines**: the parent bounds every dispatch with
   ``conn.poll(deadline)``.  A worker that misses its deadline is killed and
   deterministically respawned; the caller sees the serving layer's ordinary
@@ -24,29 +25,32 @@ scatter-gather:
   and process paths;
 * **crash detection + respawn-and-replay**: every state-mutating command
   (a ``select`` that actually cracked, every ``update``) is appended to the
-  parent-side *tape* of its shard after the worker acknowledged it.  When a
-  worker dies mid-command — a real crash, a deadline kill, or the
-  ``procpool.worker`` FaultSan failpoint — the parent spawns a fresh
-  process over the same shared segments, replays the tape (deterministic:
-  same seeded RNG, same command order), retries the in-flight command once,
-  and marks the result ``fault_recovered``;
+  parent-side *tape* of its shard after the worker acknowledged it.  The
+  tape holds shard state only — never transport details such as which
+  result buffer was current — and is the one record of routed updates:
+  replay and the scan fallback both read it.  When a worker dies
+  mid-command — a real crash, a deadline kill, or the ``procpool.worker``
+  FaultSan failpoint — the parent spawns a fresh process over the same
+  shared segments, replays the tape (deterministic: same seeded RNG, same
+  command order), retries the in-flight command once, and marks the
+  result ``fault_recovered``;
 * **retry with backoff + per-shard circuit breakers**: when even the
-  respawn-retried dispatch fails, :meth:`ProcessShardPool.select` retries
-  the whole dispatch under the request's remaining
+  respawn-retried dispatch fails, the shard's ``select`` retries the whole
+  dispatch under the request's remaining
   :class:`~repro.server.resilience.Deadline` budget, pausing with seeded,
   tape-recorded decorrelated jitter.  Each shard worker carries a
   :class:`~repro.server.resilience.CircuitBreaker`; once it opens, the
   parent stops dispatching and serves the shard's range itself from the
   *pristine shared base segment* (``CrackerColumn`` copies its inputs, so
-  the segment is never cracked in place) merged with a parent-side mirror
-  of routed updates — an exact answer, marked ``degraded`` because it
-  scanned instead of cracking.  A half-open probe after the cooldown
-  recloses the breaker when the shard recovers.
+  the segment is never cracked in place) merged with the ``update``
+  entries of the shard's tape — an exact answer, marked ``degraded``
+  because it scanned instead of cracking.  A half-open probe after the
+  cooldown recloses the breaker when the shard recovers.
 
 Lock discipline: the parent serializes each worker's request/response pairs
 under a per-worker leaf :class:`~repro.server.locks.Mutex`; the executor
-holds the table's read lock around the whole scatter (exactly like thread
-mode), so updates can never interleave with a scatter.  Workers themselves
+holds the table's read lock around the whole scatter (as for in-process
+shards), so updates can never interleave with a scatter.  Workers themselves
 are single-threaded and own their shard exclusively — the in-process lock
 hierarchy does not extend into them (``docs/locksan.md``).
 """
@@ -57,7 +61,6 @@ import multiprocessing
 import os
 import time
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,9 +75,14 @@ from repro.errors import (
 )
 from repro.faults.plan import fault_hook
 from repro.server.locks import Mutex
-from repro.server.partition import partition_layout, route_masks
+from repro.server.partition import (
+    DEFAULT_DEADLINE,
+    ShardedColumn,
+    ShardReply,
+    probe_shard,
+    queue_update,
+)
 from repro.server.resilience import (
-    DISPATCH,
     PROBE,
     SHED,
     CircuitBreaker,
@@ -85,9 +93,6 @@ from repro.server.resilience import (
 from repro.stats.counters import StatsRecorder, global_recorder
 from repro.storage.bat import BAT
 from repro.storage.shared import SharedArray, SharedBAT
-
-#: Default per-command deadline (seconds) when the caller supplies none.
-DEFAULT_DEADLINE = 30.0
 
 #: Environment override for the multiprocessing start method.  ``fork`` is
 #: the default where available (workers inherit the imported interpreter,
@@ -179,6 +184,14 @@ def _shard_worker_main(spec: dict, conn) -> None:
             if op == "shutdown":
                 conn.send(("ok", 0, {}))
                 break
+            if op == "remap":
+                # The parent grew the result buffer for incoming rows;
+                # switch attachments before the shard can produce a larger
+                # result.  (The old segment is unlinked parent-side.)
+                result.close()
+                result = SharedArray.attach(command[1])
+                conn.send(("ok", 0, {}))
+                continue
             started = time.perf_counter()
             try:
                 reply = _apply_command(cracker, command, result)
@@ -200,30 +213,14 @@ def _apply_command(
     """Execute one protocol command against the worker's cracker column."""
     op = command[0]
     if op == "select":
-        return _do_select(cracker, command[1], result, force_crack=False)
-    if op == "crack":
-        return _do_select(cracker, command[1], result, force_crack=True)
-    if op == "probe":
-        keys = cracker.probe(command[1])
+        interval = command[1]
+        keys, path = probe_shard(cracker, interval)
         if keys is None:
-            return ("ok", -1, {"path": "miss"})
+            keys = cracker.select(interval)
         n = _write_result(keys, result)
-        return ("ok", n, {"path": "probe"})
+        return ("ok", n, {"path": path, "rows": len(cracker)})
     if op == "update":
-        _, ins_values, ins_keys, del_values, del_keys, remap = command
-        if remap is not None:
-            # The parent grew the result buffer for the incoming rows;
-            # switch attachments before the shard can produce a larger
-            # result.  (The old segment is unlinked parent-side.)
-            result.close()
-            grown = SharedArray.attach(remap)
-            result.shm, result.view = grown.shm, grown.view
-            result.shape, result.dtype = grown.shape, grown.dtype
-            result.owner, result.closed = grown.owner, grown.closed
-        if len(ins_values):
-            cracker.add_insertions(ins_values, ins_keys)
-        if len(del_values):
-            cracker.add_deletions(del_values, del_keys)
+        queue_update(cracker, *command[1:])
         return ("ok", 0, {"rows": len(cracker)})
     if op == "apply_pending":
         cracker.apply_pending()
@@ -237,34 +234,12 @@ def _apply_command(
     raise ServerError(f"unknown shard-worker command {op!r}")
 
 
-def _do_select(
-    cracker: CrackerColumn,
-    interval: Interval,
-    result: SharedArray,
-    force_crack: bool,
-) -> tuple:
-    """``select``: probe first, crack when the probe cannot answer."""
-    path = "probe"
-    keys = None if force_crack else cracker.probe(interval)
-    if keys is None:
-        # Degenerate shards (quantile collapse) answer empty without
-        # cracking, mirroring the thread backend's fast path.
-        if not len(cracker) and not cracker.pending.has_pending():
-            keys = np.empty(0, dtype=np.int64)
-            path = "empty"
-        else:
-            keys = cracker.select(interval)
-            path = "crack"
-    n = _write_result(keys, result)
-    return ("ok", n, {"path": path})
-
-
 def _write_result(keys: np.ndarray, result: SharedArray) -> int:
     n = len(keys)
     if n > len(result):
         raise ServerError(
             f"shard result ({n} keys) exceeds the shared result buffer "
-            f"({len(result)}); the parent under-sized an update remap"
+            f"({len(result)}); the parent under-sized a result remap"
         )
     result.view[:n] = keys
     return n
@@ -288,41 +263,9 @@ def _snapshot(cracker: CrackerColumn) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ShardReply:
-    """One decoded worker reply: the keys (if any) plus timing/path meta.
-
-    ``degraded`` marks a reply the parent synthesized from the scan
-    fallback because the shard's circuit breaker was open (or its retries
-    were exhausted) — exact keys, but served without cracking.
-    """
-
-    keys: np.ndarray | None
-    meta: dict
-    recovered: bool = False
-    degraded: bool = False
-    dispatch_seconds: float = 0.0
-
-
-@dataclass(frozen=True)
-class GatherResult:
-    """What one scatter-gather :meth:`ProcessShardPool.select` produced.
-
-    ``recovered`` — at least one shard died and was respawn-and-replayed;
-    ``degraded`` — at least one shard's range was answered by the parent's
-    scan fallback (breaker open / retries exhausted).  Either flag keeps
-    the result out of the executor's cache; ``degraded`` additionally
-    surfaces in the wire payload so clients know the answer skipped the
-    cracking path.
-    """
-
-    keys: np.ndarray
-    recovered: bool = False
-    degraded: bool = False
-
-
 class _ShardWorker:
-    """Parent-side handle of one shard worker: process, pipe, tape, buffer."""
+    """The worker-process shard: parent-side handle of one worker's
+    process, pipe, tape and result buffer."""
 
     def __init__(
         self,
@@ -337,14 +280,17 @@ class _ShardWorker:
         self.lo = lo  # inclusive lower value bound (-inf for the first shard)
         self.hi = hi  # exclusive upper value bound (+inf for the last shard)
         self.base = base
-        self.rows = len(base)
+        self.rows = len(base)  # refreshed from every worker acknowledgement
         # Max rows any future select can return: initial rows plus every
         # routed insertion (deletions only shrink).  Governs result sizing.
         self.capacity = max(1, self.rows)
         self.result = SharedArray.zeros(self.capacity, np.int64)
         #: The shard's mutation tape: every acknowledged state-mutating
         #: command, in dispatch order.  Replaying it over a fresh worker
-        #: reproduces the cracked state exactly (same seeded RNG).
+        #: reproduces the cracked state exactly (same seeded RNG), and its
+        #: ``update`` entries over the pristine base segment are an exact
+        #: picture of the shard's rows (the worker's CrackerColumn copies
+        #: the segment, never mutates it) — what the scan fallback reads.
         self.tape: list[tuple] = []
         self.mutex = Mutex(f"procworker[{pool.table}.{pool.attr}#{index}]")
         self.process: multiprocessing.process.BaseProcess | None = None
@@ -366,14 +312,6 @@ class _ShardWorker:
         )
         self.retries = 0
         self.degraded_serves = 0
-        # Parent-side mirror of routed updates.  The shared base segment is
-        # never mutated (the worker's CrackerColumn copies it), so base +
-        # mirrored insertions - mirrored deletions is an exact picture of
-        # the shard — the data the scan fallback answers from when the
-        # breaker routes around a sick worker.
-        self.mirror_ins_values: list[np.ndarray] = []
-        self.mirror_ins_keys: list[np.ndarray] = []
-        self.mirror_del_keys: list[np.ndarray] = []
         self._spawn()
 
     # -- process lifecycle ---------------------------------------------------
@@ -442,11 +380,12 @@ class _ShardWorker:
             None if deadline is None else time.perf_counter() + deadline
         )
         self.conn.send(command)
-        if command[0] != "replay":
-            # The internal recovery replay is exempt: shots must count
-            # client-visible dispatches only, or a multi-shot plan's hit
-            # arithmetic would depend on tape length (and an injected
-            # death mid-replay would escape the recovery path itself).
+        if command[0] not in ("replay", "remap"):
+            # The internal recovery replay and the result-buffer switch are
+            # exempt: shots must count client-visible dispatches only, or a
+            # multi-shot plan's hit arithmetic would depend on tape length
+            # and buffer growth (and an injected death mid-replay would
+            # escape the recovery path itself).
             try:
                 fault_hook("procpool.worker")
             except InjectedFault as exc:
@@ -512,8 +451,9 @@ class _ShardWorker:
             _, rows, meta = reply
             if mutating or meta.get("path") == "crack":
                 self.tape.append(command)
+            self.rows = meta.get("rows", self.rows)
             keys = None
-            if command[0] in ("select", "crack", "probe") and rows >= 0:
+            if command[0] == "select":
                 keys = np.array(self.result.view[:rows])
             return ShardReply(
                 keys=keys,
@@ -522,31 +462,131 @@ class _ShardWorker:
                 dispatch_seconds=time.perf_counter() - started,
             )
 
-    def grow_result(self, extra_rows: int) -> dict | None:
-        """Reserve result capacity for routed insertions.
+    # -- the shard contract ----------------------------------------------------
 
-        Returns the remap descriptor to ship with the update command when
-        the buffer had to grow (the old segment is unlinked once the worker
-        acknowledges the update), else ``None``.  Caller holds the mutex
-        via :meth:`dispatch`'s update path.
+    def select(self, interval: Interval, deadline: Deadline) -> ShardReply:
+        """This shard's select under the full resilience machinery.
+
+        The inner ``dispatch`` already absorbs a *single* worker death via
+        respawn-and-replay; this loop handles everything beyond that —
+        a worker that died twice (``ServerError``), an injected fault from
+        the retry/breaker failpoints — by retrying under the remaining
+        deadline budget with decorrelated-jitter pauses, and by consulting
+        the shard's circuit breaker before every dispatch.  When the
+        breaker says shed (or retries are exhausted), the shard's range is
+        answered by :meth:`_fallback_scan` and marked ``degraded``.
+        """
+        command = ("select", interval)
+        attempts = 0
+        while True:
+            if deadline.cancelled:
+                raise QueryTimeout(
+                    f"request cancelled before shard "
+                    f"{self.pool.table}.{self.pool.attr}#{self.index} dispatched"
+                )
+            gate = self.breaker.admit()
+            if gate == SHED:
+                return self._fallback_scan(interval)
+            try:
+                if attempts:
+                    # Armed in chaos plans to fail the retry itself.
+                    fault_hook("procpool.retry")
+                if gate == PROBE:
+                    # Armed in chaos plans to fail the half-open probe.
+                    fault_hook("procpool.breaker")
+                reply = self.dispatch(command, deadline.remaining())
+            except QueryTimeout:
+                self.breaker.record_failure()
+                raise
+            except (ServerError, InjectedFault, MemoryError, EOFError, OSError):
+                self.breaker.record_failure()
+                attempts += 1
+                if attempts > self.pool.resilience.retry_attempts:
+                    return self._fallback_scan(interval)
+                pause = self.backoff.next_pause()
+                remaining = deadline.remaining()
+                if remaining is not None and pause >= remaining:
+                    return self._fallback_scan(interval)
+                self.retries += 1
+                time.sleep(pause)
+                continue
+            self.breaker.record_success()
+            self.backoff.reset()
+            return reply
+
+    def _fallback_scan(self, interval: Interval) -> ShardReply:
+        """Answer this shard's range without its worker: scan the pristine
+        shared base segment, merge the tape's ``update`` entries.
+
+        Exact — base segment + tape = shard — but *degraded*: it scanned
+        O(shard) instead of cracking, and it must never be cached (a
+        recovered worker would then serve stale hits).
+        """
+        started = time.perf_counter()
+        with self.mutex:
+            bat = self.base.as_bat()
+            keys = bat.materialized_keys()[interval.mask(bat.values)]
+            updates = [entry for entry in self.tape if entry[0] == "update"]
+            if updates:
+                ins_values = np.concatenate([u[1] for u in updates])
+                ins_keys = np.concatenate([u[2] for u in updates])
+                deleted = np.concatenate([u[4] for u in updates])
+                keys = np.concatenate([keys, ins_keys[interval.mask(ins_values)]])
+                keys = keys[~np.isin(keys, deleted)]
+            self.degraded_serves += 1
+        return ShardReply(
+            keys=keys,
+            meta={"path": "fallback"},
+            degraded=True,
+            dispatch_seconds=time.perf_counter() - started,
+        )
+
+    def update(
+        self,
+        ins_values: np.ndarray,
+        ins_keys: np.ndarray,
+        del_values: np.ndarray,
+        del_keys: np.ndarray,
+    ) -> None:
+        self._reserve_result(len(ins_values))
+        self.dispatch(
+            ("update", ins_values, ins_keys, del_values, del_keys),
+            DEFAULT_DEADLINE,
+        )
+
+    def _reserve_result(self, extra_rows: int) -> None:
+        """Grow the result buffer ahead of routed insertions.
+
+        The caller holds the table's write lock, so no select is reading
+        the buffer.  The switch is a transport command of its own — never
+        taped: a respawned worker attaches whatever buffer is current from
+        :meth:`_spec` — and the old segment is unlinked once the worker
+        acknowledged it (or died, in which case its successor never sees
+        the old one).
         """
         self.capacity += extra_rows
         if self.capacity <= len(self.result):
-            return None
-        grown = SharedArray.zeros(
-            max(self.capacity, int(len(self.result) * 1.5) + 1), np.int64
+            return
+        stale = self.result
+        self.result = SharedArray.zeros(
+            max(self.capacity, int(len(stale) * 1.5) + 1), np.int64
         )
-        self._stale_result = self.result
-        self.result = grown
-        return grown.meta
-
-    def finish_grow(self) -> None:
-        stale = getattr(self, "_stale_result", None)
-        if stale is not None:
+        try:
+            self.dispatch(("remap", self.result.meta), DEFAULT_DEADLINE)
+        finally:
             stale.close()
-            self._stale_result = None
+
+    def apply_pending(self) -> None:
+        self.dispatch(("apply_pending",), DEFAULT_DEADLINE)
+
+    def health(self) -> dict[str, object]:
+        return {
+            "breaker": self.breaker.state,
+            "alive": self.process is not None and self.process.is_alive(),
+        }
 
     def close(self) -> None:
+        """Shut the worker down and unlink the shard's shared segments."""
         with self.mutex:
             if self.closed:
                 return
@@ -560,19 +600,21 @@ class _ShardWorker:
                 pass
             self._kill()
             self.result.close()
-            self.finish_grow()
+            self.base.release()
 
 
-class ProcessShardPool:
-    """Range-partitioned shards, each owned by one worker process.
+class ProcessShardPool(ShardedColumn):
+    """The process backend: every shard is a :class:`_ShardWorker`.
 
-    The process backend of the executor's partition path: same quantile
-    layout, same per-shard seeding, and the same prune → per-shard select →
-    gather shape as :class:`~repro.server.partition.PartitionedColumn`, but
-    every shard's probe/crack runs on its own core.  The executor calls
-    :meth:`select` while holding the table's *read* lock and routes updates
-    under the table's *write* lock — identical serialization to threads.
+    Same quantile layout, per-shard seeding, pruning, scatter-gather and
+    update routing as :class:`~repro.server.partition.PartitionedColumn` —
+    all inherited — but every shard's probe/crack runs on its own core.
+    The executor calls :meth:`select` while holding the table's *read* lock
+    and routes updates under the table's *write* lock — identical
+    serialization to threads.
     """
+
+    path = "process"
 
     def __init__(
         self,
@@ -586,9 +628,6 @@ class ProcessShardPool:
         crack_seed: int = 42,
         resilience: ResilienceConfig | None = None,
     ) -> None:
-        self.table = table
-        self.attr = attr
-        self._recorder = recorder or global_recorder()
         self.crack_seed = crack_seed
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         # Workers rebuild policy/budget from specs: policy objects carry
@@ -598,14 +637,6 @@ class ProcessShardPool:
         self.policy_name = None if policy is None else policy.name
         self.budget = budget
         self.context = _mp_context()
-        values = base.values
-        n = len(values)
-        edges, order, spans = partition_layout(values, partitions)
-        self._recorder.sequential(2 * n)
-        self._recorder.write(2 * n)
-        self.edges = edges
-        self.workers: list[_ShardWorker] = []
-        self._closed = False
         self._stats_mutex = Mutex(f"procpool[{table}.{attr}].stats")
         self.dispatch_seconds = 0.0
         self.worker_seconds = 0.0
@@ -614,175 +645,17 @@ class ProcessShardPool:
         self.probe_hits = 0
         self.recoveries = 0
         self.degraded = 0
-        spawned = False
-        try:
-            for i, (start, end) in enumerate(spans):
-                shard_bat = base.gather(order[start:end])
-                shared = SharedBAT.from_bat(shard_bat)
-                self.workers.append(
-                    _ShardWorker(self, i, edges[i], edges[i + 1], shared)
-                )
-            spawned = True
-        finally:
-            # A mid-construction failure must not leak the segments (or
-            # the worker processes) of the shards already built.
-            if not spawned:
-                self.close()
-
-    def __len__(self) -> int:
-        return sum(w.rows for w in self.workers)
-
-    @property
-    def partition_bounds(self) -> list[float]:
-        return list(self.edges)
-
-    # -- querying ------------------------------------------------------------
-
-    def relevant_workers(self, interval: Interval) -> list[_ShardWorker]:
-        """The scatter half: workers whose value range can intersect."""
-        lo = interval.lower_bound()
-        hi = interval.upper_bound()
-        out = []
-        for worker in self.workers:
-            if lo is not None and worker.hi != np.inf and lo.value >= worker.hi:
-                continue
-            if hi is not None and worker.lo != -np.inf and hi.value < worker.lo:
-                continue
-            out.append(worker)
-        return out
-
-    def select(
-        self,
-        interval: Interval,
-        deadline: "Deadline | float | None" = DEFAULT_DEADLINE,
-        pool=None,
-    ) -> GatherResult:
-        """Scatter-gather one interval across the worker processes.
-
-        ``pool`` (a thread pool) overlaps the dispatches so all workers
-        compute concurrently — the dispatching threads merely block on pipe
-        I/O with the GIL released.  ``deadline`` may be a
-        :class:`~repro.server.resilience.Deadline` (the executor threads
-        the per-request budget through) or legacy float seconds.
-        """
-        if self._closed:
-            raise ServerError("shard worker pool is closed")
-        deadline = Deadline.coerce(deadline)
-        relevant = self.relevant_workers(interval)
-        pruned = len(self.workers) - len(relevant)
-        if pruned:
-            self._recorder.event("index_lookups", pruned)
-        if not relevant:
-            return GatherResult(np.empty(0, dtype=np.int64))
-        if pool is not None and len(relevant) > 1:
-            futures = [
-                pool.submit(self._worker_select, worker, interval, deadline)
-                for worker in relevant[1:]
-            ]
-            replies = [self._worker_select(relevant[0], interval, deadline)]
-            replies += [f.result() for f in futures]
-        else:
-            replies = [
-                self._worker_select(worker, interval, deadline)
-                for worker in relevant
-            ]
-        gather_started = time.perf_counter()
-        parts = [r.keys for r in replies if r.keys is not None]
-        keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        self._note_replies(replies, time.perf_counter() - gather_started)
-        return GatherResult(
-            keys,
-            recovered=any(r.recovered for r in replies),
-            degraded=any(r.degraded for r in replies),
+        super().__init__(
+            base, partitions, table, attr, recorder,
+            lambda index, lo, hi, shard_bat: _ShardWorker(
+                self, index, lo, hi, SharedBAT.from_bat(shard_bat)
+            ),
         )
 
-    def _worker_select(
-        self, worker: _ShardWorker, interval: Interval, deadline: Deadline
-    ) -> ShardReply:
-        """One shard's select under the full resilience machinery.
-
-        The inner ``dispatch`` already absorbs a *single* worker death via
-        respawn-and-replay; this loop handles everything beyond that —
-        a worker that died twice (``ServerError``), an injected fault from
-        the retry/breaker failpoints — by retrying under the remaining
-        deadline budget with decorrelated-jitter pauses, and by consulting
-        the shard's circuit breaker before every dispatch.  When the
-        breaker says shed (or retries are exhausted), the shard's range is
-        answered by :meth:`_fallback_scan` and marked ``degraded``.
-        """
-        command = ("select", interval)
-        config = self.resilience
-        attempts = 0
-        while True:
-            if deadline.cancelled:
-                raise QueryTimeout(
-                    f"request cancelled before shard "
-                    f"{self.table}.{self.attr}#{worker.index} dispatched"
-                )
-            gate = worker.breaker.admit()
-            if gate == SHED:
-                return self._fallback_scan(worker, interval)
-            try:
-                if attempts:
-                    # Armed in chaos plans to fail the retry itself.
-                    fault_hook("procpool.retry")
-                if gate == PROBE:
-                    # Armed in chaos plans to fail the half-open probe.
-                    fault_hook("procpool.breaker")
-                reply = worker.dispatch(command, deadline.remaining())
-            except QueryTimeout:
-                worker.breaker.record_failure()
-                raise
-            except (ServerError, InjectedFault, MemoryError, EOFError, OSError):
-                worker.breaker.record_failure()
-                attempts += 1
-                if attempts > config.retry_attempts:
-                    return self._fallback_scan(worker, interval)
-                pause = worker.backoff.next_pause()
-                remaining = deadline.remaining()
-                if remaining is not None and pause >= remaining:
-                    return self._fallback_scan(worker, interval)
-                worker.retries += 1
-                time.sleep(pause)
-                continue
-            worker.breaker.record_success()
-            worker.backoff.reset()
-            return reply
-
-    def _fallback_scan(
-        self, worker: _ShardWorker, interval: Interval
-    ) -> ShardReply:
-        """Answer one shard's range without its worker: scan the pristine
-        shared base segment, merge the parent's update mirror.
-
-        Exact — the worker's ``CrackerColumn`` copies the segment at
-        startup and every routed update is mirrored parent-side — but
-        *degraded*: it scanned O(shard) instead of cracking, and it must
-        never be cached (a recovered worker would then serve stale hits).
-        """
-        started = time.perf_counter()
-        with worker.mutex:
-            bat = worker.base.as_bat()
-            keys = bat.materialized_keys()[interval.mask(bat.values)]
-            if worker.mirror_ins_values:
-                ins_values = np.concatenate(worker.mirror_ins_values)
-                ins_keys = np.concatenate(worker.mirror_ins_keys)
-                keys = np.concatenate([keys, ins_keys[interval.mask(ins_values)]])
-            if worker.mirror_del_keys:
-                deleted = np.concatenate(worker.mirror_del_keys)
-                keys = keys[~np.isin(keys, deleted)]
-            worker.degraded_serves += 1
-        return ShardReply(
-            keys=keys,
-            meta={"path": "fallback"},
-            degraded=True,
-            dispatch_seconds=time.perf_counter() - started,
-        )
-
-    def _note_replies(self, replies: list[ShardReply], gather: float) -> None:
+    def _note_gather(self, replies: list[ShardReply], seconds: float) -> None:
         with self._stats_mutex:
             self.selects += 1
-            self.gather_seconds += gather
+            self.gather_seconds += seconds
             for r in replies:
                 self.dispatch_seconds += r.dispatch_seconds
                 self.worker_seconds += r.meta.get("seconds", 0.0)
@@ -793,73 +666,14 @@ class ProcessShardPool:
                 if r.degraded:
                     self.degraded += 1
 
-    # -- maintenance ----------------------------------------------------------
-
-    def add_insertions(self, values: np.ndarray, keys: np.ndarray) -> None:
-        """Route new rows to their shards (caller holds the table write lock)."""
-        self._route_update(values, keys, insert=True)
-
-    def add_deletions(self, values: np.ndarray, keys: np.ndarray) -> None:
-        self._route_update(values, keys, insert=False)
-
-    def _route_update(
-        self, values: np.ndarray, keys: np.ndarray, insert: bool
-    ) -> None:
-        values = np.asarray(values)
-        keys = np.asarray(keys, dtype=np.int64)
-        empty_v = values[:0]
-        empty_k = keys[:0]
-        for worker, mask in zip(self.workers, route_masks(values, self.edges)):
-            if not mask.any():
-                continue
-            shard_values, shard_keys = values[mask], keys[mask]
-            remap = worker.grow_result(len(shard_values)) if insert else None
-            if insert:
-                command = ("update", shard_values, shard_keys,
-                           empty_v, empty_k, remap)
-            else:
-                command = ("update", empty_v, empty_k,
-                           shard_values, shard_keys, remap)
-            worker.dispatch(command, DEFAULT_DEADLINE)
-            worker.finish_grow()
-            # Mirror the acknowledged update parent-side so the breaker's
-            # scan fallback stays exact (base segment + mirror = shard).
-            if insert:
-                worker.mirror_ins_values.append(np.array(shard_values))
-                worker.mirror_ins_keys.append(np.array(shard_keys))
-            else:
-                worker.mirror_del_keys.append(np.array(shard_keys))
-
-    def apply_pending_all(self) -> None:
-        for worker in self.workers:
-            worker.dispatch(("apply_pending",), DEFAULT_DEADLINE)
-
     def snapshot(self) -> list[dict]:
         """Per-shard state fingerprints (tests compare across respawns)."""
         out = []
-        for worker in self.workers:
+        for worker in self.shards:
             meta = dict(worker.dispatch(("snapshot",), DEFAULT_DEADLINE).meta)
             meta.pop("seconds", None)  # wall time is not part of the state
             out.append(meta)
         return out
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def close(self) -> None:
-        """Shut workers down and unlink every shared segment.  Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self.workers:
-            worker.close()
-        for worker in self.workers:
-            worker.base.release()
-
-    def __enter__(self) -> "ProcessShardPool":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def stats(self) -> dict[str, object]:
         with self._stats_mutex:
@@ -872,22 +686,21 @@ class ProcessShardPool:
                 "worker_seconds": self.worker_seconds,
                 "gather_seconds": self.gather_seconds,
             }
-        return {
-            "table": self.table,
-            "attr": self.attr,
+        common = super().stats()
+        return {  # "engine" keeps its wire position between attr and partitions
+            "table": common.pop("table"),
+            "attr": common.pop("attr"),
             "engine": "process",
-            "partitions": len(self.workers),
-            "rows": len(self),
-            "shard_rows": [w.rows for w in self.workers],
-            "respawns": [w.respawns for w in self.workers],
-            "commands": [w.commands for w in self.workers],
-            "tape_lengths": [len(w.tape) for w in self.workers],
-            "retries": [w.retries for w in self.workers],
-            "degraded_serves": [w.degraded_serves for w in self.workers],
+            **common,
+            "respawns": [w.respawns for w in self.shards],
+            "commands": [w.commands for w in self.shards],
+            "tape_lengths": [len(w.tape) for w in self.shards],
+            "retries": [w.retries for w in self.shards],
+            "degraded_serves": [w.degraded_serves for w in self.shards],
             "breakers": {
                 f"{self.table}.{self.attr}#{w.index}": w.breaker.stats()
-                for w in self.workers
+                for w in self.shards
             },
-            "jitter_tapes": [list(w.backoff.tape) for w in self.workers],
+            "jitter_tapes": [list(w.backoff.tape) for w in self.shards],
             **timings,
         }

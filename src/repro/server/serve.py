@@ -47,6 +47,36 @@ def _error_payload(exc: BaseException) -> dict[str, object]:
     return {"ok": False, "error": str(exc), "kind": type(exc).__name__}
 
 
+def _open_frame(
+    executor: ServerExecutor, message: dict[str, object]
+) -> "dict[str, object] | ServedQuery":
+    """The frame front both endpoints share: op dispatch and validation.
+
+    A control op is answered outright (the response dict); a query frame
+    comes back as a validated :class:`ServedQuery` for the caller to run
+    its own way (blocking in-process, awaited over TCP).  The timeout
+    rides inside the request, so the executor's admission deadline and
+    any wait the caller adds measure one budget from one clock.  Raises
+    :class:`~repro.errors.ReproError` on malformed input.
+    """
+    op = message.get("op", "query")
+    if op == "ping":
+        return {"ok": True, "result": "pong"}
+    if op == "stats":
+        return {"ok": True, "result": executor.stats()}
+    if op == "health":
+        return {"ok": True, "result": executor.health()}
+    if op != "query":
+        raise ServerError(f"unknown op {op!r}")
+    sql = message.get("sql")
+    if not isinstance(sql, str):
+        raise ServerError("a query request needs an 'sql' string")
+    timeout = message.get("timeout")
+    if timeout is not None and not isinstance(timeout, (int, float)):
+        raise ServerError("'timeout' must be a number of seconds")
+    return ServedQuery.from_sql(sql, executor.db, timeout=timeout)
+
+
 class ServerHandle:
     """In-process serving endpoint: the protocol without the socket.
 
@@ -61,7 +91,6 @@ class ServerHandle:
         workers: int = 4,
         partitions: int = 0,
         engine=None,
-        cache: bool = True,
         partition_attrs: "tuple[tuple[str, str], ...] | list" = (),
         processes: int = 0,
         cache_bytes: "int | None" = None,
@@ -74,7 +103,7 @@ class ServerHandle:
 
         self.executor = ServerExecutor(
             db, engine=engine, workers=workers, partitions=partitions,
-            cache=cache, processes=processes,
+            processes=processes,
             cache_bytes=DEFAULT_CACHE_BYTES if cache_bytes is None else cache_bytes,
             max_queue=max_queue, max_inflight=max_inflight,
             shed_policy=shed_policy, resilience=resilience,
@@ -88,23 +117,10 @@ class ServerHandle:
     def request(self, message: dict[str, object]) -> dict[str, object]:
         """Answer one protocol request dictionary (never raises)."""
         try:
-            op = message.get("op", "query")
-            if op == "ping":
-                return {"ok": True, "result": "pong"}
-            if op == "stats":
-                return {"ok": True, "result": self.executor.stats()}
-            if op == "health":
-                return {"ok": True, "result": self.executor.health()}
-            if op == "query":
-                sql = message.get("sql")
-                if not isinstance(sql, str):
-                    raise ServerError("a query request needs an 'sql' string")
-                timeout = message.get("timeout")
-                if timeout is not None and not isinstance(timeout, (int, float)):
-                    raise ServerError("'timeout' must be a number of seconds")
-                result = self.query(sql, timeout=timeout)
-                return {"ok": True, "result": result.as_payload()}
-            raise ServerError(f"unknown op {op!r}")
+            served = _open_frame(self.executor, message)
+            if not isinstance(served, ServedQuery):
+                return served
+            return {"ok": True, "result": self.executor.run(served).as_payload()}
         except ReproError as exc:
             return _error_payload(exc)
 
@@ -203,26 +219,13 @@ class CrackServer:
         """
         executor = self.handle.executor
         try:
-            op = message.get("op", "query")
-            if op == "ping":
-                return {"ok": True, "result": "pong"}
-            if op == "stats":
-                return {"ok": True, "result": executor.stats()}
-            if op == "health":
-                return {"ok": True, "result": executor.health()}
-            if op != "query":
-                raise ServerError(f"unknown op {op!r}")
-            sql = message.get("sql")
-            if not isinstance(sql, str):
-                raise ServerError("a query request needs an 'sql' string")
-            timeout = message.get("timeout")
-            if timeout is not None and not isinstance(timeout, (int, float)):
-                raise ServerError("'timeout' must be a number of seconds")
-            deadline = timeout if timeout is not None else executor.default_timeout
-            # The timeout rides inside the request too, so the executor's
-            # admission deadline matches the wait below (one budget,
-            # measured from one clock — not two racing timers).
-            served = ServedQuery.from_sql(sql, executor.db, timeout=timeout)
+            served = _open_frame(executor, message)
+            if not isinstance(served, ServedQuery):
+                return served
+            deadline = (
+                served.timeout if served.timeout is not None
+                else executor.default_timeout
+            )
             future = asyncio.wrap_future(executor.submit(served))
             try:
                 result = await asyncio.wait_for(future, deadline)

@@ -1,4 +1,9 @@
-"""Process shard workers: correctness, crash recovery, deadlines, lifecycle."""
+"""Process shard workers: crash recovery, deadlines, fallback, lifecycle.
+
+What the process backend shares with the thread backend (select ≡ scan,
+pruning, update routing, shared stats) is covered once for both in
+``test_shard_backends.py``.
+"""
 
 import numpy as np
 import pytest
@@ -36,46 +41,7 @@ def _span(lo, hi, attr="A", **kwargs):
     return Query("R", (Predicate(attr, Interval.half_open(lo, hi)),), **kwargs)
 
 
-# -- pool correctness --------------------------------------------------------
-
-
-def test_select_matches_ground_truth(pool, base_bat):
-    for interval in (
-        Interval(1_000, 5_000),
-        Interval.closed(0, 9_999),
-        Interval.at_most(100),
-        Interval.at_least(9_000),
-    ):
-        got = pool.select(interval)
-        assert not got.recovered and not got.degraded
-        assert np.array_equal(
-            np.sort(got.keys), _expected(base_bat.values, interval)
-        )
-
-
-def test_pruning_skips_irrelevant_workers(pool, base_bat):
-    narrow = Interval(0, 50)
-    assert len(pool.relevant_workers(narrow)) < len(pool.workers)
-    keys = pool.select(narrow).keys
-    assert np.array_equal(np.sort(keys), _expected(base_bat.values, narrow))
-
-
-def test_updates_route_and_apply(pool, base_bat):
-    interval = Interval(1_000, 5_000)
-    pool.select(interval)
-    n = len(base_bat)
-    pool.add_insertions(
-        np.array([2_000, 9_999, 1_500], dtype=np.int64),
-        np.arange(n, n + 3, dtype=np.int64),
-    )
-    pool.add_deletions(
-        np.array([2_000], dtype=np.int64), np.array([n], dtype=np.int64)
-    )
-    keys = pool.select(interval).keys
-    expected = np.sort(np.concatenate([
-        _expected(base_bat.values, interval), [n + 2]
-    ]))
-    assert np.array_equal(np.sort(keys), expected)
+# -- result-buffer growth -----------------------------------------------------
 
 
 def test_result_buffer_grows_for_bulk_inserts(pool, base_bat):
@@ -92,6 +58,29 @@ def test_result_buffer_grows_for_bulk_inserts(pool, base_bat):
     assert np.array_equal(np.sort(keys), expected)
 
 
+def test_worker_recovers_after_two_result_buffer_growths(pool, base_bat):
+    """The tape records shard state, not which result segment was current:
+    the second growth unlinks the first grown segment, and a respawned
+    worker must attach the live buffer instead of replaying a stale remap."""
+    n = len(base_bat)
+    bulk = np.full(30_000, 42, dtype=np.int64)  # all route to shard 0
+    for start in (n, n + len(bulk)):
+        pool.add_insertions(
+            bulk, np.arange(start, start + len(bulk), dtype=np.int64)
+        )
+    interval = Interval.closed(42, 42)
+    before = np.sort(pool.select(interval).keys)
+    assert len(before) == 2 * len(bulk) + len(_expected(base_bat.values, interval))
+    snap_before = pool.snapshot()
+    pool.shards[0].process.kill()
+    pool.shards[0].process.join()
+    after = pool.select(interval)
+    assert after.recovered and not after.degraded
+    assert np.array_equal(np.sort(after.keys), before)
+    assert pool.snapshot() == snap_before
+    assert pool.stats()["retries"] == [0, 0, 0, 0]
+
+
 # -- crash recovery ----------------------------------------------------------
 
 
@@ -99,7 +88,7 @@ def test_worker_crash_respawns_and_replays(pool, base_bat):
     interval = Interval(2_000, 8_000)
     before = pool.select(interval).keys
     snap_before = pool.snapshot()
-    for worker in pool.workers:
+    for worker in pool.shards:
         worker.process.kill()
         worker.process.join()
     after = pool.select(interval)
@@ -108,7 +97,7 @@ def test_worker_crash_respawns_and_replays(pool, base_bat):
     # Replay is deterministic: the rebuilt shards reach the same cracked
     # state (piece counts, payload CRCs, RNG-driven cut counts).
     assert pool.snapshot() == snap_before
-    assert all(w.respawns == 1 for w in pool.workers)
+    assert all(w.respawns == 1 for w in pool.shards)
 
 
 def test_failpoint_kills_worker_mid_command(pool, base_bat):
@@ -120,7 +109,7 @@ def test_failpoint_kills_worker_mid_command(pool, base_bat):
         uninstall_plan()
     assert got.recovered and not got.degraded
     assert np.array_equal(np.sort(got.keys), _expected(base_bat.values, interval))
-    assert sum(w.respawns for w in pool.workers) == 1
+    assert sum(w.respawns for w in pool.shards) == 1
     assert pool.stats()["recoveries"] == 1
 
 
@@ -169,7 +158,7 @@ def test_process_engine_digests_match_serial_and_threads(small_arrays):
     ):
         db = Database()
         db.create_table("R", {k: v.copy() for k, v in small_arrays.items()})
-        with db, ServerExecutor(db, cache=False, **kwargs) as executor:
+        with db, ServerExecutor(db, cache_bytes=0, **kwargs) as executor:
             if kwargs.get("partitions") or kwargs.get("processes"):
                 executor.partition("R", "A")
             results[mode] = _digests(executor, queries)
@@ -185,7 +174,7 @@ def test_process_engine_updates_stay_bit_identical(small_arrays):
     ):
         db = Database()
         db.create_table("R", {k: v.copy() for k, v in small_arrays.items()})
-        with db, ServerExecutor(db, cache=False, **kwargs) as executor:
+        with db, ServerExecutor(db, cache_bytes=0, **kwargs) as executor:
             if kwargs.get("processes"):
                 executor.partition("R", "A")
             seen = [executor.run(query).digest()]
@@ -223,7 +212,7 @@ def test_run_batch_translates_worker_deadline_to_query_timeout(db):
     deadline surfaces as the wire-level QueryTimeout, same as threads."""
     from repro.server.executor import ServedQuery
 
-    with ServerExecutor(db, workers=2, processes=2, cache=False) as executor:
+    with ServerExecutor(db, workers=2, processes=2, cache_bytes=0) as executor:
         executor.partition("R", "A")
         doomed = ServedQuery(_span(1_000, 99_000), timeout=1e-7)
         with pytest.raises(QueryTimeout):
@@ -261,7 +250,7 @@ def test_segments_survive_worker_crash_until_close(db):
     with ServerExecutor(db, workers=2, processes=2) as executor:
         column = executor.partition("R", "A")
         executor.run(_span(1_000, 50_000))
-        for worker in column.workers:
+        for worker in column.shards:
             worker.process.kill()
             worker.process.join()
         result = executor.run(_span(60_000, 90_000))
@@ -371,7 +360,7 @@ def test_spawn_start_method_respawn_replays(monkeypatch, base_bat):
         assert np.array_equal(
             np.sort(got.keys), _expected(base_bat.values, interval)
         )
-        assert sum(w.respawns for w in pool.workers) == 1
+        assert sum(w.respawns for w in pool.shards) == 1
     finally:
         pool.close()
 
@@ -379,7 +368,7 @@ def test_spawn_start_method_respawn_replays(monkeypatch, base_bat):
 def test_breaker_opens_and_scan_fallback_is_exact(base_bat):
     """A shard whose worker keeps dying is served by the parent-side scan
     fallback: breaker open, result degraded, keys exact — including
-    updates mirrored before the chaos — and the breaker's half-open probe
+    updates taped before the chaos — and the breaker's half-open probe
     recovers the shard once the faults stop."""
     import time
 
@@ -387,7 +376,7 @@ def test_breaker_opens_and_scan_fallback_is_exact(base_bat):
     pool = ProcessShardPool(base_bat, 4, "t", "A", resilience=config)
     try:
         # Confine the query to shard 0 so exactly one breaker is exercised.
-        edge = max(2, int(pool.workers[0].hi // 2))
+        edge = max(2, int(pool.shards[0].hi // 2))
         interval = Interval.half_open(0, edge)
         n = len(base_bat)
         pool.add_insertions(

@@ -255,7 +255,7 @@ def test_racesan_redetects_unlocked_version_capture(monkeypatch):
     monkeypatch.setattr(ServerExecutor, "_execute", racy_execute)
     db = _serving_db()
     with RaceSan(strict=False, seed=db.crack_seed).activated() as rs:
-        with ServerExecutor(db, workers=2, cache=False) as executor:
+        with ServerExecutor(db, workers=2, cache_bytes=0) as executor:
             executor.submit("SELECT A FROM R WHERE A < 100").result(timeout=10)
             executor.insert("R", {"A": [1], "B": [2]})
             executor.submit("SELECT A FROM R WHERE A < 200").result(timeout=10)
@@ -274,7 +274,7 @@ def test_disciplined_executor_is_race_free():
     """The shipped discipline under the same workload: zero violations."""
     db = _serving_db()
     with RaceSan(strict=False, seed=db.crack_seed).activated() as rs:
-        with ServerExecutor(db, workers=2, cache=True) as executor:
+        with ServerExecutor(db, workers=2) as executor:
             for lo in (100, 300, 500):
                 executor.submit(
                     f"SELECT A FROM R WHERE A < {lo}"

@@ -9,7 +9,12 @@ import pytest
 from repro.cracking.bounds import Interval
 from repro.engine.query import Predicate, Query
 from repro.errors import QueryTimeout, ServerError, ServerOverloaded
-from repro.server.executor import SHED_POLICIES, ServedQuery, ServerExecutor
+from repro.server.executor import (
+    LATENCY_WINDOW,
+    SHED_POLICIES,
+    ServedQuery,
+    ServerExecutor,
+)
 from repro.server.resilience import (
     CLOSED,
     DISPATCH,
@@ -304,11 +309,20 @@ def test_reject_oldest_cancels_the_queued_victim(db):
         assert executor.stats()["shed"] == 1
 
 
-def test_deadline_aware_sheds_the_hopeless_victim(db):
+@pytest.mark.parametrize("served_before", [1, LATENCY_WINDOW + 50])
+def test_deadline_aware_sheds_the_hopeless_victim(db, served_before):
+    """The p50 service-time estimate comes from a fixed-size window of
+    recent latencies: serving more queries than it holds must neither grow
+    it nor starve the shed decision or the reported percentiles."""
     with ServerExecutor(
         db, workers=1, max_inflight=2, shed_policy="deadline-aware"
     ) as executor:
-        executor.run(_span(0, 50_000))  # seed the p50 service-time estimate
+        for _ in range(served_before):  # seed the p50 service-time estimate
+            executor.run(_span(0, 50_000))
+        assert len(executor.latencies) == min(served_before, LATENCY_WINDOW)
+        stats = executor.stats()
+        assert stats["queries_served"] == served_before
+        assert stats["latency_p99"] >= stats["latency_p50"] > 0.0
         holder = _LockHolder(executor)
         try:
             running = executor.submit(_blocked_query())

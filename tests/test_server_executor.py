@@ -444,7 +444,7 @@ def test_run_batch_budget_covers_queue_wait(db):
     """A batch member whose budget elapses while it waits behind an
     earlier member must time out — the old per-admission clock silently
     granted later members extra budget."""
-    with ServerExecutor(db, workers=1, cache=False) as executor:
+    with ServerExecutor(db, workers=1, cache_bytes=0) as executor:
         lock = executor.registry.lock_for("R")
         acquired = threading.Event()
 

@@ -1,11 +1,15 @@
-"""PartitionedColumn: pruning, balance, update routing, scatter-gather."""
+"""The in-process shard: lock modes and lock statistics.
+
+Everything the thread backend shares with the process backend (layout,
+pruning, scatter/gather, update routing, shared stats) is covered once for
+both in ``test_shard_backends.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.cracking.bounds import Interval
 from repro.engine.database import Database
-from repro.errors import PlanError
 from repro.server.locks import LockRegistry
 from repro.server.partition import PartitionedColumn
 from repro.stats.counters import StatsRecorder
@@ -25,21 +29,10 @@ def values(rng) -> np.ndarray:
     return rng.integers(0, 100_000, size=20_000).astype(np.int64)
 
 
-@pytest.mark.parametrize("partitions", [1, 3, 8])
-def test_select_matches_unpartitioned(values, rng, partitions):
-    column = _column(values, partitions)
-    for _ in range(12):
-        lo = int(rng.integers(0, 90_000))
-        interval = Interval.half_open(lo, lo + int(rng.integers(100, 30_000)))
-        got = np.sort(column.select(interval))
-        want = np.flatnonzero(interval.mask(values))
-        assert np.array_equal(got, want)
-
-
-def test_pruning_skips_disjoint_shards(values):
+def test_pruned_shards_take_no_lock(values):
     column = _column(values, 8)
     narrow = Interval.half_open(1_000, 2_000)
-    relevant = column.relevant_shards(narrow)
+    relevant = column.relevant(narrow)
     assert 1 <= len(relevant) < len(column.shards)
     # Pruned shards never get touched: their locks record no acquisitions.
     column.select(narrow)
@@ -50,56 +43,7 @@ def test_pruning_skips_disjoint_shards(values):
             assert shard.lock.write_acquires == 0
 
 
-def test_quantile_bounds_balance_skew(rng):
-    # Heavily skewed values: equal-width bounds would put almost everything
-    # in one shard; quantile bounds keep shards within a small factor.
-    skewed = (rng.zipf(1.2, size=30_000) % 100_000).astype(np.int64)
-    column = _column(skewed, 8)
-    sizes = [len(s.cracker) for s in column.shards]
-    assert sum(sizes) == len(skewed)
-    assert max(sizes) <= 4 * (len(skewed) // len(sizes))
-
-
-def test_low_cardinality_collapses_shards():
-    values = np.repeat(np.int64(7), 5_000)
-    column = _column(values, 8)
-    # All quantiles coincide, so the effective shard count collapses.
-    assert len(column.shards) < 8
-    got = column.select(Interval.closed(7, 7))
-    assert len(got) == 5_000
-
-
-def test_partition_count_validation(values):
-    with pytest.raises(PlanError, match=">= 1"):
-        _column(values, 0)
-
-
-def test_updates_route_to_owning_shards(values):
-    column = _column(values, 4)
-    interval = Interval.half_open(10_000, 60_000)
-    base = np.sort(column.select(interval))
-
-    new_values = np.array([10_500, 59_999, 95_000], dtype=np.int64)
-    new_keys = np.array([len(values), len(values) + 1, len(values) + 2],
-                        dtype=np.int64)
-    column.add_insertions(new_values, new_keys)
-    got = np.sort(column.select(interval))
-    assert np.array_equal(
-        got, np.sort(np.concatenate([base, new_keys[:2]]))
-    )
-
-    # Delete one of the fresh rows plus one pre-existing qualifying row.
-    victim = base[0]
-    column.add_deletions(
-        np.array([values[victim], 10_500], dtype=np.int64),
-        np.array([victim, new_keys[0]], dtype=np.int64),
-    )
-    got = np.sort(column.select(interval))
-    want = np.sort(np.concatenate([base[1:], new_keys[1:2]]))
-    assert np.array_equal(got, want)
-
-
-def test_apply_pending_all_drains(values):
+def test_updates_wait_in_the_pending_buffers(values):
     column = _column(values, 4)
     column.add_insertions(
         np.array([123, 99_999], dtype=np.int64),
@@ -110,29 +54,23 @@ def test_apply_pending_all_drains(values):
     assert not any(s.cracker.pending.has_pending() for s in column.shards)
 
 
-def test_partition_bounds_cover_domain(values):
-    column = _column(values, 4)
-    bounds = column.partition_bounds
-    assert bounds[0] == -np.inf and bounds[-1] == np.inf
-    assert bounds == sorted(bounds)
-
-
 def test_select_one_cracks_under_write_lock(values):
     column = _column(values, 2)
     shard = column.shards[0]
     interval = Interval.half_open(0, 1_000)
     before = shard.lock.write_acquires
-    PartitionedColumn.select_one(shard, interval)
+    assert column.select_one(shard, interval).meta["path"] == "crack"
     assert shard.lock.write_acquires == before + 1  # first touch cracks
     # A repeat of the same interval is answered by probe under the read side.
     before = shard.lock.write_acquires
-    PartitionedColumn.select_one(shard, interval)
+    assert column.select_one(shard, interval).meta["path"] == "probe"
     assert shard.lock.write_acquires == before
 
 
-def test_stats_shape(values):
+def test_stats_report_one_lock_per_shard(values):
     column = _column(values, 4)
     stats = column.stats()
-    assert stats["partitions"] == len(column.shards)
-    assert sum(stats["shard_rows"]) == len(values)
+    assert list(stats) == [
+        "table", "attr", "partitions", "rows", "shard_rows", "locks"
+    ]
     assert len(stats["locks"]) == len(column.shards)

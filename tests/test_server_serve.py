@@ -160,6 +160,51 @@ def test_handle_health_op(handle):
             "breakers", "workers_alive"} <= set(health)
 
 
+STATS_KEYS = [
+    "workers", "processes", "engine_mode", "queries_served", "cache_hits",
+    "cache_hit_rate", "cache", "paths", "shed", "abandoned", "degraded",
+    "budget_trims", "queue_depth", "inflight", "admission", "latency_p50",
+    "latency_p99", "locks", "budget_holds", "partitioned",
+]
+HEALTH_KEYS = [
+    "ready", "draining", "degraded", "queue_depth", "inflight", "shed",
+    "abandoned", "breakers", "workers_alive",
+]
+SHARD_STATS_KEYS = {
+    "partition": [
+        "table", "attr", "partitions", "rows", "shard_rows", "locks",
+    ],
+    "process": [
+        "table", "attr", "engine", "partitions", "rows", "shard_rows",
+        "respawns", "commands", "tape_lengths", "retries", "degraded_serves",
+        "breakers", "jitter_tapes", "selects", "probe_hits", "recoveries",
+        "degraded", "dispatch_seconds", "worker_seconds", "gather_seconds",
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "path, backend", [("partition", {"partitions": 2}), ("process", {"processes": 2})]
+)
+def test_stats_and_health_wire_schema_is_pinned(db, path, backend):
+    """Monitoring reads these frames: both shard backends answer the same
+    top-level schema, and each backend's per-column block keeps its keys."""
+    with ServerHandle(
+        db, workers=2, partition_attrs=(("R", "A"),), **backend
+    ) as handle:
+        handle.request({"sql": "select A from R where A between 100 and 30000"})
+        stats = handle.request({"op": "stats"})["result"]
+        health = handle.request({"op": "health"})["result"]
+    json.dumps([stats, health])  # everything stays JSON-safe
+    assert list(stats) == STATS_KEYS
+    assert list(health) == HEALTH_KEYS
+    assert stats["paths"] == {path: 1}
+    assert list(stats["partitioned"]["R.A"]) == SHARD_STATS_KEYS[path]
+    shards = ["R.A#0", "R.A#1"] if path == "process" else []
+    assert health["breakers"] == {name: "closed" for name in shards}
+    assert health["workers_alive"] == {name: True for name in shards}
+
+
 def test_tcp_overload_sheds_with_typed_error(db):
     """A shed request answers a typed ``ServerOverloaded`` frame (clients
     back off) while the admitted request still completes."""
