@@ -10,8 +10,8 @@ suite.
 Shallow invariants (cheap, run at ``post-crack``/``post-query``):
 
 ``index-*``
-    The AVL cracker index is balanced, heights are fresh, and boundary
-    positions are monotone and inside ``[0, n]``.
+    The cracker index's boundaries are in strict ``(value, side)`` key
+    order, and boundary positions are monotone and inside ``[0, n]``.
 ``piece-bounds``
     Every piece's values satisfy its lower/upper boundary predicates.
 ``head-tail-alignment``
@@ -65,7 +65,7 @@ import numpy as np
 from repro.errors import CrackError, InvariantError, InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cracking.avl import CrackerIndex
+    from repro.cracking.index import CrackerIndex
 
 
 def _violation(

@@ -16,9 +16,9 @@ import numpy as np
 from repro.bench.harness import SequenceRunner, SystemSetup, default_scale
 from repro.bench.report import format_table
 from repro.core.partial.engine import PartialConfig
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Interval
 from repro.cracking.crack import crack_bound, crack_into
+from repro.cracking.index import CrackerIndex
 from repro.stats.counters import StatsRecorder
 from repro.stats.memory_model import DEFAULT_MODEL
 from repro.workloads.synthetic import BatchWorkload, make_table_arrays, random_range

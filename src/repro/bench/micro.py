@@ -32,10 +32,10 @@ import numpy as np
 from repro.bench.harness import default_scale, time_callable
 from repro.bench.report import format_table
 from repro.cracking.arena import KernelArena
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound, Interval, Side
 from repro.cracking.column import CrackerColumn
 from repro.cracking.crack import crack_bound
+from repro.cracking.index import CrackerIndex
 from repro.cracking.kernels import crack_three, crack_two, sort_piece, use_backend
 from repro.cracking.stochastic import default_min_piece, resolve_policy
 from repro.stats.counters import StatsRecorder

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound, Interval
+from repro.cracking.index import CrackerIndex
 
 
 @dataclass(frozen=True)

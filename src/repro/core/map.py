@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.sanitizer import checkpoint_crack, register_structure
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound, Interval
 from repro.cracking.crack import crack_into
+from repro.cracking.index import CrackerIndex
 from repro.cracking.kernels import sort_piece
 from repro.cracking.progressive import CrackProgress, PendingMap, replay_progressive
 from repro.cracking.ripple import delete_positions, merge_insertions

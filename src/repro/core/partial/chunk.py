@@ -29,9 +29,9 @@ from repro.core.tape import (
     TapeEntry,
 )
 from repro.analysis.sanitizer import checkpoint_crack, register_structure
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound, Interval, interval_from_bounds
 from repro.cracking.crack import crack_into
+from repro.cracking.index import CrackerIndex
 from repro.cracking.kernels import sort_piece
 from repro.cracking.progressive import (
     CrackProgress,

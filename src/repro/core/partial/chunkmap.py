@@ -24,9 +24,9 @@ import numpy as np
 
 from repro.analysis.sanitizer import checkpoint_crack, register_structure
 from repro.core.tape import CrackerTape
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound, Interval, Side
 from repro.cracking.crack import crack_bound
+from repro.cracking.index import CrackerIndex
 from repro.cracking.stochastic import CrackPolicy, policy_rng
 from repro.errors import CrackError
 from repro.faults.plan import fault_hook
@@ -335,8 +335,13 @@ class ChunkMap:
         delta = n - base
         self.head = np.concatenate([self.head[:lo], head_acc[:n], self.head[hi:]])
         self.keys = np.concatenate([self.keys[:lo], keys_acc[:n], self.keys[hi:]])
-        if delta:
-            self.index.apply_shifts([(hi, delta)])
+        if delta and area.hi_bound is not None:
+            # Keyed by the upper edge's rank, not by position ``hi``: the
+            # lower edge of an *empty* area sits at ``hi`` too and must stay.
+            # (Above the last area there is no boundary to move.)
+            self.index.apply_order_shifts(
+                [(self.index.rank_of(area.hi_bound), delta)]
+            )
         self._recorder.sequential(2 * n)
         self._recorder.write(2 * n)
         checkpoint_crack(self, "chunkmap")

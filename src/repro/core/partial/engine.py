@@ -310,7 +310,7 @@ class PartialMapSet:
             )
         else:
             head_slice, _ = self._chunkmap().area_slice(area)
-            from repro.cracking.avl import CrackerIndex
+            from repro.cracking.index import CrackerIndex
 
             chunk.recover_head(area.tape, head_slice, CrackerIndex(), 0)
 

@@ -37,8 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound
+from repro.cracking.index import CrackerIndex
 from repro.cracking.stochastic import MDD1R, CrackPolicy
 from repro.stats.counters import StatsRecorder
 

@@ -1,348 +1,7 @@
-"""The AVL-tree cracker index.
+"""Former home of the cracker index, now :mod:`repro.cracking.index`.
 
-Each node maps a :class:`~repro.cracking.bounds.Bound` to the array position
-where that boundary currently sits.  The paper uses AVL trees for cracker
-indices; we implement one directly (rather than a sorted list) because the
-index is also mutated structurally by updates (position shifts) and reused as
-a self-organizing histogram.
-
-Positions are maintained under updates via :meth:`CrackerIndex.apply_shifts`,
-which adds a cumulative offset to every boundary at or after given positions
-(used by the Ripple merge when pending insertions grow pieces).
+Kept only so ``benchmarks/e2e/layers.py`` keeps resolving its
+``cracking.index.*`` span targets through this module name.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
-
-from repro.analysis.sanitizer import register_structure
-from repro.cracking.bounds import Bound
-from repro.errors import CrackError, InvariantError, InvariantViolation
-
-
-class _Node:
-    __slots__ = ("bound", "pos", "left", "right", "height")
-
-    def __init__(self, bound: Bound, pos: int) -> None:
-        self.bound = bound
-        self.pos = pos
-        self.left: _Node | None = None
-        self.right: _Node | None = None
-        self.height = 1
-
-
-def _height(node: _Node | None) -> int:
-    return node.height if node is not None else 0
-
-
-def _update(node: _Node) -> None:
-    node.height = 1 + max(_height(node.left), _height(node.right))
-
-
-def _rotate_right(y: _Node) -> _Node:
-    x = y.left
-    assert x is not None
-    y.left = x.right
-    x.right = y
-    _update(y)
-    _update(x)
-    return x
-
-
-def _rotate_left(x: _Node) -> _Node:
-    y = x.right
-    assert y is not None
-    x.right = y.left
-    y.left = x
-    _update(x)
-    _update(y)
-    return y
-
-
-def _balance(node: _Node) -> _Node:
-    _update(node)
-    bf = _height(node.left) - _height(node.right)
-    if bf > 1:
-        assert node.left is not None
-        if _height(node.left.left) < _height(node.left.right):
-            node.left = _rotate_left(node.left)
-        return _rotate_right(node)
-    if bf < -1:
-        assert node.right is not None
-        if _height(node.right.right) < _height(node.right.left):
-            node.right = _rotate_right(node.right)
-        return _rotate_left(node)
-    return node
-
-
-@dataclass(frozen=True)
-class Piece:
-    """One contiguous piece of a cracked array.
-
-    ``lo_bound``/``hi_bound`` are ``None`` at the array's extremes.  All
-    elements in ``[lo_pos, hi_pos)`` satisfy the right side of ``lo_bound``
-    and the left side of ``hi_bound``.
-    """
-
-    lo_bound: Bound | None
-    hi_bound: Bound | None
-    lo_pos: int
-    hi_pos: int
-
-    @property
-    def size(self) -> int:
-        return self.hi_pos - self.lo_pos
-
-
-class CrackerIndex:
-    """AVL tree of crack boundaries with their positions."""
-
-    def __init__(self) -> None:
-        self._root: _Node | None = None
-        self._count = 0
-        register_structure(self, "index")
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def piece_count(self) -> int:
-        """Number of pieces the indexed array is cracked into."""
-        return self._count + 1
-
-    # -- mutation --------------------------------------------------------------
-
-    def insert(self, bound: Bound, pos: int) -> None:
-        """Register ``bound`` at ``pos``; re-inserting an existing bound must
-        agree on the position."""
-        created = False
-
-        def rec(node: _Node | None) -> _Node:
-            nonlocal created
-            if node is None:
-                created = True
-                return _Node(bound, pos)
-            if bound < node.bound:
-                node.left = rec(node.left)
-            elif bound > node.bound:
-                node.right = rec(node.right)
-            else:
-                if node.pos != pos:
-                    raise CrackError(
-                        f"bound {bound} re-inserted at {pos}, already at {node.pos}"
-                    )
-                return node
-            return _balance(node)
-
-        self._root = rec(self._root)
-        if created:
-            self._count += 1
-
-    # -- queries ----------------------------------------------------------------
-
-    def _find(self, bound: Bound) -> _Node | None:
-        node = self._root
-        while node is not None:
-            if bound < node.bound:
-                node = node.left
-            elif bound > node.bound:
-                node = node.right
-            else:
-                return node
-        return None
-
-    def position_of(self, bound: Bound) -> int | None:
-        """Exact position of ``bound`` or ``None`` if it was never cracked."""
-        node = self._find(bound)
-        return None if node is None else node.pos
-
-    def predecessor(self, bound: Bound) -> tuple[Bound, int] | None:
-        """The greatest boundary strictly less than ``bound``."""
-        best: _Node | None = None
-        node = self._root
-        while node is not None:
-            if node.bound < bound:
-                best = node
-                node = node.right
-            else:
-                node = node.left
-        return None if best is None else (best.bound, best.pos)
-
-    def successor(self, bound: Bound) -> tuple[Bound, int] | None:
-        """The least boundary strictly greater than ``bound``."""
-        best: _Node | None = None
-        node = self._root
-        while node is not None:
-            if node.bound > bound:
-                best = node
-                node = node.left
-            else:
-                node = node.right
-        return None if best is None else (best.bound, best.pos)
-
-    def enclosing(self, bound: Bound, n: int) -> tuple[int, int]:
-        """Positions ``[lo, hi)`` of the piece that ``bound`` falls into.
-
-        When ``bound`` is already indexed the piece is degenerate:
-        ``lo == hi == position_of(bound)``.
-        """
-        exact = self.position_of(bound)
-        if exact is not None:
-            return exact, exact
-        pred = self.predecessor(bound)
-        succ = self.successor(bound)
-        lo = 0 if pred is None else pred[1]
-        hi = n if succ is None else succ[1]
-        return lo, hi
-
-    def inorder(self) -> Iterator[tuple[Bound, int]]:
-        """All boundaries in ascending ``(value, side)`` order."""
-        stack: list[_Node] = []
-        node = self._root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield node.bound, node.pos
-            node = node.right
-
-    def pieces(self, n: int) -> Iterator[Piece]:
-        """The pieces of an array of length ``n`` under this index."""
-        prev_bound: Bound | None = None
-        prev_pos = 0
-        for bound, pos in self.inorder():
-            yield Piece(prev_bound, bound, prev_pos, pos)
-            prev_bound, prev_pos = bound, pos
-        yield Piece(prev_bound, None, prev_pos, n)
-
-    def bounds(self) -> list[Bound]:
-        return [b for b, _ in self.inorder()]
-
-    def clone(self) -> "CrackerIndex":
-        """A structural deep copy (used when recovering dropped chunk heads)."""
-
-        def rec(node: _Node | None) -> _Node | None:
-            if node is None:
-                return None
-            copy = _Node(node.bound, node.pos)
-            copy.height = node.height
-            copy.left = rec(node.left)
-            copy.right = rec(node.right)
-            return copy
-
-        out = CrackerIndex()
-        out._root = rec(self._root)
-        out._count = self._count
-        return out
-
-    # -- maintenance under updates ----------------------------------------------
-
-    def apply_shifts(self, shifts: list[tuple[int, int]]) -> None:
-        """Shift boundary positions after insertions grew some pieces.
-
-        ``shifts`` is a list of ``(position, delta)``: every boundary whose
-        current position is ``>= position`` moves by ``delta``.  Deltas may be
-        negative (deletions).  All shifts are applied against the *pre-shift*
-        positions, so callers pass the state before the merge.
-        """
-        if not shifts:
-            return
-        points = np.array(sorted(s[0] for s in shifts), dtype=np.int64)
-        deltas = np.array([d for _, d in sorted(shifts)], dtype=np.int64)
-        cumulative = np.cumsum(deltas)
-
-        def rec(node: _Node | None) -> None:
-            if node is None:
-                return
-            rec(node.left)
-            rec(node.right)
-            idx = int(np.searchsorted(points, node.pos, side="right"))
-            if idx > 0:
-                node.pos += int(cumulative[idx - 1])
-
-        rec(self._root)
-
-    def apply_order_shifts(self, shifts: list[tuple[int, int]]) -> None:
-        """Shift boundaries keyed by in-order *rank* instead of position.
-
-        ``shifts`` is a list of ``(rank, delta)``: every boundary whose
-        in-order index is ``>= rank`` moves by ``delta``.  Insertion merges
-        need this form: rows appended at the end of piece ``j`` displace
-        exactly the boundaries ranked ``>= j`` — a position-keyed shift
-        cannot say that when empty pieces make several boundaries share one
-        position (the lower boundary of the target piece must stay put).
-        """
-        if not shifts:
-            return
-        points = np.array(sorted(s[0] for s in shifts), dtype=np.int64)
-        deltas = np.array([d for _, d in sorted(shifts)], dtype=np.int64)
-        cumulative = np.cumsum(deltas)
-        for rank, (_, node) in enumerate(self._inorder_nodes()):
-            idx = int(np.searchsorted(points, rank, side="right"))
-            if idx > 0:
-                node.pos += int(cumulative[idx - 1])
-
-    def _inorder_nodes(self) -> Iterator[tuple[Bound, "_Node"]]:
-        stack: list[_Node] = []
-        node = self._root
-        while stack or node is not None:
-            while node is not None:
-                stack.append(node)
-                node = node.left
-            node = stack.pop()
-            yield node.bound, node
-            node = node.right
-
-    # -- sanity -------------------------------------------------------------------
-
-    def validate(self, n: int | None = None, deep: bool = False) -> None:
-        """Check AVL balance and monotone positions.
-
-        Raises :class:`~repro.errors.InvariantError` carrying structured
-        violations (the unified ``check_invariants`` shape; ``deep`` is
-        accepted for signature uniformity — the index has no deep checks).
-        """
-        violations: list[InvariantViolation] = []
-
-        def rec(node: _Node | None) -> int:
-            if node is None:
-                return 0
-            lh, rh = rec(node.left), rec(node.right)
-            if abs(lh - rh) > 1:
-                violations.append(InvariantViolation(
-                    "cracker_index", "index-balance",
-                    f"AVL imbalance at {node.bound} "
-                    f"(subtree heights {lh} vs {rh})",
-                    (("bound", str(node.bound)),),
-                ))
-            if node.height != 1 + max(lh, rh):
-                violations.append(InvariantViolation(
-                    "cracker_index", "index-heights",
-                    f"stale height at {node.bound}: stored {node.height}, "
-                    f"actual {1 + max(lh, rh)}",
-                    (("bound", str(node.bound)),),
-                ))
-            return node.height
-
-        rec(self._root)
-        prev = -1
-        for bound, pos in self.inorder():
-            if pos < prev:
-                violations.append(InvariantViolation(
-                    "cracker_index", "index-monotone",
-                    f"non-monotone position at {bound}: {pos} < {prev}",
-                    (("bound", str(bound)), ("pos", pos), ("prev", prev)),
-                ))
-            if n is not None and not (0 <= pos <= n):
-                violations.append(InvariantViolation(
-                    "cracker_index", "index-position-range",
-                    f"position {pos} of {bound} outside [0, {n}]",
-                    (("bound", str(bound)), ("pos", pos), ("n", n)),
-                ))
-            prev = pos
-        if violations:
-            raise InvariantError.from_violations(violations)
+from repro.cracking.index import CrackerIndex, Piece  # noqa: F401

@@ -3,7 +3,7 @@
 The first time an attribute is selected on, a copy of its base column is
 taken (values in the head, tuple keys in the tail).  Every subsequent range
 selection physically reorganizes the copy so the qualifying tuples become a
-contiguous area, registering the new piece boundaries in an AVL cracker
+contiguous area, registering the new piece boundaries in the cracker
 index.  Results are *keys* in cracked (not insertion) order — the root cause
 of the expensive scattered tuple reconstruction that sideways cracking fixes.
 
@@ -16,9 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.sanitizer import checkpoint_crack, register_structure
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Interval
 from repro.cracking.crack import crack_into
+from repro.cracking.index import CrackerIndex
 from repro.cracking.pending import PendingUpdates
 from repro.cracking.progressive import (
     BudgetTracker,

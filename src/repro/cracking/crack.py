@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound, Interval
+from repro.cracking.index import CrackerIndex
 from repro.cracking.kernels import crack_three, crack_two, sort_piece
 from repro.cracking.progressive import (
     CrackProgress,

@@ -11,7 +11,7 @@ The partial state of one bound is a :class:`PendingCrack`: within the
 enclosing piece ``[lo, hi)`` the prefix ``[lo, left)`` is already known to be
 below the bound, the suffix ``[right, hi)`` known to be not-below, and the
 window ``[left, right)`` is still unclassified.  The bound enters the
-:class:`~repro.cracking.avl.CrackerIndex` only on completion, so every
+:class:`~repro.cracking.index.CrackerIndex` only on completion, so every
 existing piece invariant holds unchanged while work is in flight.
 
 One :func:`progressive_step` narrows the window by a chosen amount ``k``
@@ -38,8 +38,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound, Interval
+from repro.cracking.index import CrackerIndex
 from repro.cracking.kernels import progressive_step_kernel
 from repro.cracking.stochastic import account_partition
 from repro.errors import CrackError, PlanError

@@ -10,7 +10,10 @@ in batch order is deterministic, which lets tape replay apply the same merge
 identically on every map of a set.
 
 Costs are charged for the rebuilt suffix — like Ripple, nothing before the
-first affected piece is touched.
+first affected piece is touched.  Piece routing, piece edges and the position
+shifts are bulk passes over the flat index's arrays
+(:mod:`repro.cracking.index`); the Python-level work is per *affected piece*,
+never per boundary.
 """
 
 from __future__ import annotations
@@ -19,31 +22,31 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cracking.avl import CrackerIndex
-from repro.cracking.bounds import Bound, Side
+from repro.cracking.index import CrackerIndex
 from repro.faults.plan import fault_hook
 from repro.stats.counters import StatsRecorder, global_recorder
 
+#: ``delete_positions`` closes ``k`` holes in ``n`` rows with ``k + 1`` slice
+#: copies while ``k * _ROWS_PER_HOLE <= n`` and with a boolean mask beyond:
+#: a slice costs a fixed ~0.3 us, the mask ~1 ns per row whatever ``k`` is.
+_ROWS_PER_HOLE = 256
 
-def _piece_ids(index: CrackerIndex, values: np.ndarray) -> np.ndarray:
-    """The piece index (0-based, in boundary order) each value belongs to.
 
-    A value ``v`` lies left of boundary ``(bv, LT)`` iff ``v < bv`` and left
-    of ``(bv, LE)`` iff ``v <= bv``; its piece is the first boundary it lies
-    left of.
+def _group_by_piece(
+    index: CrackerIndex, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Group ``values`` by the piece they map to, pieces ascending.
+
+    Returns the stable permutation sorting ``values`` by piece, the distinct
+    piece ids, and the offsets ``[0, ..., len(values)]`` between the pieces'
+    runs in the permuted order.
     """
-    bounds = index.bounds()
-    if not bounds:
-        return np.zeros(len(values), dtype=np.int64)
-    bvals = np.array([b.value for b in bounds])
-    is_lt = np.array([b.side is Side.LT for b in bounds])
-    lt_prefix = np.concatenate([[0], np.cumsum(is_lt)])
-    left = np.searchsorted(bvals, values, side="left")
-    right = np.searchsorted(bvals, values, side="right")
-    # Bounds with bv < v never have v on their left; among bv == v only the
-    # LE-sided ones do.  piece = #bounds strictly left of v's first home.
-    lt_among_equal = lt_prefix[right] - lt_prefix[left]
-    return left + lt_among_equal
+    piece_of = index.piece_ids(values)
+    order = np.argsort(piece_of, kind="stable")
+    piece_of = piece_of[order]
+    run_starts = np.flatnonzero(piece_of[1:] != piece_of[:-1]) + 1
+    offsets = [0, *run_starts.tolist(), len(values)]
+    return order, piece_of[offsets[:-1]], offsets
 
 
 def merge_insertions(
@@ -64,52 +67,34 @@ def merge_insertions(
         return head, list(tails)
 
     n = len(head)
-    piece_of = _piece_ids(index, ins_head)
-    boundary_positions = [pos for _, pos in index.inorder()]
-    piece_starts = np.array([0] + boundary_positions, dtype=np.int64)
-    piece_ends = np.array(boundary_positions + [n], dtype=np.int64)
+    order, affected, offsets = _group_by_piece(index, ins_head)
+    edges = index.piece_edges(n)
+    first_touched = edges.item(affected[0])
+    # Old rows up to the end of each affected piece, then that piece's new
+    # rows in batch order, ..., then the untouched rest.
+    cuts = [0, *edges[affected + 1].tolist()]
 
-    order = np.argsort(piece_of, kind="stable")
-    piece_of = piece_of[order]
-    ins_head = ins_head[order]
-    ins_tails = [t[order] for t in ins_tails]
+    def grown(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+        new = new[order]
+        parts = []
+        for j in range(len(affected)):
+            parts += (old[cuts[j]:cuts[j + 1]], new[offsets[j]:offsets[j + 1]])
+        parts.append(old[cuts[-1]:])
+        return np.concatenate(parts)
 
-    affected, counts = np.unique(piece_of, return_counts=True)
-    first_touched = int(piece_starts[affected[0]])
-
-    new_head_parts: list[np.ndarray] = [head[:first_touched]]
-    new_tail_parts: list[list[np.ndarray]] = [[t[:first_touched]] for t in tails]
-    cursor = first_touched
-    offset = 0
-    shifts: list[tuple[int, int]] = []
-    for piece_id, count in zip(affected, counts):
-        end = int(piece_ends[piece_id])
-        sel = slice(offset, offset + count)
-        new_head_parts.append(head[cursor:end])
-        new_head_parts.append(ins_head[sel])
-        for parts, tail, ins in zip(new_tail_parts, tails, ins_tails):
-            parts.append(tail[cursor:end])
-            parts.append(ins[sel])
-        # Keyed by boundary rank, not position: rows appended at the end of
-        # piece j displace exactly the boundaries ranked >= j, and when empty
-        # pieces stack several boundaries on one position, the target piece's
-        # *lower* boundary shares that position but must not move.
-        shifts.append((int(piece_id), int(count)))
-        cursor = end
-        offset += count
-    new_head_parts.append(head[cursor:])
-    for parts, tail in zip(new_tail_parts, tails):
-        parts.append(tail[cursor:])
-
+    merged = grown(head, ins_head), [
+        grown(tail, ins) for tail, ins in zip(tails, ins_tails)
+    ]
     moved = (n - first_touched + len(ins_head)) * (1 + len(tails))
     recorder.sequential(moved)
     recorder.write(moved)
 
-    index.apply_order_shifts(shifts)
-    return (
-        np.concatenate(new_head_parts),
-        [np.concatenate(parts) for parts in new_tail_parts],
-    )
+    # Keyed by boundary rank, not position: rows appended at the end of
+    # piece j displace exactly the boundaries ranked >= j, and when empty
+    # pieces stack several boundaries on one position, the target piece's
+    # *lower* boundary shares that position but must not move.
+    index.apply_order_shifts(list(zip(affected.tolist(), np.diff(offsets).tolist())))
+    return merged
 
 
 def locate_deletions(
@@ -129,23 +114,19 @@ def locate_deletions(
     recorder = recorder or global_recorder()
     if len(del_values) == 0:
         return np.empty(0, dtype=np.int64)
-    n = len(head)
-    piece_of = _piece_ids(index, del_values)
-    boundary_positions = [pos for _, pos in index.inorder()]
-    piece_starts = np.array([0] + boundary_positions, dtype=np.int64)
-    piece_ends = np.array(boundary_positions + [n], dtype=np.int64)
-
+    order, affected, offsets = _group_by_piece(index, del_values)
+    del_keys = del_keys[order]
+    edges = index.piece_edges(len(head))
+    los = edges[affected].tolist()
+    his = edges[affected + 1].tolist()
+    # Pieces are disjoint and visited in position order, so the hits come out
+    # sorted and unique.
     hits: list[np.ndarray] = []
-    for piece_id in np.unique(piece_of):
-        lo = int(piece_starts[piece_id])
-        hi = int(piece_ends[piece_id])
-        keys_here = del_keys[piece_of == piece_id]
-        local = np.flatnonzero(np.isin(key_tail[lo:hi], keys_here))
+    for j, (lo, hi) in enumerate(zip(los, his)):
+        keys_here = del_keys[offsets[j]:offsets[j + 1]]
+        hits.append(np.flatnonzero(np.isin(key_tail[lo:hi], keys_here)) + lo)
         recorder.sequential(hi - lo)
-        hits.append(local + lo)
-    if not hits:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(hits))
+    return np.concatenate(hits)
 
 
 def delete_positions(
@@ -165,20 +146,24 @@ def delete_positions(
         return head, list(tails)
     positions = np.unique(np.asarray(positions, dtype=np.int64))
     n = len(head)
-    keep = np.ones(n, dtype=bool)
-    keep[positions] = False
+    if len(positions) * _ROWS_PER_HOLE <= n:
+        holes = positions.tolist()
+        kept = list(zip([0, *(p + 1 for p in holes)], [*holes, n]))
 
-    first_touched = int(positions[0])
+        def shrunk(arr: np.ndarray) -> np.ndarray:
+            return np.concatenate([arr[lo:hi] for lo, hi in kept])
+    else:
+        keep = np.ones(n, dtype=bool)
+        keep[positions] = False
+
+        def shrunk(arr: np.ndarray) -> np.ndarray:
+            return arr[keep]
+
+    first_touched = positions.item(0)
     moved = (n - first_touched) * (1 + len(tails))
     recorder.sequential(moved)
     recorder.write(moved)
 
     # Every boundary at position p loses the deletions strictly before p.
-    shifts = [(int(p) + 1, -1) for p in positions]
-    index.apply_shifts(shifts)
-    return head[keep], [t[keep] for t in tails]
-
-
-def bound_for_piece_scan(value: float) -> Bound:
-    """Helper: the LT bound at ``value`` (used by tests poking piece logic)."""
-    return Bound(value, Side.LT)
+    index.apply_shifts([(p + 1, -1) for p in positions.tolist()])
+    return shrunk(head), [shrunk(t) for t in tails]

@@ -45,8 +45,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound, Side
+from repro.cracking.index import CrackerIndex
 from repro.cracking.kernels import crack_three, crack_two
 from repro.errors import PlanError
 from repro.stats.counters import StatsRecorder

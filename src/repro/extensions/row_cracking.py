@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.analysis.sanitizer import checkpoint_crack, register_structure
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Interval
+from repro.cracking.index import CrackerIndex
 from repro.errors import CrackError
 from repro.stats.counters import StatsRecorder, global_recorder
 from repro.storage.relation import Relation

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cracking.adaptive import AdaptivePolicy
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Interval
 from repro.cracking.column import CrackerColumn
+from repro.cracking.index import CrackerIndex
 from repro.cracking.progressive import ProgressiveBudget
 from repro.cracking.stochastic import POLICY_NAMES, resolve_policy
 from repro.stats.counters import StatsRecorder

@@ -4,10 +4,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Interval
 from repro.cracking.crack import crack_bound, crack_into
 from repro.cracking.bounds import Bound, Side
+from repro.cracking.index import CrackerIndex
 
 
 def check_area(values, head, tails, interval, area):

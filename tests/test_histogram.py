@@ -3,9 +3,9 @@
 import numpy as np
 
 from repro.core.histogram import estimate_result_size
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Interval
 from repro.cracking.crack import crack_into
+from repro.cracking.index import CrackerIndex
 
 
 def build(rng, n=2_000, domain=10_000, cracks=6):

@@ -6,9 +6,9 @@ import pytest
 from repro.core.partial.chunk import Chunk
 from repro.core.partial.chunkmap import ChunkMap
 from repro.core.partial.partial_map import PartialMap
-from repro.core.tape import CrackEntry, CrackerTape
-from repro.cracking.avl import CrackerIndex
+from repro.core.tape import CrackEntry, CrackerTape, InsertEntry
 from repro.cracking.bounds import Interval
+from repro.cracking.index import CrackerIndex
 from repro.errors import AlignmentError
 from repro.storage.relation import Relation
 
@@ -90,6 +90,23 @@ class TestRefsAndUnfetch:
         chunkmap.add_ref(area, "m1")
         chunkmap.drop_ref(area, "m1")
         assert area.fetched
+
+    def test_fold_into_empty_area_keeps_its_lower_edge(self):
+        """Both edges of an empty area share one position; folded inserts
+        move the upper edge only (regression: a position-keyed shift moved
+        the lower edge too, leaving the new row left of its own area)."""
+        rel = Relation.from_arrays(
+            "R", {"A": np.array([1, 2, 3, 50, 60, 70, 80], dtype=np.int64)}
+        )
+        chunkmap = ChunkMap(rel, "A", snapshot_rows=len(rel))
+        (area,) = chunkmap.cover(Interval.open(10, 20))
+        assert chunkmap.area_size(area) == 0
+        area.tape.append(InsertEntry(np.array([15]), np.array([7])))
+        chunkmap.add_ref(area, "m1")
+        chunkmap.drop_ref(area, "m1")
+        assert chunkmap.area_positions(area) == (3, 4)
+        assert (chunkmap.head[3], chunkmap.keys[3]) == (15, 7)
+        chunkmap.check_invariants()
 
 
 class TestChunks:

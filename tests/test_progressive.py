@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.cracking.avl import CrackerIndex
 from repro.cracking.bounds import Bound, Interval, Side
 from repro.cracking.column import CrackerColumn
+from repro.cracking.index import CrackerIndex
 from repro.cracking.progressive import (
     BudgetTracker,
     PendingCrack,
