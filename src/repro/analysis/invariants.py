@@ -77,7 +77,7 @@ def _violation(
     )
 
 
-def _boundary_signature(index: "CrackerIndex") -> tuple:
+def boundary_signature(index: "CrackerIndex") -> tuple:
     """The (value, side, position) triple of every boundary, in order."""
     return tuple((bound.value, int(bound.side), pos) for bound, pos in index.inorder())
 
@@ -90,7 +90,7 @@ def format_boundaries(sig: Iterable[tuple]) -> str:
     return "[" + ", ".join(parts) + "]"
 
 
-def _pending_signature(pending) -> tuple:
+def pending_signature(pending) -> tuple:
     """Order-independent fingerprint of a structure's in-flight cracks."""
     return tuple(sorted(
         (p.bound.value, int(p.bound.side), p.lo, p.hi, p.left, p.right)
@@ -346,19 +346,27 @@ def _map_structure(cmap) -> str:
     return f"M_{cmap.head_attr},{cmap.tail_attr}"
 
 
-def _check_map(obj, deep: bool, seed, label, budget) -> list[InvariantViolation]:
-    structure = label or _map_structure(obj)
+def _check_pair(obj, deep: bool, seed, label, budget) -> list[InvariantViolation]:
+    """One cracked (head, tail) pair: the ``"map"`` and ``"chunk"`` kinds."""
+    structure = label or (
+        _map_structure(obj) if obj.kind == "map" else f"chunk[area {obj.area_id}]"
+    )
+    pending = getattr(obj, "pending_cracks", None)
+    if obj.head is None:
+        # Head-dropped: only marker ordering of in-flight cracks is checkable.
+        return _pending_violations(
+            structure, obj.index, None, len(obj.tail), pending, seed
+        )
     out = _piece_violations(structure, obj.index, obj.head, seed)
     out += _length_violation(structure, seed, len(obj.head), len(obj.tail))
     out += _pending_violations(
-        structure, obj.index, obj.head, len(obj.head),
-        getattr(obj, "pending_cracks", None), seed,
+        structure, obj.index, obj.head, len(obj.head), pending, seed
     )
     return out
 
 
 def _check_mapset(obj, deep: bool, seed, label, budget) -> list[InvariantViolation]:
-    from repro.core.mapset import KEY_TAIL
+    from repro.core.map import KEY_TAIL
 
     structure = label or f"S_{obj.head_attr}"
     out: list[InvariantViolation] = []
@@ -373,18 +381,18 @@ def _check_mapset(obj, deep: bool, seed, label, budget) -> list[InvariantViolati
                 tape_length=tape_len,
             ))
             continue
-        out += _check_map(cmap, False, seed, None, budget)
+        out += _check_pair(cmap, False, seed, None, budget)
         by_cursor.setdefault(cmap.cursor, []).append(cmap)
 
     for cursor, group in by_cursor.items():
         if len(group) < 2:
             continue
         reference = group[0]
-        ref_sig = _boundary_signature(reference.index)
-        ref_pending = _pending_signature(reference.pending_cracks)
+        ref_sig = boundary_signature(reference.index)
+        ref_pending = pending_signature(reference.pending_cracks)
         for cmap in group[1:]:
-            sig = _boundary_signature(cmap.index)
-            if _pending_signature(cmap.pending_cracks) != ref_pending:
+            sig = boundary_signature(cmap.index)
+            if pending_signature(cmap.pending_cracks) != ref_pending:
                 out.append(_violation(
                     structure, "replay-boundaries",
                     f"maps {reference.tail_attr!r} and {cmap.tail_attr!r} at "
@@ -429,58 +437,68 @@ def _check_mapset(obj, deep: bool, seed, label, budget) -> list[InvariantViolati
     return out
 
 
+def _replay_mismatch(tape, live, budget, make_ghost) -> str | None:
+    """Replay the whole ``tape`` on a fresh pair; how it differs from ``live``.
+
+    ``live`` must be fully aligned.  ``None`` when the states match — or
+    when the comparison cannot run: a delete entry's victims are not located
+    yet (no pair can have replayed it), or the replay exceeds ``budget``.
+    """
+    from repro.core.tape import DeleteEntry
+
+    if any(isinstance(e, DeleteEntry) and e.positions is None for e in tape.entries):
+        return None
+    if budget is not None and len(tape) * max(1, len(live)) > budget:
+        return None
+    ghost = make_ghost()
+    for entry in tape.entries:
+        ghost.replay_entry(entry)
+    if len(ghost) != len(live):
+        return (
+            f"replay yields {len(ghost)} tuples, live {live.kind} has {len(live)}"
+        )
+    if not np.array_equal(ghost.head, live.head):
+        return "replay reproduces a different head permutation"
+    if not np.array_equal(ghost.tail, live.tail):
+        return "replay reproduces a different tail permutation"
+    if pending_signature(ghost.pending_cracks) != pending_signature(
+        live.pending_cracks
+    ):
+        return "replay reproduces different in-flight crack markers"
+    ghost_sig = boundary_signature(ghost.index)
+    live_sig = boundary_signature(live.index)
+    if ghost_sig != live_sig:
+        return (
+            f"replay reproduces different boundaries: "
+            f"{format_boundaries(ghost_sig)} vs {format_boundaries(live_sig)}"
+        )
+    return None
+
+
 def _mapset_replay_violations(
     mapset, structure: str, seed, budget
 ) -> list[InvariantViolation]:
     """Rebuild one fully aligned map from the snapshot; states must match."""
-    from repro.core.map import CrackerMap
-    from repro.core.mapset import KEY_TAIL
-    from repro.core.tape import DeleteEntry
+    from repro.core.map import KEY_TAIL, CrackerMap, tail_fetcher
     from repro.stats.counters import StatsRecorder
 
     tape = mapset.tape
     candidates = [m for m in mapset.maps.values() if m.cursor == len(tape)]
     if not candidates:
         return []
-    if any(isinstance(e, DeleteEntry) and e.positions is None for e in tape.entries):
-        return []  # victims not located yet; no map can have replayed these
     cmap = next(
         (m for m in candidates if m.tail_attr == KEY_TAIL), candidates[0]
     )
-    if budget is not None and len(tape) * max(1, len(cmap)) > budget:
-        return []
-    head, tail = mapset._snapshot_arrays(cmap.tail_attr)
-    if cmap.tail_attr == KEY_TAIL:
-        fetch = lambda keys: np.asarray(keys, dtype=np.int64).copy()
-    else:
-        relation = mapset.relation
-        fetch = lambda keys: relation.values(cmap.tail_attr)[
-            np.asarray(keys, dtype=np.int64)
-        ]
-    ghost = CrackerMap(
-        mapset.head_attr, cmap.tail_attr, head, tail, fetch, StatsRecorder()
-    )
-    for entry in tape.entries:
-        ghost.replay_entry(entry)
-    detail = None
-    if len(ghost) != len(cmap):
-        detail = f"replay yields {len(ghost)} tuples, live map has {len(cmap)}"
-    elif not np.array_equal(ghost.head, cmap.head):
-        detail = "replay reproduces a different head permutation"
-    elif not np.array_equal(ghost.tail, cmap.tail):
-        detail = "replay reproduces a different tail permutation"
-    elif _pending_signature(ghost.pending_cracks) != _pending_signature(
-        cmap.pending_cracks
-    ):
-        detail = "replay reproduces different in-flight crack markers"
-    else:
-        ghost_sig = _boundary_signature(ghost.index)
-        live_sig = _boundary_signature(cmap.index)
-        if ghost_sig != live_sig:
-            detail = (
-                f"replay reproduces different boundaries: "
-                f"{format_boundaries(ghost_sig)} vs {format_boundaries(live_sig)}"
-            )
+
+    def ghost():
+        recorder = StatsRecorder()
+        return CrackerMap(
+            mapset.head_attr, cmap.tail_attr,
+            *mapset._snapshot_arrays(cmap.tail_attr),
+            tail_fetcher(mapset.relation, cmap.tail_attr, recorder), recorder,
+        )
+
+    detail = _replay_mismatch(tape, cmap, budget, ghost)
     if detail is None:
         return []
     return [_violation(
@@ -488,23 +506,6 @@ def _mapset_replay_violations(
         f"map {cmap.tail_attr!r}: {detail}", seed,
         map=cmap.tail_attr, tape_length=len(tape),
     )]
-
-
-def _check_chunk(obj, deep: bool, seed, label, budget) -> list[InvariantViolation]:
-    structure = label or f"chunk[area {obj.area_id}]"
-    if obj.head is None:
-        # Head-dropped: only marker ordering of in-flight cracks is checkable.
-        return _pending_violations(
-            structure, obj.index, None, len(obj.tail),
-            getattr(obj, "pending_cracks", None), seed,
-        )
-    out = _piece_violations(structure, obj.index, obj.head, seed)
-    out += _length_violation(structure, seed, len(obj.head), len(obj.tail))
-    out += _pending_violations(
-        structure, obj.index, obj.head, len(obj.head),
-        getattr(obj, "pending_cracks", None), seed,
-    )
-    return out
 
 
 def _check_chunkmap(obj, deep: bool, seed, label, budget) -> list[InvariantViolation]:
@@ -602,7 +603,7 @@ def _check_chunkmap(obj, deep: bool, seed, label, budget) -> list[InvariantViola
 
 
 def _check_partial_set(obj, deep: bool, seed, label, budget) -> list[InvariantViolation]:
-    from repro.core.partial.partial_map import KEY_TAIL
+    from repro.core.map import KEY_TAIL
 
     structure = label or f"P_{obj.head_attr}"
     if obj.chunkmap is None:
@@ -638,7 +639,7 @@ def _check_partial_set(obj, deep: bool, seed, label, budget) -> list[InvariantVi
                     tape_length=len(area.tape),
                 ))
                 continue
-            out += _check_chunk(
+            out += _check_pair(
                 chunk, False, seed, f"{pmap.name}[area {area_id}]", budget
             )
             chunks_by_area.setdefault(area_id, []).append((tail_attr, chunk))
@@ -684,9 +685,8 @@ def _area_replay_violations(
     pset, structure: str, area, members, seed, budget
 ) -> list[InvariantViolation]:
     """Rebuild one fully aligned chunk from the frozen area slice."""
+    from repro.core.map import KEY_TAIL, tail_fetcher
     from repro.core.partial.chunk import Chunk
-    from repro.core.partial.partial_map import KEY_TAIL
-    from repro.core.tape import DeleteEntry
     from repro.stats.counters import StatsRecorder
 
     tape = area.tape
@@ -696,49 +696,24 @@ def _area_replay_violations(
     ]
     if not candidates:
         return []
-    if any(isinstance(e, DeleteEntry) and e.positions is None for e in tape.entries):
-        return []
     tail_attr, chunk = next(
         ((a, c) for a, c in candidates if a == KEY_TAIL), candidates[0]
     )
-    if budget is not None and len(tape) * max(1, len(chunk)) > budget:
-        return []
-    cm = pset.chunkmap
-    lo, hi = cm.area_positions(area)
-    head0 = cm.head[lo:hi].copy()
-    keys0 = cm.keys[lo:hi].copy()
-    relation = pset.relation
-    if tail_attr == KEY_TAIL:
-        fetch = lambda keys: np.asarray(keys, dtype=np.int64).copy()
-    else:
-        fetch = lambda keys: relation.values(tail_attr)[
-            np.asarray(keys, dtype=np.int64)
-        ]
-    ghost = Chunk(area.area_id, head0, fetch(keys0), fetch, StatsRecorder())
-    for entry in tape.entries:
-        ghost.replay_entry(entry)
-    name = f"{pset.head_attr}->{tail_attr}[area {area.area_id}]"
-    detail = None
-    if len(ghost) != len(chunk):
-        detail = f"replay yields {len(ghost)} tuples, live chunk has {len(chunk)}"
-    elif not np.array_equal(ghost.head, chunk.head):
-        detail = "replay reproduces a different head permutation"
-    elif not np.array_equal(ghost.tail, chunk.tail):
-        detail = "replay reproduces a different tail permutation"
-    elif _pending_signature(ghost.pending_cracks) != _pending_signature(
-        chunk.pending_cracks
-    ):
-        detail = "replay reproduces different in-flight crack markers"
-    else:
-        ghost_sig = _boundary_signature(ghost.index)
-        live_sig = _boundary_signature(chunk.index)
-        if ghost_sig != live_sig:
-            detail = (
-                f"replay reproduces different boundaries: "
-                f"{format_boundaries(ghost_sig)} vs {format_boundaries(live_sig)}"
-            )
+
+    def ghost():
+        cm = pset.chunkmap
+        lo, hi = cm.area_positions(area)
+        recorder = StatsRecorder()
+        fetch = tail_fetcher(pset.relation, tail_attr, recorder)
+        return Chunk(
+            area.area_id, cm.head[lo:hi].copy(), fetch(cm.keys[lo:hi].copy()),
+            fetch, recorder,
+        )
+
+    detail = _replay_mismatch(tape, chunk, budget, ghost)
     if detail is None:
         return []
+    name = f"{pset.head_attr}->{tail_attr}[area {area.area_id}]"
     return [_violation(
         structure, "tape-replay-consistency", f"{name}: {detail}", seed,
         map=name, area=area.area_id, tape_length=len(tape),
@@ -754,9 +729,9 @@ def _check_rowstore(obj, deep: bool, seed, label, budget) -> list[InvariantViola
 _CHECKS: dict[str, Callable] = {
     "index": _check_index,
     "column": _check_column,
-    "map": _check_map,
+    "map": _check_pair,
     "mapset": _check_mapset,
-    "chunk": _check_chunk,
+    "chunk": _check_pair,
     "chunkmap": _check_chunkmap,
     "partial_set": _check_partial_set,
     "rowstore": _check_rowstore,
@@ -823,17 +798,20 @@ def content_checksum(arr) -> int:
 def _sig_column(obj, content=False):
     sig = (len(obj.head), len(obj.index),
            obj.pending.insertion_count, obj.pending.deletion_count,
-           _pending_signature(getattr(obj, "pending_cracks", None)))
+           pending_signature(getattr(obj, "pending_cracks", None)))
     if content:
         sig += (content_checksum(obj.head), content_checksum(obj.keys))
     return sig
 
 
-def _sig_map(obj, content=False):
-    sig = (len(obj.head), len(obj.index), obj.cursor,
-           _pending_signature(getattr(obj, "pending_cracks", None)))
+def _sig_pair(obj, content=False):
+    sig = (len(obj.tail), len(obj.index), obj.cursor, obj.head is None,
+           pending_signature(getattr(obj, "pending_cracks", None)))
     if content:
-        sig += (content_checksum(obj.head), content_checksum(obj.tail))
+        sig += (
+            content_checksum(obj.tail),
+            content_checksum(obj.head) if obj.head is not None else 0,
+        )
     return sig
 
 
@@ -842,20 +820,9 @@ def _sig_mapset(obj, content=False):
         len(obj.tape),
         obj.pending.insertion_count, obj.pending.deletion_count,
         tuple(sorted(
-            (attr, _sig_map(cmap, content)) for attr, cmap in obj.maps.items()
+            (attr, _sig_pair(cmap, content)) for attr, cmap in obj.maps.items()
         )),
     )
-
-
-def _sig_chunk(obj, content=False):
-    sig = (len(obj.tail), len(obj.index), obj.cursor, obj.head_dropped,
-           _pending_signature(getattr(obj, "pending_cracks", None)))
-    if content:
-        sig += (
-            content_checksum(obj.tail),
-            content_checksum(obj.head) if obj.head is not None else 0,
-        )
-    return sig
 
 
 def _sig_chunkmap(obj, content=False):
@@ -877,7 +844,7 @@ def _sig_partial_set(obj, content=False):
         _sig_chunkmap(obj.chunkmap, content) if obj.chunkmap is not None else None,
         obj.pending.insertion_count, obj.pending.deletion_count,
         tuple(sorted(
-            (attr, area_id, _sig_chunk(chunk, content))
+            (attr, area_id, _sig_pair(chunk, content))
             for attr, pmap in obj.maps.items()
             for area_id, chunk in pmap.chunks.items()
         )),
@@ -893,9 +860,9 @@ def _sig_rowstore(obj, content=False):
 
 _SIGNATURES: dict[str, Callable] = {
     "column": _sig_column,
-    "map": _sig_map,
+    "map": _sig_pair,
     "mapset": _sig_mapset,
-    "chunk": _sig_chunk,
+    "chunk": _sig_pair,
     "chunkmap": _sig_chunkmap,
     "partial_set": _sig_partial_set,
     "rowstore": _sig_rowstore,

@@ -24,6 +24,12 @@ pass enforces them syntactically:
     ``.entries`` of a cracker tape is grown/modified only inside
     ``core/tape.py`` — callers use ``tape.append`` / ``tape.append_crack``,
     which maintain the update-safety watermark.
+``tape-interpreter``
+    ``isinstance(x, CrackEntry | SortEntry | ProgressiveCrackEntry)`` (alone
+    or in a tuple) appears only in ``core/replay.py`` — the one function
+    that turns a tape entry into a permutation, and the one gang driver —
+    and ``core/tape.py``.  A second interpreter would have to be kept
+    policy- and RNG-free by hand, and would drift (three once did).
 ``mutable-default``
     No mutable default arguments (lists/dicts/sets or calls constructing
     them).
@@ -81,6 +87,9 @@ COUNTER_FIELDS = frozenset({
     "alignment_replays", "dd_cuts", "random_cracks", "policy_cuts",
 })
 
+#: Tape entry types only the tape interpreter may dispatch on.
+REPLAYED_ENTRY_TYPES = frozenset({"CrackEntry", "SortEntry", "ProgressiveCrackEntry"})
+
 #: rule name -> (description, file-suffix allowlist)
 RULES: dict[str, tuple[str, tuple[str, ...]]] = {
     "payload-mutation": (
@@ -98,6 +107,10 @@ RULES: dict[str, tuple[str, tuple[str, ...]]] = {
     "tape-append": (
         "tape entries grown outside the tape API",
         ("core/tape.py",),
+    ),
+    "tape-interpreter": (
+        "tape entry types dispatched on outside the tape interpreter",
+        ("core/replay.py", "core/tape.py"),
     ),
     "mutable-default": ("mutable default argument", ()),
     "bare-except": ("bare except: clause", ()),
@@ -291,6 +304,21 @@ class _FileLinter(ast.NodeVisitor):
                 f"tape entries .{func.attr}() outside the tape API; use "
                 f"tape.append / tape.append_crack",
             )
+        if (
+            isinstance(func, ast.Name)
+            and func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            dispatched = REPLAYED_ENTRY_TYPES & {
+                _attr_or_name(sub) for sub in ast.walk(node.args[1])
+            }
+            if dispatched:
+                self._report(
+                    node, "tape-interpreter",
+                    f"isinstance dispatch on {', '.join(sorted(dispatched))}; "
+                    f"only repro.core.replay interprets tape entries — call "
+                    f"apply_entry / align_gang instead",
+                )
         self._check_random_call(node)
         self._check_lock_call(node)
         self._check_sleep_call(node)

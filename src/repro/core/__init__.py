@@ -3,8 +3,12 @@
 * :mod:`~repro.core.tape` — cracker tapes: ordered logs of crack / insert /
   delete / sort events; a map's *cursor* into its tape defines its alignment
   state.
+* :mod:`~repro.core.replay` — the one tape interpreter: ``apply_entry``
+  (one entry onto a head and its tails), ``align_gang`` (several maps or
+  chunks along one tape), ``log_crack`` (a live crack onto the tape).
 * :mod:`~repro.core.map` — cracker maps ``M_AB`` (head = selection attribute,
-  tail = projection attribute).
+  tail = projection attribute) and the ``CrackedPair`` they share with
+  partial-map chunks.
 * :mod:`~repro.core.mapset` — map sets ``S_A``: all maps headed by one
   attribute, the shared tape, the ``M_Akey`` map, pending updates, and
   adaptive alignment.

@@ -18,23 +18,27 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.invariants import (
+    boundary_signature,
+    format_boundaries,
+    pending_signature,
+)
 from repro.analysis.sanitizer import checkpoint_crack, register_structure
-from repro.core.map import CrackerMap
+from repro.core.map import KEY_TAIL, CrackerMap, tail_fetcher
+from repro.core.replay import align_gang, log_crack
 from repro.core.tape import (
-    CrackEntry,
     CrackerTape,
     DeleteEntry,
     InsertEntry,
     ProgressiveCrackEntry,
 )
 from repro.cracking import stochastic
-from repro.cracking.bounds import Bound, Interval, interval_from_bounds
-from repro.cracking.crack import gang_replay_cracks
+from repro.cracking.bounds import Bound, Interval
 from repro.cracking.pending import PendingUpdates
 from repro.cracking.progressive import (
     BudgetTracker,
-    CrackProgress,
     ProgressiveBudget,
+    crack_progress,
     parse_budget,
     resolve_area,
 )
@@ -50,8 +54,6 @@ from repro.faults.guard import atomic
 from repro.faults.plan import fault_hook
 from repro.stats.counters import StatsRecorder, global_recorder
 from repro.storage.relation import Relation
-
-KEY_TAIL = "@key"
 
 
 class MapSet:
@@ -108,20 +110,6 @@ class MapSet:
         """
         return self.budget is not None or bool(self.open_pendings)
 
-    def _progress(self, cmap: CrackerMap, budgeted: bool) -> CrackProgress | None:
-        """The crack context for one operation on the (aligned) ``cmap``.
-
-        ``None`` (the exact legacy path, bit-identical tapes) when there is
-        no budget and nothing in flight.  Unbudgeted contexts still resume
-        pendings — a piece holding one must finish it before moving on.
-        """
-        if budgeted and self.budget is not None:
-            self._tracker.begin_query(len(cmap.head))
-            return CrackProgress(cmap.pending_cracks, self._tracker)
-        if cmap.pending_cracks:
-            return CrackProgress(cmap.pending_cracks)
-        return None
-
     # -- snapshot --------------------------------------------------------------
 
     def exclude_from_snapshot(self, keys: np.ndarray) -> None:
@@ -150,18 +138,6 @@ class MapSet:
             return head[mask].copy(), tail[mask].copy()
         return head.copy(), tail.copy()
 
-    def _fetch_tail_fn(self, tail_attr: str):
-        if tail_attr == KEY_TAIL:
-            return lambda keys: np.asarray(keys, dtype=np.int64).copy()
-
-        def fetch(keys: np.ndarray) -> np.ndarray:
-            # Resolve the column at call time: appends replace the BAT object.
-            column = self.relation.column(tail_attr)
-            self._recorder.random(len(keys), len(column))
-            return column.values[np.asarray(keys, dtype=np.int64)]
-
-        return fetch
-
     # -- map lifecycle -------------------------------------------------------------
 
     def has_map(self, tail_attr: str) -> bool:
@@ -180,7 +156,8 @@ class MapSet:
             head, tail = self._snapshot_arrays(tail_attr)
             cmap = CrackerMap(
                 self.head_attr, tail_attr, head, tail,
-                self._fetch_tail_fn(tail_attr), self._recorder,
+                tail_fetcher(self.relation, tail_attr, self._recorder),
+                self._recorder,
             )
             self.maps[tail_attr] = cmap
             if self._storage is not None:
@@ -196,8 +173,6 @@ class MapSet:
     def drop_map(self, tail_attr: str) -> None:
         """Drop a map entirely (storage pressure); the tape is retained, so a
         recreated map pays a full replay to realign."""
-        if tail_attr == KEY_TAIL and self.pending.deletion_count:
-            raise AlignmentError("cannot drop M_Akey while deletions are pending")
         self.maps.pop(tail_attr, None)
         self._recorder.event("chunk_drops")
 
@@ -206,12 +181,10 @@ class MapSet:
     def align(self, cmap: CrackerMap, upto: int | None = None) -> None:
         """Replay tape entries from ``cmap``'s cursor to ``upto`` (default end).
 
-        Sibling maps standing at the same cursor are dragged along as a
-        *gang*: crack entries are replayed once through a shared permutation
-        (:func:`~repro.cracking.crack.gang_replay_crack`) instead of
-        recomputing the identical partition per map.  Gang members hold
-        bit-identical heads (the ``aligned-head-equality`` invariant), so
-        the shared replay is exactly equivalent to individual replay.
+        Sibling maps standing at the same cursor are dragged along as a gang
+        led by ``cmap`` (:func:`~repro.core.replay.align_gang`); delete
+        entries on the way get their victims located through ``M_Akey``
+        first.
         """
         end = len(self.tape) if upto is None else upto
         if cmap.cursor > end:
@@ -219,45 +192,19 @@ class MapSet:
                 f"map cursor {cmap.cursor} already past requested position {end}"
             )
         with atomic(self, "mapset"):
+            gang = [cmap]
             if cmap.cursor < end:
                 fault_hook("mapset.align", cmap.head)
-            group = [cmap]
-            if cmap.cursor < end:
-                group += [
+                gang += [
                     m
                     for m in self.maps.values()
                     if m is not cmap and m.cursor == cmap.cursor
                 ]
-            while cmap.cursor < end:
-                entry = self.tape[cmap.cursor]
-                if isinstance(entry, DeleteEntry) and entry.positions is None:
-                    self._locate_delete(cmap.cursor)
-                if (
-                    len(group) > 1
-                    and isinstance(entry, CrackEntry)
-                    and not cmap.pending_cracks
-                ):
-                    # Gang replay is only valid while no progressive crack is
-                    # in flight: with pendings open, crack entries must go
-                    # through the pending-aware per-map replay path.  The
-                    # whole run of consecutive crack entries goes in one
-                    # batched pass (crack-entry replay never opens pendings,
-                    # so the run stays gang-eligible throughout).
-                    run = [entry.interval]
-                    while cmap.cursor + len(run) < end:
-                        ahead = self.tape[cmap.cursor + len(run)]
-                        if not isinstance(ahead, CrackEntry):
-                            break
-                        run.append(ahead.interval)
-                    fault_hook("mapset.gang_replay")
-                    gang_replay_cracks(group, run, self._recorder)
-                    for m in group:
-                        self._recorder.event("alignment_replays", len(run))
-                        m.cursor += len(run)
-                else:
-                    for m in group:
-                        m.replay_entry(entry)
-            for m in group:
+                self._locate_deletes(cmap.cursor, end)
+                align_gang(
+                    self.tape, gang, end, self._recorder, "mapset.gang_replay"
+                )
+            for m in gang:
                 self._check_replay_boundaries(m, end)
 
     def _check_replay_boundaries(self, cmap: CrackerMap, end: int) -> None:
@@ -275,18 +222,10 @@ class MapSet:
         ):
             return
         sig = (
-            tuple(
-                (bound.value, int(bound.side), pos)
-                for bound, pos in cmap.index.inorder()
-            ),
-            tuple(sorted(
-                (p.bound.value, int(p.bound.side), p.lo, p.hi, p.left, p.right)
-                for p in cmap.pending_cracks.values()
-            )),
+            boundary_signature(cmap.index),
+            pending_signature(cmap.pending_cracks),
         )
         if self._sig is not None and self._sig[0] == end and self._sig[1] != sig:
-            from repro.analysis.invariants import format_boundaries
-
             expected, actual = self._sig[1], sig
             raise InvariantError.from_violations([InvariantViolation(
                 structure=f"S_{self.head_attr}",
@@ -306,25 +245,28 @@ class MapSet:
             )])
         self._sig = (end, sig)
 
-    def _locate_delete(self, entry_idx: int) -> None:
-        """Fill in a delete entry's victim positions via ``M_Akey``.
+    def _locate_deletes(self, start: int, end: int) -> None:
+        """Fill in the victim positions of delete entries in ``[start, end)``.
 
-        ``M_Akey`` is aligned to just before the entry, victims are located
-        by scanning the pieces their old head values map to, and the
-        positions are cached on the entry for every later replay.
+        For each entry not located yet, ``M_Akey`` is aligned to just before
+        it, victims are located by scanning the pieces their old head values
+        map to, and the positions are cached on the entry for every replay.
+        (No update entry lies at or past the tape's ``min_safe_cursor``.)
         """
-        entry = self.tape[entry_idx]
-        assert isinstance(entry, DeleteEntry)
-        key_map = self.get_map(KEY_TAIL)
-        self.align(key_map, upto=entry_idx)
-        if key_map.cursor != entry_idx:
-            raise AlignmentError(
-                "M_Akey overtook a delete entry whose positions were never located"
+        for idx in range(start, min(end, self.tape.min_safe_cursor)):
+            entry = self.tape[idx]
+            if not isinstance(entry, DeleteEntry) or entry.positions is not None:
+                continue
+            key_map = self.get_map(KEY_TAIL)
+            self.align(key_map, upto=idx)
+            if key_map.cursor != idx:
+                raise AlignmentError(
+                    "M_Akey overtook a delete entry whose positions were never located"
+                )
+            entry.positions = locate_deletions(
+                key_map.index, key_map.head, key_map.tail,
+                entry.values, entry.keys, self._recorder,
             )
-        entry.positions = locate_deletions(
-            key_map.index, key_map.head, key_map.tail,
-            entry.values, entry.keys, self._recorder,
-        )
 
     # -- pending updates ------------------------------------------------------------------
 
@@ -396,20 +338,14 @@ class MapSet:
             self.merge_pending(interval)
             self.align(cmap)
             cuts: list[Bound] = []
-            progress = self._progress(cmap, budgeted)
+            progress = crack_progress(
+                cmap.pending_cracks, self._tracker, budgeted, len(cmap.head)
+            )
+            cmap.accesses += 1
             lo, hi = cmap.crack(interval, self.policy, self._rng, cuts, progress)
             self.stochastic_cuts += len(cuts)
-            holes: list[tuple[int, int]] = []
-            if progress is not None:
-                holes = list(progress.holes)
-                self._log_progress(interval, progress)
-            else:
-                # Auxiliary (stochastic) cuts go on the tape first, as
-                # one-sided crack entries, so sibling maps replay the
-                # identical sequence without consulting the policy or RNG.
-                for pivot in cuts:
-                    self.tape.append(CrackEntry(interval_from_bounds(pivot, None)))
-                self.tape.append_crack(interval)
+            holes = list(progress.holes) if progress is not None else []
+            log_crack(self.tape, self.open_pendings, interval, cuts, progress)
             cmap.cursor = len(self.tape)
             self._sig = None
             checkpoint_crack(self, "mapset")
@@ -436,41 +372,6 @@ class MapSet:
                 cmap.index, len(cmap.head), interval, cmap.pending_cracks
             )
         return cmap, lo, hi, holes
-
-    def _log_progress(self, interval: Interval, progress: CrackProgress) -> None:
-        """Tape the op sequence of one budget-aware crack, in temporal order.
-
-        Eager ops become one-sided crack entries (preceded by their own
-        auxiliary cuts); steps become :class:`ProgressiveCrackEntry` records.
-        Interleaving order matters: a step completing a pending may free the
-        piece an eager crack then splits, so the entries must replay in the
-        exact order the work happened.  The progressive path never uses the
-        crack-in-three fast path, so two-sided legacy entries (whose replay
-        could take it) are never logged from here.
-        """
-        if not progress.ops:
-            if progress.holes:
-                # The budget was exhausted before any work happened; logging
-                # a crack entry would make replayers do work the live
-                # structure never did.
-                return
-            # Nothing physical happened — both bounds were boundaries
-            # already.  Keep the classic (deduplicating) log entry.
-            self.tape.append_crack(interval)
-            return
-        for op in progress.ops:
-            if op[0] == "eager":
-                _, bound, op_cuts = op
-                for pivot in op_cuts:
-                    self.tape.append(CrackEntry(interval_from_bounds(pivot, None)))
-                self.tape.append(CrackEntry(interval_from_bounds(bound, None)))
-            else:
-                _, bound, k, done = op
-                self.tape.append(ProgressiveCrackEntry(bound, k))
-                if done:
-                    self.open_pendings.discard(bound)
-                else:
-                    self.open_pendings.add(bound)
 
     # -- invariants -----------------------------------------------------------------------------
 

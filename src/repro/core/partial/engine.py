@@ -24,25 +24,20 @@ import numpy as np
 
 from repro.analysis.sanitizer import checkpoint_crack, register_structure
 from repro.core.bitvector import BitVector
-from repro.core.histogram import estimate_result_size
 from repro.core.partial.chunk import Chunk
 from repro.core.partial.chunkmap import Area, ChunkMap
 from repro.core.partial.partial_map import KEY_TAIL, PartialMap
 from repro.core.partial.storage import ChunkStorage
-from repro.core.tape import (
-    CrackEntry,
-    DeleteEntry,
-    InsertEntry,
-    ProgressiveCrackEntry,
-    SortEntry,
-)
+from repro.core.replay import align_gang, log_crack
+from repro.core.sideways import SidewaysFacade
+from repro.core.tape import DeleteEntry, InsertEntry, ProgressiveCrackEntry
 from repro.cracking.bounds import Bound, Interval, interval_from_bounds
-from repro.cracking.crack import gang_replay_cracks, gang_replay_sort
+from repro.cracking.index import CrackerIndex
 from repro.cracking.pending import PendingUpdates
 from repro.cracking.progressive import (
     BudgetTracker,
-    CrackProgress,
     ProgressiveBudget,
+    crack_progress,
     parse_budget,
 )
 from repro.cracking.stochastic import CrackPolicy, is_stochastic, policy_rng
@@ -51,7 +46,7 @@ from repro.cracking.ripple import (
     locate_deletions,
     merge_insertions,
 )
-from repro.errors import AlignmentError, PlanError
+from repro.errors import PlanError
 from repro.faults.guard import atomic
 from repro.faults.plan import fault_hook
 from repro.stats.counters import StatsRecorder, global_recorder
@@ -103,8 +98,6 @@ class PartialMapSet:
         self.chunkmap: ChunkMap | None = None
         self.maps: dict[str, PartialMap] = {}
         self.pending = PendingUpdates(n_tails=1)
-        self.budget: ProgressiveBudget | None = None
-        self._tracker: BudgetTracker | None = None
         self.set_budget(budget)
         register_structure(self, "partial_set", f"P_{head_attr}")
 
@@ -239,7 +232,7 @@ class PartialMapSet:
         """
         assert area.tape is not None
         pending_idx = [
-            i for i in range(upto)
+            i for i in range(min(upto, area.tape.min_safe_cursor))
             if isinstance(area.tape[i], DeleteEntry) and area.tape[i].positions is None
         ]
         if not pending_idx:
@@ -283,7 +276,7 @@ class PartialMapSet:
         assert area.tape is not None
         if chunk.cursor >= target:
             return
-        fault_hook("partial.align", chunk.head if chunk.head is not None else None)
+        fault_hook("partial.align", chunk.head)
         self._ensure_located(area, target)
         if chunk.head_dropped:
             self._recover_head(pmap, chunk, area)
@@ -310,8 +303,6 @@ class PartialMapSet:
             )
         else:
             head_slice, _ = self._chunkmap().area_slice(area)
-            from repro.cracking.index import CrackerIndex
-
             chunk.recover_head(area.tape, head_slice, CrackerIndex(), 0)
 
     def _bring_group_to(
@@ -320,78 +311,22 @@ class PartialMapSet:
         pairs: "list[tuple[PartialMap, Chunk]]",
         target: int,
     ) -> None:
-        """Align several chunks of one area to ``target``, ganging replays.
-
-        Chunks standing at the same cursor hold bit-identical heads (the
-        ``aligned-head-equality`` invariant), so each crack/sort entry is
-        replayed once through a shared permutation
-        (:func:`~repro.cracking.crack.gang_replay_crack`) instead of being
-        recomputed per chunk.  Chunks starting at different cursors are
-        absorbed into the gang as soon as they catch up to its position.
-        """
+        """Align several chunks of one area to ``target`` as a gang
+        (:func:`~repro.core.replay.align_gang`), recovering dropped heads
+        and pre-locating delete positions as needed."""
         assert area.tape is not None
         todo = [(pmap, chunk) for pmap, chunk in pairs if chunk.cursor < target]
-        if not todo:
-            return
         if len(todo) == 1:
-            self._bring_to(todo[0][0], todo[0][1], area, target)
-            return
-        self._ensure_located(area, target)
-        for pmap, chunk in todo:
-            if chunk.head_dropped:
-                self._recover_head(pmap, chunk, area)
-        while True:
-            active = [chunk for _, chunk in todo if chunk.cursor < target]
-            if not active:
-                break
-            cursor = min(chunk.cursor for chunk in active)
-            gang = [chunk for chunk in active if chunk.cursor == cursor]
-            entry = area.tape[cursor]
-            if (
-                len(gang) > 1
-                and isinstance(entry, CrackEntry)
-                and not gang[0].pending_cracks
-            ):
-                # Batch the run of consecutive crack entries, stopping where
-                # a straggler chunk would join the gang (its cursor) or at
-                # ``target`` — crack-entry replay never opens pendings, so
-                # the whole run stays gang-eligible.
-                limit = min(
-                    [target]
-                    + [c.cursor for c in active if c.cursor > cursor]
-                )
-                run = [entry.interval]
-                while cursor + len(run) < limit:
-                    ahead = area.tape[cursor + len(run)]
-                    if not isinstance(ahead, CrackEntry):
-                        break
-                    run.append(ahead.interval)
-                fault_hook("partial.gang_replay")
-                gang_replay_cracks(gang, run, self._recorder)
-                for chunk in gang:
-                    self._recorder.event("alignment_replays", len(run))
-                    chunk.cursor += len(run)
-            elif len(gang) > 1 and isinstance(entry, SortEntry):
-                leader = gang[0]
-                lo = (
-                    0
-                    if entry.lo_bound is None
-                    else leader.index.position_of(entry.lo_bound)
-                )
-                hi = (
-                    len(leader.tail)
-                    if entry.hi_bound is None
-                    else leader.index.position_of(entry.hi_bound)
-                )
-                if lo is None or hi is None:
-                    raise AlignmentError("sort entry references unknown piece bounds")
-                gang_replay_sort(gang, lo, hi, self._recorder)
-                for chunk in gang:
-                    self._recorder.event("alignment_replays")
-                    chunk.cursor += 1
-            else:
-                for chunk in gang:
-                    chunk.replay_entry(entry)
+            self._bring_to(*todo[0], area, target)
+        elif todo:
+            self._ensure_located(area, target)
+            for pmap, chunk in todo:
+                if chunk.head_dropped:
+                    self._recover_head(pmap, chunk, area)
+            align_gang(
+                area.tape, [chunk for _, chunk in todo], target,
+                self._recorder, "partial.gang_replay",
+            )
 
     # -- the per-area preparation core -------------------------------------------------------
 
@@ -479,63 +414,15 @@ class PartialMapSet:
             self._recover_head(pmap, chunk, area)
         clipped = interval_from_bounds(lower, upper)
         cuts: list[Bound] = []
-        progress = self._progress(chunk)
+        # One allowance per query, begun by :meth:`plan`, however many
+        # boundary chunks the query cracks.
+        progress = crack_progress(chunk.pending_cracks, self._tracker)
         chunk.crack(clipped, self.policy, self._rng, cuts, progress)
         self.stochastic_cuts += len(cuts)
-        if progress is not None:
-            self._log_area_progress(area, clipped, progress)
-        else:
-            # Stochastic auxiliary cuts become explicit tape entries (before
-            # the query's own crack) so sibling chunks and head recovery
-            # replay the identical sequence without consulting the policy.
-            for pivot in cuts:
-                area.tape.append(CrackEntry(interval_from_bounds(pivot, None)))
-            area.tape.append_crack(clipped)
+        log_crack(area.tape, area.open_pendings, clipped, cuts, progress)
         chunk.cursor = len(area.tape)
         checkpoint_crack(self, "partial_set")
         return chunk.cursor
-
-    def _progress(self, chunk: Chunk) -> CrackProgress | None:
-        """The progressive context for cracking one boundary chunk."""
-        if self.budget is not None:
-            return CrackProgress(chunk.pending_cracks, self._tracker)
-        if chunk.pending_cracks:
-            return CrackProgress(chunk.pending_cracks)
-        return None
-
-    def _log_area_progress(
-        self, area: Area, interval: Interval, progress: CrackProgress
-    ) -> None:
-        """Log what a progressive crack physically did, in temporal order.
-
-        Eager per-bound cracks (with their auxiliary cuts interleaved at the
-        position they actually ran) become one-sided :class:`CrackEntry`
-        records; each budgeted step becomes a :class:`ProgressiveCrackEntry`.
-        ``area.open_pendings`` tracks the bounds still in flight at the tape
-        end so updates can force-finish them deterministically.
-        """
-        assert area.tape is not None
-        if not progress.ops:
-            if progress.holes:
-                # The budget was exhausted before any work happened; logging
-                # a crack entry would make replayers do work the live chunk
-                # never did.
-                return
-            area.tape.append_crack(interval)
-            return
-        for op in progress.ops:
-            if op[0] == "eager":
-                _, bound, op_cuts = op
-                for pivot in op_cuts:
-                    area.tape.append(CrackEntry(interval_from_bounds(pivot, None)))
-                area.tape.append(CrackEntry(interval_from_bounds(bound, None)))
-            else:
-                _, bound, k, done = op
-                area.tape.append(ProgressiveCrackEntry(bound, k))
-                if done:
-                    area.open_pendings.discard(bound)
-                else:
-                    area.open_pendings.add(bound)
 
     # -- invariants ------------------------------------------------------------------------------
 
@@ -556,7 +443,6 @@ class PartialMapSet:
         with atomic(self, "partial_set"):
             cmap = self._chunkmap()
             if self.budget is not None:
-                assert self._tracker is not None
                 self._tracker.begin_query(self.snapshot_rows)
             self.merge_pending(interval)
             areas = cmap.cover(interval, self.config.max_chunk_tuples)
@@ -603,7 +489,7 @@ class PartialMapSet:
         return cells
 
 
-class PartialSidewaysCracker:
+class PartialSidewaysCracker(SidewaysFacade):
     """Partial sideways cracking over one relation (public facade)."""
 
     def __init__(
@@ -618,24 +504,11 @@ class PartialSidewaysCracker:
         crack_seed: int = 0,
         crack_budget: "ProgressiveBudget | str | float | int | None" = None,
     ) -> None:
-        self.relation = relation
+        super().__init__(
+            relation, recorder, tombstone_keys, policy, crack_seed, crack_budget
+        )
         self.config = config or PartialConfig()
-        self._recorder = recorder or global_recorder()
         self.storage = storage or ChunkStorage(budget_tuples, self._recorder)
-        self._tombstone_keys = tombstone_keys
-        self.policy = policy
-        self.crack_seed = crack_seed
-        self.crack_budget = parse_budget(crack_budget)
-        self.sets: dict[str, PartialMapSet] = {}
-        self._domain_cache: dict[str, tuple[float, float]] = {}
-
-    def set_crack_budget(
-        self, budget: "ProgressiveBudget | str | float | int | None"
-    ) -> None:
-        """Install (or clear) the progressive budget on all map sets."""
-        self.crack_budget = parse_budget(budget)
-        for pset in self.sets.values():
-            pset.set_budget(self.crack_budget)
 
     def set_for(self, head_attr: str) -> PartialMapSet:
         pset = self.sets.get(head_attr)
@@ -653,48 +526,11 @@ class PartialSidewaysCracker:
             self.sets[head_attr] = pset
         return pset
 
-    # -- updates ----------------------------------------------------------------------
-
-    def notify_insertions(self, rows: dict[str, np.ndarray], keys: np.ndarray) -> None:
-        for head_attr, pset in self.sets.items():
-            pset.add_insertions(np.asarray(rows[head_attr]), keys)
-
-    def notify_deletions(self, values_by_attr: dict[str, np.ndarray], keys: np.ndarray) -> None:
-        for head_attr, pset in self.sets.items():
-            pset.add_deletions(np.asarray(values_by_attr[head_attr]), keys)
-
-    # -- estimation ---------------------------------------------------------------------
-
-    def _domain(self, attr: str) -> tuple[float, float]:
-        cached = self._domain_cache.get(attr)
-        if cached is None:
-            values = self.relation.values(attr)
-            self._recorder.sequential(len(values))
-            cached = (float(values.min()), float(values.max())) if len(values) else (0.0, 0.0)
-            self._domain_cache[attr] = cached
-        return cached
-
-    def estimate_count(self, attr: str, interval: Interval) -> float:
-        lo, hi = self._domain(attr)
+    def _histogram(self, attr: str) -> tuple[CrackerIndex, int] | None:
         pset = self.sets.get(attr)
         if pset is not None and pset.chunkmap is not None and len(pset.chunkmap.index):
-            cmap = pset.chunkmap
-            return estimate_result_size(cmap.index, len(cmap), interval, lo, hi).value
-        n = len(self.relation)
-        span = hi - lo
-        if span <= 0:
-            return float(n)
-        plo = lo if interval.lo is None else max(lo, min(hi, interval.lo))
-        phi = hi if interval.hi is None else max(lo, min(hi, interval.hi))
-        return max(0.0, (phi - plo) / span * n)
-
-    def choose_head(self, predicates: dict[str, Interval], conjunctive: bool = True) -> str:
-        if not predicates:
-            raise PlanError("a multi-selection plan needs at least one predicate")
-        scored = sorted(
-            (self.estimate_count(attr, iv), attr) for attr, iv in predicates.items()
-        )
-        return scored[0][1] if conjunctive else scored[-1][1]
+            return pset.chunkmap.index, len(pset.chunkmap)
+        return None
 
     # -- queries ---------------------------------------------------------------------------
 

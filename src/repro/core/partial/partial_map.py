@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
-
+from repro.core.map import KEY_TAIL, tail_fetcher  # noqa: F401 - KEY_TAIL re-exported
 from repro.core.partial.chunk import Chunk
 from repro.core.partial.chunkmap import Area, ChunkMap
 from repro.errors import AlignmentError
 from repro.stats.counters import StatsRecorder, global_recorder
-
-KEY_TAIL = "@key"
 
 
 class PartialMap:
@@ -39,19 +36,6 @@ class PartialMap:
     def storage_cells(self) -> int:
         return sum(c.storage_cells for c in self.chunks.values())
 
-    # -- tail fetching -----------------------------------------------------------
-
-    def _fetch_tail_fn(self):
-        if self.tail_attr == KEY_TAIL:
-            return lambda keys: np.asarray(keys, dtype=np.int64).copy()
-
-        def fetch(keys: np.ndarray) -> np.ndarray:
-            column = self.chunkmap.relation.column(self.tail_attr)
-            self._recorder.random(len(keys), len(column))
-            return column.values[np.asarray(keys, dtype=np.int64)]
-
-        return fetch
-
     # -- chunk lifecycle -------------------------------------------------------------
 
     def has_chunk(self, area: Area) -> bool:
@@ -73,7 +57,7 @@ class PartialMap:
         if not area.fetched:
             raise AlignmentError("cannot create a chunk for an unfetched area")
         head_slice, key_slice = self.chunkmap.area_slice(area)
-        fetch = self._fetch_tail_fn()
+        fetch = tail_fetcher(self.chunkmap.relation, self.tail_attr, self._recorder)
         tail = fetch(key_slice)
         chunk = Chunk(
             area.area_id, head_slice.copy(), tail, fetch, self._recorder
@@ -99,10 +83,6 @@ class PartialMap:
         if chunk.cursor > end:
             raise AlignmentError(
                 f"chunk cursor {chunk.cursor} already past requested position {end}"
-            )
-        if chunk.cursor < end and chunk.head_dropped:
-            raise AlignmentError(
-                "head-dropped chunk needs recovery before alignment"
             )
         while chunk.cursor < end:
             chunk.replay_entry(area.tape[chunk.cursor])

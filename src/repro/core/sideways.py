@@ -20,60 +20,50 @@ import numpy as np
 
 from repro.core.bitvector import BitVector
 from repro.core.histogram import estimate_result_size
+from repro.core.map import KEY_TAIL
 from repro.core.mapset import FullMapStorage, MapSet
 from repro.cracking.bounds import Interval
+from repro.cracking.index import CrackerIndex
+from repro.cracking.progressive import parse_budget
 from repro.cracking.stochastic import CrackPolicy, is_stochastic, policy_rng
 from repro.errors import PlanError
 from repro.stats.counters import StatsRecorder, global_recorder
 from repro.storage.relation import Relation
 
 
-class SidewaysCracker:
-    """Sideways cracking (full maps) over one relation."""
+class SidewaysFacade:
+    """What the full-map and the partial-map facade share.
+
+    Update fan-out to every existing map set, and map-set choice driven by
+    the cracker indices acting as self-organizing histograms.  Subclasses
+    own ``sets`` (head attribute -> map set) and say which index is the
+    histogram of an attribute (:meth:`_histogram`).
+    """
 
     def __init__(
         self,
         relation: Relation,
-        recorder: StatsRecorder | None = None,
-        storage: FullMapStorage | None = None,
-        tombstone_keys=None,
-        policy: CrackPolicy | None = None,
-        crack_seed: int = 0,
-        crack_budget=None,
+        recorder: StatsRecorder | None,
+        tombstone_keys,
+        policy: CrackPolicy | None,
+        crack_seed: int,
+        crack_budget,
     ) -> None:
         self.relation = relation
         self._recorder = recorder or global_recorder()
-        self._storage = storage
         self._tombstone_keys = tombstone_keys
         self.policy = policy
         self.crack_seed = crack_seed
-        self.crack_budget = crack_budget
-        self.sets: dict[str, MapSet] = {}
+        self.crack_budget = parse_budget(crack_budget)
+        self.sets: dict = {}
         self._domain_cache: dict[str, tuple[float, float]] = {}
 
-    # -- map-set management ------------------------------------------------------
-
     def set_crack_budget(self, budget) -> None:
-        """Install a progressive budget on every (current and future) set."""
-        self.crack_budget = budget
+        """Install (or clear) a progressive budget on every current and
+        future set."""
+        self.crack_budget = parse_budget(budget)
         for mapset in self.sets.values():
-            mapset.set_budget(budget)
-
-    def set_for(self, head_attr: str) -> MapSet:
-        mapset = self.sets.get(head_attr)
-        if mapset is None:
-            mapset = MapSet(
-                self.relation, head_attr, self._recorder, self._storage,
-                policy=self.policy,
-                rng=policy_rng(self.crack_seed, "mapset", self.relation.name, head_attr),
-                budget=self.crack_budget,
-            )
-            if self._tombstone_keys is not None:
-                dead = np.asarray(self._tombstone_keys(), dtype=np.int64)
-                if len(dead):
-                    mapset.exclude_from_snapshot(dead)
-            self.sets[head_attr] = mapset
-        return mapset
+            mapset.set_budget(self.crack_budget)
 
     def notify_insertions(self, rows: dict[str, np.ndarray], keys: np.ndarray) -> None:
         """Register appended tuples as pending insertions with every set."""
@@ -96,20 +86,24 @@ class SidewaysCracker:
             self._domain_cache[attr] = cached
         return cached
 
+    def _histogram(self, attr: str) -> tuple[CrackerIndex, int] | None:
+        """The cracked index over ``attr`` (and its row count), if any."""
+        raise NotImplementedError
+
     def estimate_count(self, attr: str, interval: Interval) -> float:
         """Estimated number of qualifying tuples for a predicate on ``attr``.
 
-        Uses the most-aligned map of ``S_attr`` as a self-organizing
-        histogram; falls back to a uniform assumption over the attribute
-        domain when no map exists yet.
+        Uses the attribute's cracker index as a self-organizing histogram;
+        falls back to a uniform assumption over the attribute domain while
+        nothing is cracked yet.
         """
         lo, hi = self._domain(attr)
-        n = len(self.relation)
-        mapset = self.sets.get(attr)
-        cmap = mapset.most_aligned_map() if mapset is not None else None
-        if cmap is not None and len(cmap.index):
-            return estimate_result_size(cmap.index, len(cmap), interval, lo, hi).value
+        histogram = self._histogram(attr)
+        if histogram is not None:
+            index, n = histogram
+            return estimate_result_size(index, n, interval, lo, hi).value
         # Uniform fallback over [lo, hi].
+        n = len(self.relation)
         span = hi - lo
         if span <= 0:
             return float(n)
@@ -132,13 +126,58 @@ class SidewaysCracker:
         )
         return scored[0][1] if conjunctive else scored[-1][1]
 
+
+class SidewaysCracker(SidewaysFacade):
+    """Sideways cracking (full maps) over one relation."""
+
+    def __init__(
+        self,
+        relation: Relation,
+        recorder: StatsRecorder | None = None,
+        storage: FullMapStorage | None = None,
+        tombstone_keys=None,
+        policy: CrackPolicy | None = None,
+        crack_seed: int = 0,
+        crack_budget=None,
+    ) -> None:
+        super().__init__(
+            relation, recorder, tombstone_keys, policy, crack_seed, crack_budget
+        )
+        self._storage = storage
+
+    # -- map-set management ------------------------------------------------------
+
+    def set_for(self, head_attr: str) -> MapSet:
+        mapset = self.sets.get(head_attr)
+        if mapset is None:
+            mapset = MapSet(
+                self.relation, head_attr, self._recorder, self._storage,
+                policy=self.policy,
+                rng=policy_rng(self.crack_seed, "mapset", self.relation.name, head_attr),
+                budget=self.crack_budget,
+            )
+            if self._tombstone_keys is not None:
+                dead = np.asarray(self._tombstone_keys(), dtype=np.int64)
+                if len(dead):
+                    mapset.exclude_from_snapshot(dead)
+            self.sets[head_attr] = mapset
+        return mapset
+
+    def _histogram(self, attr: str) -> tuple[CrackerIndex, int] | None:
+        # The most-aligned map of ``S_attr`` knows the most boundaries.
+        mapset = self.sets.get(attr)
+        cmap = mapset.most_aligned_map() if mapset is not None else None
+        if cmap is not None and len(cmap.index):
+            return cmap.index, len(cmap)
+        return None
+
     # -- single-selection, multi-projection (Section 3.2) ----------------------------
 
     def _pin(self, head_attr: str, tail_attrs: list[str]) -> None:
         """Protect the running plan's maps (and ``M_Akey``) from eviction."""
         if self._storage is not None:
             pairs = {(head_attr, attr) for attr in tail_attrs}
-            pairs.add((head_attr, "@key"))
+            pairs.add((head_attr, KEY_TAIL))
             self._storage.pin(pairs)
 
     def _unpin(self) -> None:

@@ -22,9 +22,9 @@ from repro.cracking.index import CrackerIndex
 from repro.cracking.pending import PendingUpdates
 from repro.cracking.progressive import (
     BudgetTracker,
-    CrackProgress,
     PendingMap,
     ProgressiveBudget,
+    crack_progress,
     finish_pending,
     parse_budget,
 )
@@ -80,20 +80,6 @@ class CrackerColumn:
         """Install the per-query reorganization budget (``None`` = eager)."""
         self.budget = parse_budget(budget)
         self._tracker = BudgetTracker(self.budget)
-
-    def _progress(self, budgeted: bool) -> CrackProgress | None:
-        """The crack context for one operation.
-
-        ``None`` (the exact legacy path) when there is no budget and nothing
-        in flight.  Unbudgeted contexts still resume pendings — any crack of
-        a piece holding one must finish it before the piece can move on.
-        """
-        if budgeted and self.budget is not None:
-            self._tracker.begin_query(len(self.head))
-            return CrackProgress(self.pending_cracks, self._tracker)
-        if self.pending_cracks:
-            return CrackProgress(self.pending_cracks)
-        return None
 
     # -- querying -----------------------------------------------------------------
 
@@ -159,7 +145,9 @@ class CrackerColumn:
         self, interval: Interval, budgeted: bool
     ) -> tuple[int, int, list[tuple[int, int]]]:
         cuts: list = []
-        progress = self._progress(budgeted)
+        progress = crack_progress(
+            self.pending_cracks, self._tracker, budgeted, len(self.head)
+        )
         lo, hi = crack_into(
             self.index, self.head, [self.keys], interval, self._recorder,
             policy=self.policy, rng=self._rng, cut_sink=cuts, progress=progress,

@@ -215,6 +215,28 @@ class CrackProgress:
         return any(op[0] == "step" for op in self.ops)
 
 
+def crack_progress(
+    pending: PendingMap,
+    tracker: BudgetTracker,
+    budgeted: bool = True,
+    rows: int | None = None,
+) -> CrackProgress | None:
+    """The crack context for one live operation on a structure.
+
+    ``None`` (the exact legacy path, bit-identical tapes) when no budget
+    applies and nothing is in flight.  Unbudgeted contexts still resume
+    pendings — a piece holding one must finish it before it can move on.
+    ``rows`` starts a new per-query allowance over that many rows; owners
+    whose planner already did (one allowance per query, however many
+    structures it touches) leave it out.
+    """
+    if budgeted and tracker.budget is not None:
+        if rows is not None:
+            tracker.begin_query(rows)
+        return CrackProgress(pending, tracker)
+    return CrackProgress(pending) if pending else None
+
+
 def pending_in_piece(pending: PendingMap, lo: int, hi: int) -> PendingCrack | None:
     """The in-flight crack of piece ``[lo, hi)``, if any.
 

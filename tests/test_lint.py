@@ -89,6 +89,39 @@ def test_tape_append_detected(tmp_path):
     assert rules_in(write(tmp_path, "core/tape.py", source)) == set()
 
 
+def test_tape_interpreter_detected(tmp_path):
+    path = write(tmp_path, "core/partial/second_interpreter.py", (
+        "from repro.core import tape\n"
+        "def replay(entry):\n"
+        "    if isinstance(entry, CrackEntry):\n"
+        "        pass\n"
+        "    elif isinstance(entry, (InsertEntry, tape.SortEntry)):\n"
+        "        pass\n"
+        "    elif isinstance(entry, DeleteEntry | ProgressiveCrackEntry):\n"
+        "        pass\n"
+        "    elif isinstance(entry, (InsertEntry, DeleteEntry)):\n"  # fine
+        "        pass\n"
+    ))
+    violations = lint_file(path)
+    assert [v.rule for v in violations] == ["tape-interpreter"] * 3
+    assert [v.line for v in violations] == [3, 5, 7]
+
+
+def test_tape_interpreter_allowed_in_replay_and_tape(tmp_path):
+    source = (
+        "def apply_entry(entry):\n"
+        "    return isinstance(entry, (CrackEntry, SortEntry))\n"
+    )
+    assert rules_in(write(tmp_path, "core/replay.py", source)) == set()
+    assert rules_in(write(tmp_path, "core/tape.py", source)) == set()
+    assert rules_in(write(tmp_path, "core/mapset.py", source)) == {
+        "tape-interpreter"
+    }
+    assert rules_in(write(tmp_path, "score/replay.py", source)) == {
+        "tape-interpreter"
+    }
+
+
 def test_mutable_default_detected(tmp_path):
     path = write(tmp_path, "core/bad_defaults.py", (
         "def f(a, items=[], *, lookup=dict()):\n"
