@@ -28,6 +28,11 @@ Shallow invariants (cheap, run at ``post-crack``/``post-query``):
     ``H_A`` index boundary.  Boundaries that are *not* edges must lie
     strictly inside an unfetched area — they are auxiliary cuts awaiting
     lazy promotion; fetched areas never contain interior boundaries.
+``storage-accounting`` / ``storage-victim``
+    The chunk storage manager's running cell count equals a recount over
+    its registered maps, and the chunk its victim queue would evict next is
+    the one a scan of every chunk picks (least accessed, unpinned, first in
+    map-registration then chunk-dict order).
 ``pending-cracks``
     Every in-flight progressive crack has ordered markers
     ``lo <= left <= right <= hi`` inside the structure, its classified
@@ -643,6 +648,7 @@ def _check_partial_set(obj, deep: bool, seed, label, budget) -> list[InvariantVi
                 chunk, False, seed, f"{pmap.name}[area {area_id}]", budget
             )
             chunks_by_area.setdefault(area_id, []).append((tail_attr, chunk))
+    out += _storage_violations(obj.storage, structure, seed)
 
     if not deep or out:
         return out
@@ -678,6 +684,41 @@ def _check_partial_set(obj, deep: bool, seed, label, budget) -> list[InvariantVi
         out += _area_replay_violations(
             obj, structure, area, members, seed, budget
         )
+    return out
+
+
+def _storage_violations(storage, structure: str, seed) -> list[InvariantViolation]:
+    """The chunk storage manager's running state against a fresh scan."""
+    out: list[InvariantViolation] = []
+    recount = 0
+    expected = None
+    least = None
+    for pmap in storage.maps:
+        for area_id, chunk in pmap.chunks.items():
+            recount += chunk.storage_cells
+            if storage.is_pinned(pmap, area_id):
+                continue
+            if least is None or chunk.accesses < least:
+                least = chunk.accesses
+                expected = (pmap, area_id)
+    if storage.used_cells != recount:
+        out.append(_violation(
+            structure, "storage-accounting",
+            f"the storage manager counts {storage.used_cells} cells but its "
+            f"registered maps hold {recount}", seed,
+            counted=storage.used_cells, recount=recount,
+        ))
+    queued = storage.peek_victim()
+    if queued != expected:
+        def show(victim):
+            return None if victim is None else f"{victim[0].name}[area {victim[1]}]"
+
+        out.append(_violation(
+            structure, "storage-victim",
+            f"the victim queue would evict {show(queued)} but the "
+            f"least-frequently-accessed unpinned chunk is {show(expected)}",
+            seed, queued=show(queued), expected=show(expected),
+        ))
     return out
 
 
@@ -843,6 +884,7 @@ def _sig_partial_set(obj, content=False):
     return (
         _sig_chunkmap(obj.chunkmap, content) if obj.chunkmap is not None else None,
         obj.pending.insertion_count, obj.pending.deletion_count,
+        obj.storage.used_cells,
         tuple(sorted(
             (attr, area_id, _sig_pair(chunk, content))
             for attr, pmap in obj.maps.items()

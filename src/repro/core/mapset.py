@@ -413,24 +413,33 @@ class FullMapStorage:
     def __init__(self, budget_tuples: int | None, recorder: StatsRecorder | None = None) -> None:
         self.budget_tuples = budget_tuples
         self._recorder = recorder or global_recorder()
-        self._registry: dict[tuple[int, str], tuple[MapSet, str, CrackerMap]] = {}
+        #: ``id(set)`` -> the set and its registered maps by tail.  Dict
+        #: order is the order the sets registered in, which breaks
+        #: access-count ties between sets (an ``id()`` would make the victim
+        #: depend on where the allocator put them).
+        self._sets: dict[int, tuple[MapSet, dict[str, CrackerMap]]] = {}
         self._pinned: set[tuple[str, str]] = set()
 
     def register(self, mapset: MapSet, tail_attr: str, cmap: CrackerMap) -> None:
-        self._registry[(id(mapset), tail_attr)] = (mapset, tail_attr, cmap)
+        self._sets.setdefault(id(mapset), (mapset, {}))[1][tail_attr] = cmap
 
     def unregister(self, mapset: MapSet, tail_attr: str) -> None:
-        """Forget one map (fault rollback / quarantine healing)."""
-        self._registry.pop((id(mapset), tail_attr), None)
+        """Forget one map (eviction / fault rollback)."""
+        entry = self._sets.get(id(mapset))
+        if entry is not None:
+            entry[1].pop(tail_attr, None)
+            if not entry[1]:
+                del self._sets[id(mapset)]
 
     def unregister_set(self, mapset: MapSet) -> None:
         """Forget every map of ``mapset`` (quarantine healing)."""
-        for key in [k for k in self._registry if k[0] == id(mapset)]:
-            del self._registry[key]
+        self._sets.pop(id(mapset), None)
 
     @property
     def used_tuples(self) -> int:
-        return sum(m.storage_tuples for _, _, m in self._registry.values())
+        return sum(
+            m.storage_tuples for _, maps in self._sets.values() for m in maps.values()
+        )
 
     def pin(self, pairs: "set[tuple[str, str]]") -> None:
         """Protect maps ``(head_attr, tail_attr)`` of the running query."""
@@ -440,17 +449,22 @@ class FullMapStorage:
         self._pinned = set()
 
     def ensure_room(self, new_tuples: int) -> None:
-        """Drop least-frequently-accessed unpinned maps until it fits."""
+        """Drop least-frequently-accessed unpinned maps until it fits.
+
+        Ties go to the set registered first, then to the smaller tail name.
+        """
         if self.budget_tuples is None:
             return
         while self.used_tuples + new_tuples > self.budget_tuples:
+            # (accesses, set order, tail) is unique: the set never compares.
             victims = [
-                (cmap.accesses, key)
-                for key, (mapset, attr, cmap) in self._registry.items()
+                (cmap.accesses, order, attr, mapset)
+                for order, (mapset, maps) in enumerate(self._sets.values())
+                for attr, cmap in maps.items()
                 if (mapset.head_attr, attr) not in self._pinned
             ]
             if not victims:
                 return  # nothing evictable; allow overshoot rather than fail
-            _, victim_key = min(victims)
-            mapset, tail_attr, _ = self._registry.pop(victim_key)
+            _, _, tail_attr, mapset = min(victims)
+            self.unregister(mapset, tail_attr)
             mapset.drop_map(tail_attr)

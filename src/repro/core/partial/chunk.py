@@ -17,18 +17,28 @@ chunk's tail went through.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Callable
+
 import numpy as np
 
 from repro.analysis.sanitizer import register_structure
 from repro.core.map import CrackedPair
 from repro.core.replay import apply_entry
-from repro.core.tape import CrackerTape, SortEntry
+from repro.core.tape import CrackerTape, SortEntry, TapeEntry
 from repro.cracking.bounds import Bound, Interval, interval_from_bounds
 from repro.cracking.index import CrackerIndex
 from repro.cracking.kernels import sort_piece
 from repro.cracking.progressive import PendingMap, resolve_area
 from repro.errors import AlignmentError
 from repro.stats.counters import StatsRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.partial.storage import ChunkStorage
+
+
+def no_storage() -> None:
+    """The ``storage_ref`` of a map or chunk no storage manager counts."""
+    return None
 
 
 class Chunk(CrackedPair):
@@ -48,6 +58,12 @@ class Chunk(CrackedPair):
         self.area_id = area_id
         self.cracks_seen = 0
         self.last_crack_access = 0
+        #: Set by :meth:`ChunkStorage.admit`: a weak reference to the manager
+        #: counting this chunk, its place in the manager's admission order,
+        #: and the footprint the manager currently counts for it.
+        self.storage_ref: Callable[[], ChunkStorage | None] = no_storage
+        self.storage_seq = -1
+        self.counted_cells = 0
         self._recorder.event("chunk_creations")
         register_structure(self, "chunk", f"chunk[area {area_id}]")
 
@@ -61,6 +77,20 @@ class Chunk(CrackedPair):
 
     def touch(self) -> None:
         self.accesses += 1
+
+    def _resized(self) -> None:
+        """Report a footprint change to the storage manager counting us."""
+        storage = self.storage_ref()
+        if storage is not None:
+            storage.recount(self)
+
+    def replay_entry(self, entry: TapeEntry) -> None:
+        """:meth:`CrackedPair.replay_entry`; insert and delete entries
+        resize the chunk, which the storage manager must hear about."""
+        before = len(self.tail)
+        super().replay_entry(entry)
+        if len(self.tail) != before:
+            self._resized()
 
     # -- cracking ---------------------------------------------------------------
 
@@ -92,6 +122,7 @@ class Chunk(CrackedPair):
 
     def drop_head(self) -> None:
         self.head = None
+        self._resized()
 
     def sort_all_pieces(self, tape: CrackerTape) -> None:
         """Stable-sort every piece, logging :class:`SortEntry` events.
@@ -156,3 +187,4 @@ class Chunk(CrackedPair):
         self.head = head
         self.index = index
         self.pending_cracks = pending
+        self._resized()

@@ -122,7 +122,6 @@ class PartialMapSet:
                 self._recorder, self._excluded_keys,
                 policy=self.policy, rng=self._rng,
             )
-            self.storage.register_chunkmap(self.chunkmap)
         return self.chunkmap
 
     def map_for(self, tail_attr: str) -> PartialMap:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Callable
+
 from repro.core.map import KEY_TAIL, tail_fetcher  # noqa: F401 - KEY_TAIL re-exported
-from repro.core.partial.chunk import Chunk
+from repro.core.partial.chunk import Chunk, no_storage
 from repro.core.partial.chunkmap import Area, ChunkMap
 from repro.errors import AlignmentError
 from repro.stats.counters import StatsRecorder, global_recorder
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.partial.storage import ChunkStorage
 
 
 class PartialMap:
@@ -23,6 +28,11 @@ class PartialMap:
         self.tail_attr = tail_attr
         self.chunks: dict[int, Chunk] = {}
         self._recorder = recorder or global_recorder()
+        #: Set by :meth:`ChunkStorage.register_map`: a weak reference to the
+        #: manager counting this map's chunks, and its place in the
+        #: manager's registration order.
+        self.storage_ref: Callable[[], ChunkStorage | None] = no_storage
+        self.storage_seq = -1
 
     @property
     def name(self) -> str:
@@ -64,12 +74,20 @@ class PartialMap:
         )
         self._recorder.write(2 * len(chunk))
         self.chunks[area.area_id] = chunk
+        storage = self.storage_ref()
+        if storage is not None:
+            storage.admit(self, chunk)
         self.chunkmap.add_ref(area, self.name)
         return chunk
 
     def drop_chunk(self, area_id: int) -> None:
         """Drop a chunk (storage pressure); learning persists in the tape."""
-        self.chunks.pop(area_id, None)
+        chunk = self.chunks.pop(area_id, None)
+        if chunk is None:
+            return
+        storage = self.storage_ref()
+        if storage is not None:
+            storage.release(chunk)
         area = self.chunkmap.area_of_id(area_id)
         self.chunkmap.drop_ref(area, self.name)
         self._recorder.event("chunk_drops")

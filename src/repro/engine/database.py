@@ -232,7 +232,6 @@ class Database:
                     healed.append(f"partial_set[{table}.{attr}]")
                     if pset.chunkmap is not None:
                         quarantine(pset.chunkmap, "healed")
-                        self.chunk_storage.unregister_chunkmap(pset.chunkmap)
                     for pmap in pset.maps.values():
                         for chunk in pmap.chunks.values():
                             quarantine(chunk, "healed")

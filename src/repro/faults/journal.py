@@ -204,11 +204,9 @@ def _snap_partial_set(ps) -> Callable[[], None]:
         if cm_state is None:
             # The chunk map was created during the failed op: discard it so
             # the next query rebuilds it from the base relation.  Quarantine
-            # + storage unregistration keep sanitizer sweeps away from the
-            # orphan and let it be collected.
+            # keeps sanitizer sweeps away from the orphan.
             if ps.chunkmap is not None:
                 quarantine(ps.chunkmap, "discarded by rollback")
-                ps.storage.unregister_chunkmap(ps.chunkmap)
             ps.chunkmap = None
         else:
             head, keys, index, area_order, area_states, cm_cuts, cm_rng = cm_state
@@ -255,6 +253,9 @@ def _snap_partial_set(ps) -> Callable[[], None]:
                 chunk.last_crack_access = last
                 chunk.pending_cracks = cracks
                 pmap.chunks[aid] = chunk
+        # Chunk dicts, arrays and access counts were written behind the
+        # storage manager's back.
+        ps.storage.resync()
         _restore_pending(ps.pending, pending)
         _restore_tracker(ps._tracker, tracker)
         ps.stochastic_cuts = cuts

@@ -170,6 +170,25 @@ class TestFullMapStorage:
         a = rel.values("A")
         assert hi - lo == int(iv.mask(a).sum())
 
+    @pytest.mark.parametrize("low_address_first", [True, False])
+    def test_ties_between_sets_go_to_the_set_registered_first(
+        self, rng, low_address_first
+    ):
+        """The tie-break used to be ``id(mapset)``: which of two equally
+        accessed maps went first depended on where the sets were allocated."""
+        rel = make_relation(rng)
+        storage = FullMapStorage(budget_tuples=2 * len(rel))
+        sets = sorted(
+            (MapSet(rel, "A", storage=storage), MapSet(rel, "B", storage=storage)),
+            key=id, reverse=not low_address_first,
+        )
+        first, second = sets
+        first.get_map("C")
+        second.get_map("C")  # same tail, same (zero) access count
+        MapSet(rel, "C", storage=storage).get_map("A")  # needs one map's room
+        assert not first.has_map("C")
+        assert second.has_map("C")
+
     def test_evicting_key_map_with_pending_deletes_never_fails_a_query(self, rng):
         """``M_Akey`` is never cracked, so it is the evictor's first victim;
         dropping it while deletions wait on ``S_A`` must not fail a query on
