@@ -30,6 +30,12 @@ pass enforces them syntactically:
     that turns a tape entry into a permutation, and the one gang driver —
     and ``core/tape.py``.  A second interpreter would have to be kept
     policy- and RNG-free by hand, and would drift (three once did).
+``bitvector-plan``
+    ``BitVector`` is imported or constructed only in ``core/sideways.py`` —
+    the one operator suite both facades run their plans through —
+    ``core/bitvector.py`` and ``engine/sideways_engine.py`` (join sides keep
+    positions inside ``w``).  A bit-vector plan written anywhere else is a
+    second copy of the suite, and the two copies once drifted.
 ``mutable-default``
     No mutable default arguments (lists/dicts/sets or calls constructing
     them).
@@ -111,6 +117,10 @@ RULES: dict[str, tuple[str, tuple[str, ...]]] = {
     "tape-interpreter": (
         "tape entry types dispatched on outside the tape interpreter",
         ("core/replay.py", "core/tape.py"),
+    ),
+    "bitvector-plan": (
+        "bit-vector plan outside the one sideways operator suite",
+        ("core/sideways.py", "core/bitvector.py", "engine/sideways_engine.py"),
     ),
     "mutable-default": ("mutable default argument", ()),
     "bare-except": ("bare except: clause", ()),
@@ -319,10 +329,27 @@ class _FileLinter(ast.NodeVisitor):
                     f"only repro.core.replay interprets tape entries — call "
                     f"apply_entry / align_gang instead",
                 )
+        # ``BitVector(n)`` and ``BitVector.from_mask(mask)`` alike.
+        if "BitVector" in (
+            _attr_or_name(func), _attr_or_name(getattr(func, "value", None))
+        ):
+            self._report(
+                node, "bitvector-plan",
+                "BitVector constructed outside the operator suite; run the "
+                "plan through SidewaysFacade.select_project / query",
+            )
         self._check_random_call(node)
         self._check_lock_call(node)
         self._check_sleep_call(node)
         self.generic_visit(node)
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        if any(item.name == "BitVector" for item in node.names):
+            self._report(
+                node, "bitvector-plan",
+                "BitVector imported outside the operator suite; run the "
+                "plan through SidewaysFacade.select_project / query",
+            )
 
     # -- concurrency rules -----------------------------------------------------------
 

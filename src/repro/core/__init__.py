@@ -16,9 +16,9 @@
   plans.
 * :mod:`~repro.core.histogram` — cracker indices as self-organizing
   histograms (map-set choice / selectivity estimation).
-* :mod:`~repro.core.sideways` — the sideways operators
+* :mod:`~repro.core.sideways` — the one sideways operator suite
   (``select``, ``select_create_bv``, ``select_refine_bv``, ``reconstruct``)
-  over full maps.
+  over prepared areas, and its full-map facade (the one-area case).
 * :mod:`~repro.core.partial` — partial sideways cracking (Section 4).
 """
 

@@ -12,9 +12,11 @@ Maps are materialized only *chunk-wise*, driven by the workload:
   chunks one ``(head, tail)`` attribute pair currently materializes.
 * :mod:`~repro.core.partial.storage` — the chunk storage manager: budget,
   least-frequently-accessed eviction, pinning, head dropping.
-* :mod:`~repro.core.partial.engine` — :class:`PartialSidewaysCracker`, the
-  query-level facade mirroring :class:`~repro.core.sideways.SidewaysCracker`
-  with chunk-wise processing and partial alignment.
+* :mod:`~repro.core.partial.engine` — per-area preparation (chunk-wise
+  processing, partial and monitored alignment) and
+  :class:`PartialSidewaysCracker`, the facade whose plans yield one prepared
+  area per chunk-map area to the shared operator suite
+  (:class:`~repro.core.sideways.SidewaysFacade`).
 """
 
 from repro.core.partial.chunkmap import Area, ChunkMap

@@ -1,11 +1,12 @@
-"""Partial sideways cracking: the query-level facade.
+"""Partial sideways cracking: per-area preparation and the facade's plan.
 
-Mirrors :class:`repro.core.sideways.SidewaysCracker` but materializes maps
-chunk-wise.  Key behaviors from Section 4:
+The operators are :class:`repro.core.sideways.SidewaysFacade`'s; this
+module materializes what they run over chunk-wise.  Key behaviors from
+Section 4:
 
 * **chunk-wise processing** — every operator handles one area at a time:
-  load/create the chunk, align it, crack it if it is a boundary chunk, run
-  the operator over it;
+  load/create the chunk, align it, crack it if it is a boundary chunk
+  (:meth:`PartialMapSet.prepare_area`), run the operator over it;
 * **partial alignment** — chunks that will not be cracked are aligned only
   up to the maximum cursor of the sibling chunks used by the same query,
   not to the tape end;
@@ -18,18 +19,19 @@ chunk-wise.  Key behaviors from Section 4:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.analysis.sanitizer import checkpoint_crack, register_structure
-from repro.core.bitvector import BitVector
 from repro.core.partial.chunk import Chunk
 from repro.core.partial.chunkmap import Area, ChunkMap
 from repro.core.partial.partial_map import KEY_TAIL, PartialMap
 from repro.core.partial.storage import ChunkStorage
 from repro.core.replay import align_gang, log_crack
-from repro.core.sideways import SidewaysFacade
+from repro.core.sideways import PreparedArea, SidewaysFacade, qualify_holes
 from repro.core.tape import DeleteEntry, InsertEntry, ProgressiveCrackEntry
 from repro.cracking.bounds import Bound, Interval, interval_from_bounds
 from repro.cracking.index import CrackerIndex
@@ -46,7 +48,6 @@ from repro.cracking.ripple import (
     locate_deletions,
     merge_insertions,
 )
-from repro.errors import PlanError
 from repro.faults.guard import atomic
 from repro.faults.plan import fault_hook
 from repro.stats.counters import StatsRecorder, global_recorder
@@ -331,59 +332,50 @@ class PartialMapSet:
 
     def prepare_area(
         self, area: Area, interval: Interval, tail_attrs: list[str]
-    ) -> tuple[dict[str, tuple[Chunk, int, int]], list[tuple[int, int, np.ndarray]]]:
+    ) -> PreparedArea:
         """Align/crack the chunks of ``tail_attrs`` for one area and return
-        each chunk with its certain qualifying slice ``[lo, hi)``, plus the
-        uncertainty holes a progressive budget may have left behind.
+        them with the certain qualifying window ``[lo, hi)`` they share,
+        plus the uncertainty holes a progressive budget may have left behind.
 
         Implements monitored + partial alignment: the first chunk replays
         entries only until the needed bounds appear (or cracks at the tape
         end); every other chunk aligns to exactly the cursor the first one
-        reached.  Each hole is ``(h_lo, h_hi, qualifies)`` with the head
-        predicate evaluated once against the (shared, aligned) head values;
-        the mask applies position-wise to every returned chunk.
+        reached, so the window is resolved once, on the first chunk.  Each
+        hole is ``(h_lo, h_hi, qualifies)`` with the head predicate
+        evaluated once against the (shared, aligned) head values; window and
+        masks apply position-wise to every returned chunk.
         """
         assert area.tape is not None
         with atomic(self, "partial_set"):
             lower, upper = area.clip(interval)
             needed = [b for b in (lower, upper) if b is not None]
-            ordered = list(tail_attrs)
-            chunks: dict[str, tuple[PartialMap, Chunk]] = {}
-            for attr in ordered:
-                chunks[attr] = self.acquire_chunk(attr, area)
+            acquired = [self.acquire_chunk(attr, area) for attr in tail_attrs]
 
-            baseline = max(chunk.cursor for _, chunk in chunks.values())
+            baseline = max(chunk.cursor for _, chunk in acquired)
             # Never stop short of merged updates: membership must be current.
             baseline = max(baseline, area.tape.min_safe_cursor)
             if not self.config.partial_alignment:
                 baseline = len(area.tape)
 
-            first_map, first_chunk = chunks[ordered[0]]
+            first_map, first_chunk = acquired[0]
             if needed:
                 target = self._align_and_crack(first_map, first_chunk, area, needed,
                                                lower, upper, baseline)
             else:
                 target = baseline
                 self._bring_to(first_map, first_chunk, area, target)
-            self._bring_group_to(area, [chunks[attr] for attr in ordered[1:]], target)
+            self._bring_group_to(area, acquired[1:], target)
 
-        out: dict[str, tuple[Chunk, int, int]] = {}
-        qualified: list[tuple[int, int, np.ndarray]] = []
-        for i, attr in enumerate(ordered):
-            _, chunk = chunks[attr]
-            lo, hi, holes = chunk.window_between(lower, upper)
-            if i == 0 and holes:
-                # Holes exist only when this query's crack ran out of budget,
-                # and the crack path always recovers the first chunk's head.
-                assert chunk.head is not None
-                clipped = interval_from_bounds(lower, upper)
-                for h_lo, h_hi in holes:
-                    self._recorder.sequential(h_hi - h_lo)
-                    qualified.append(
-                        (h_lo, h_hi, clipped.mask(chunk.head[h_lo:h_hi]))
-                    )
-            out[attr] = (chunk, lo, hi)
-        return out, qualified
+        lo, hi, holes = first_chunk.window_between(lower, upper)
+        # Holes exist only when this query's crack ran out of budget, and
+        # the crack path always recovers the first chunk's head.
+        assert not holes or first_chunk.head is not None
+        return (
+            {attr: chunk for attr, (_, chunk) in zip(tail_attrs, acquired)},
+            lo, hi,
+            # Inside the area the clipped predicate is the predicate.
+            qualify_holes(self._recorder, first_chunk.head, holes, interval),
+        )
 
     def _align_and_crack(
         self,
@@ -531,130 +523,40 @@ class PartialSidewaysCracker(SidewaysFacade):
             return pset.chunkmap.index, len(pset.chunkmap)
         return None
 
-    # -- queries ---------------------------------------------------------------------------
+    # -- the plan: one area at a time ------------------------------------------------
 
-    def select_project(
-        self, head_attr: str, interval: Interval, projections: list[str]
-    ) -> dict[str, np.ndarray]:
-        """Single selection, chunk-wise multi-projection."""
+    @contextmanager
+    def _plan(
+        self, head_attr: str, interval: Interval, attrs: list[str], everything: bool
+    ) -> Iterator[Iterator[PreparedArea]]:
+        """Chunk-wise processing: cover the predicate with areas, prepare
+        each when the evaluator reaches it (chunk creation and eviction
+        follow the evaluation order)."""
         pset = self.set_for(head_attr)
-        areas = pset.plan(interval)
-        try:
-            parts: dict[str, list[np.ndarray]] = {attr: [] for attr in projections}
-            used: list[tuple[str, Area]] = []
-            for area in areas:
-                prepared, holes = pset.prepare_area(area, interval, projections)
-                for attr in projections:
-                    chunk, lo, hi = prepared[attr]
-                    parts[attr].append(
-                        _gather_window(self._recorder, chunk, lo, hi, holes)
-                    )
-                    used.append((attr, area))
-            out = {attr: _concat(parts[attr]) for attr in projections}
-            pset.apply_head_drop_policy(used)
-            return out
-        finally:
-            pset.release(areas)
-            self.storage.unpin_all()
-
-    def query(
-        self,
-        predicates: dict[str, Interval],
-        projections: list[str],
-        conjunctive: bool = True,
-        head_attr: str | None = None,
-    ) -> dict[str, np.ndarray]:
-        if head_attr is None:
-            head_attr = self.choose_head(predicates, conjunctive)
-        if head_attr not in predicates:
-            raise PlanError(f"head attribute {head_attr!r} has no predicate")
-        if conjunctive:
-            return self._conjunctive(head_attr, predicates, projections)
-        return self._disjunctive(head_attr, predicates, projections)
-
-    def _conjunctive(
-        self, head_attr: str, predicates: dict[str, Interval], projections: list[str]
-    ) -> dict[str, np.ndarray]:
-        pset = self.set_for(head_attr)
-        head_interval = predicates[head_attr]
-        others = [(a, iv) for a, iv in predicates.items() if a != head_attr]
-        attrs = [a for a, _ in others] + [p for p in projections if p not in
-                                          {a for a, _ in others}]
-        areas = pset.plan(head_interval)
-        try:
-            parts: dict[str, list[np.ndarray]] = {attr: [] for attr in projections}
-            used: list[tuple[str, Area]] = []
-            for area in areas:
-                prepared, holes = pset.prepare_area(area, head_interval, attrs)
-                bv: BitVector | None = None
-                for attr, iv in others:
-                    chunk, lo, hi = prepared[attr]
-                    mask = iv.mask(
-                        _gather_window(self._recorder, chunk, lo, hi, holes)
-                    )
-                    if bv is None:
-                        bv = BitVector.from_mask(mask)
-                    else:
-                        bv.refine_and(mask)
-                    used.append((attr, area))
-                for attr in projections:
-                    chunk, lo, hi = prepared[attr]
-                    values = _gather_window(self._recorder, chunk, lo, hi, holes)
-                    parts[attr].append(values[bv.bits] if bv is not None else values)
-                    used.append((attr, area))
-            out = {attr: _concat(parts[attr]) for attr in projections}
-            pset.apply_head_drop_policy(used)
-            return out
-        finally:
-            pset.release(areas)
-            self.storage.unpin_all()
-
-    def _disjunctive(
-        self, head_attr: str, predicates: dict[str, Interval], projections: list[str]
-    ) -> dict[str, np.ndarray]:
-        pset = self.set_for(head_attr)
-        head_interval = predicates[head_attr]
-        others = [(a, iv) for a, iv in predicates.items() if a != head_attr]
-        attrs = [a for a, _ in others] + [p for p in projections if p not in
-                                          {a for a, _ in others}]
         # Disjunctions must inspect the areas outside w, i.e. everything.
-        everything = Interval()
-        areas = pset.plan(everything)
+        areas = pset.plan(Interval() if everything else interval)
         try:
-            parts: dict[str, list[np.ndarray]] = {attr: [] for attr in projections}
-            used: list[tuple[str, Area]] = []
-            lower = head_interval.lower_bound()
-            upper = head_interval.upper_bound()
-            for area in areas:
-                effective = head_interval if area.overlaps(lower, upper) else None
-                prepared, holes = pset.prepare_area(
-                    area, effective if effective is not None else everything, attrs
-                )
-                first_chunk, w_lo, w_hi = next(iter(prepared.values()))
-                if effective is None:
-                    w_lo = w_hi = 0
-                    holes = []
-                bv = BitVector(len(first_chunk))
-                bv.set_range(w_lo, w_hi)
-                for h_lo, h_hi, qual in holes:
-                    bv.bits[h_lo:h_hi] |= qual
-                for attr, iv in others:
-                    chunk, _, _ = prepared[attr]
-                    self._recorder.sequential(len(chunk) - (w_hi - w_lo))
-                    bv.bits[:w_lo] |= iv.mask(chunk.tail[:w_lo])
-                    bv.bits[w_hi:] |= iv.mask(chunk.tail[w_hi:])
-                    used.append((attr, area))
-                for attr in projections:
-                    chunk, _, _ = prepared[attr]
-                    self._recorder.sequential(len(chunk))
-                    parts[attr].append(chunk.tail[bv.bits])
-                    used.append((attr, area))
-            out = {attr: _concat(parts[attr]) for attr in projections}
-            pset.apply_head_drop_policy(used)
-            return out
+            yield self._prepared(pset, areas, interval, attrs)
+            pset.apply_head_drop_policy(
+                [(attr, area) for area in areas for attr in attrs]
+            )
         finally:
             pset.release(areas)
             self.storage.unpin_all()
+
+    @staticmethod
+    def _prepared(
+        pset: PartialMapSet, areas: list[Area], interval: Interval, attrs: list[str]
+    ) -> Iterator[PreparedArea]:
+        lower = interval.lower_bound()
+        upper = interval.upper_bound()
+        for area in areas:
+            if area.overlaps(lower, upper):
+                yield pset.prepare_area(area, interval, attrs)
+            else:
+                # Outside w: the chunks as they are, and the empty window.
+                pairs, _, _, _ = pset.prepare_area(area, Interval(), attrs)
+                yield pairs, 0, 0, []
 
     # -- bookkeeping -----------------------------------------------------------------------------
 
@@ -689,33 +591,3 @@ class PartialSidewaysCracker(SidewaysFacade):
                     f"{len(pmap):,} tuples, {dropped} head-dropped"
                 )
         return "\n".join(lines)
-
-
-def _gather_window(
-    recorder: StatsRecorder,
-    chunk: Chunk,
-    lo: int,
-    hi: int,
-    holes: list[tuple[int, int, np.ndarray]],
-) -> np.ndarray:
-    """Tail values of the certain window plus every qualifying hole row.
-
-    All chunks of one prepared area are aligned (identical head order), so
-    the precomputed per-hole qualification masks apply position-wise to each
-    of them; gathering in (window, hole, hole, ...) order keeps the rows of
-    different attributes aligned with each other.
-    """
-    recorder.sequential(hi - lo)
-    if not holes:
-        return chunk.tail[lo:hi]
-    parts = [chunk.tail[lo:hi]]
-    for h_lo, h_hi, qual in holes:
-        recorder.sequential(h_hi - h_lo)
-        parts.append(chunk.tail[h_lo:h_hi][qual])
-    return np.concatenate(parts)
-
-
-def _concat(parts: list[np.ndarray]) -> np.ndarray:
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)

@@ -48,9 +48,6 @@ class PartialMap:
 
     # -- chunk lifecycle -------------------------------------------------------------
 
-    def has_chunk(self, area: Area) -> bool:
-        return area.area_id in self.chunks
-
     def get_chunk(self, area: Area) -> Chunk | None:
         return self.chunks.get(area.area_id)
 

@@ -1,26 +1,35 @@
-"""The sideways-cracking query operators over full maps (Section 3).
+"""The sideways-cracking operator suite (Section 3) and its full-map facade.
 
-:class:`SidewaysCracker` owns the map sets of one relation and implements the
-paper's operator suite:
+:class:`SidewaysFacade` owns the paper's operators, written once:
 
 * ``sideways.select`` — single selection, one projection per map
-  (:meth:`SidewaysCracker.select_project`);
+  (:meth:`SidewaysFacade.select_project`);
 * ``sideways.select_create_bv`` / ``select_refine_bv`` / ``reconstruct`` —
   conjunctive multi-selection plans over one *aligned* map set, filtering
-  false candidates with a bit vector (:meth:`SidewaysCracker.query`);
+  false candidates with a bit vector (:meth:`SidewaysFacade.query`);
 * the symmetric disjunctive plan;
 * map-set choice driven by the cracker indices acting as self-organizing
   histograms (most selective predicate for conjunctions, least selective for
   disjunctions).
+
+The operators run over *prepared areas* (:data:`PreparedArea`) and do not
+know how a map is chunked (Section 4: "every operator handles one area at a
+time").  A facade supplies only :meth:`SidewaysFacade._plan`, which opens a
+plan and yields its areas: :class:`SidewaysCracker` (full maps) yields one,
+:class:`~repro.core.partial.engine.PartialSidewaysCracker` one per
+chunk-map area.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import ContextManager, Iterable, Iterator
 
 import numpy as np
 
 from repro.core.bitvector import BitVector
 from repro.core.histogram import estimate_result_size
-from repro.core.map import KEY_TAIL
+from repro.core.map import KEY_TAIL, CrackedPair
 from repro.core.mapset import FullMapStorage, MapSet
 from repro.cracking.bounds import Interval
 from repro.cracking.index import CrackerIndex
@@ -30,14 +39,50 @@ from repro.errors import PlanError
 from repro.stats.counters import StatsRecorder, global_recorder
 from repro.storage.relation import Relation
 
+#: A hole of a prepared area: positions ``[h_lo, h_hi)`` a progressive budget
+#: left undecided, with the head predicate already evaluated on them.
+Hole = tuple[int, int, np.ndarray]
+
+#: What a plan runs over: ``(pairs, lo, hi, holes)``.  ``pairs`` maps each
+#: tail attribute of the plan to its :class:`CrackedPair`, all mutually
+#: aligned (identical head order), so ``[lo, hi)`` — the certain window of
+#: the head predicate — and the hole masks apply position-wise to every one.
+PreparedArea = tuple[dict[str, CrackedPair], int, int, list[Hole]]
+
+
+def qualify_holes(
+    recorder: StatsRecorder,
+    head: np.ndarray,
+    holes: list[tuple[int, int]],
+    interval: Interval,
+) -> list[Hole]:
+    """Evaluate the head predicate on an area's hole rows, once per area."""
+    qualified = []
+    for h_lo, h_hi in holes:
+        recorder.sequential(h_hi - h_lo)
+        qualified.append((h_lo, h_hi, interval.mask(head[h_lo:h_hi])))
+    return qualified
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    """One array the caller owns; a lone part that already is one is kept."""
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    if len(parts) > 1:
+        return np.concatenate(parts)
+    return parts[0] if parts[0].flags.owndata else parts[0].copy()
+
 
 class SidewaysFacade:
-    """What the full-map and the partial-map facade share.
+    """What the full-map and the partial-map facade share: everything but
+    the maps.
 
-    Update fan-out to every existing map set, and map-set choice driven by
-    the cracker indices acting as self-organizing histograms.  Subclasses
-    own ``sets`` (head attribute -> map set) and say which index is the
-    histogram of an attribute (:meth:`_histogram`).
+    The operator suite (:meth:`select_project`, :meth:`query`), update
+    fan-out to every existing map set, and map-set choice driven by the
+    cracker indices acting as self-organizing histograms.  Subclasses own
+    ``sets`` (head attribute -> map set), open a plan over them
+    (:meth:`_plan`) and say which index is the histogram of an attribute
+    (:meth:`_histogram`).
     """
 
     def __init__(
@@ -74,6 +119,123 @@ class SidewaysFacade:
         """Register deleted tuples (old values per attribute) with every set."""
         for head_attr, mapset in self.sets.items():
             mapset.add_deletions(np.asarray(values_by_attr[head_attr]), keys)
+
+    # -- the operator suite (Sections 3.2 and 3.3) -------------------------------------
+
+    def select_project(
+        self, head_attr: str, interval: Interval, projections: list[str]
+    ) -> dict[str, np.ndarray]:
+        """``select p1, .., pk from R where interval(head_attr)``.
+
+        One ``sideways.select`` per projection; adaptive alignment keeps the
+        result slices positionally aligned across maps.
+        """
+        return self._run(head_attr, interval, [], projections, True)
+
+    def query(
+        self,
+        predicates: dict[str, Interval],
+        projections: list[str],
+        conjunctive: bool = True,
+        head_attr: str | None = None,
+    ) -> dict[str, np.ndarray]:
+        """A full multi-selection / multi-projection sideways plan.
+
+        Returns positionally aligned projection arrays of the qualifying
+        tuples.  ``head_attr`` overrides the histogram-driven map-set choice
+        (used by the ablation benchmarks).
+        """
+        if head_attr is None:
+            head_attr = self.choose_head(predicates, conjunctive)
+        if head_attr not in predicates:
+            raise PlanError(f"head attribute {head_attr!r} has no predicate")
+        others = [(a, iv) for a, iv in predicates.items() if a != head_attr]
+        return self._run(
+            head_attr, predicates[head_attr], others, projections, conjunctive
+        )
+
+    def _plan(
+        self, head_attr: str, interval: Interval, attrs: list[str], everything: bool
+    ) -> ContextManager[Iterable[PreparedArea]]:
+        """Open a plan on ``S_head_attr`` over the tail attributes ``attrs``.
+
+        Entering yields the prepared areas in value order, each with the
+        certain window of ``interval`` and its qualified holes; with
+        ``everything`` the areas cover the whole relation (those outside
+        ``w`` report the empty window).  An area may be prepared only when
+        the evaluator reaches it.  Leaving releases whatever the plan pinned.
+        """
+        raise NotImplementedError
+
+    def _run(
+        self,
+        head_attr: str,
+        interval: Interval,
+        others: list[tuple[str, Interval]],
+        projections: list[str],
+        conjunctive: bool,
+    ) -> dict[str, np.ndarray]:
+        """Evaluate one plan: ``interval`` on the head, ``others`` on tails.
+
+        Results are materialized before the plan closes — closing may sort
+        or drop what they were gathered from — and never alias a live tail.
+        """
+        attrs = list(dict.fromkeys([a for a, _ in others] + list(projections)))
+        if not attrs:
+            return {}
+        parts: dict[str, list[np.ndarray]] = {attr: [] for attr in projections}
+        with self._plan(head_attr, interval, attrs, not conjunctive) as areas:
+            for pairs, lo, hi, holes in areas:
+                if conjunctive:
+                    # select_create_bv on the first non-head predicate,
+                    # select_refine_bv on the rest, reconstruct through it.
+                    bv: BitVector | None = None
+                    for attr, iv in others:
+                        mask = iv.mask(self._gather(pairs[attr], lo, hi, holes))
+                        if bv is None:
+                            bv = BitVector.from_mask(mask)
+                        else:
+                            bv.refine_and(mask)
+                    for attr, found in parts.items():
+                        values = self._gather(pairs[attr], lo, hi, holes)
+                        found.append(values if bv is None else values[bv.bits])
+                else:
+                    # w and the qualifying hole rows are results whatever
+                    # the other predicates say; only the rows outside w can
+                    # add qualifiers (holes lie outside w, so the two scans
+                    # cover them).
+                    bv = BitVector(len(pairs[attrs[0]]))
+                    bv.set_range(lo, hi)
+                    for h_lo, h_hi, qualifies in holes:
+                        bv.bits[h_lo:h_hi] |= qualifies
+                    for attr, iv in others:
+                        tail = pairs[attr].tail
+                        self._recorder.sequential(len(tail) - (hi - lo))
+                        bv.bits[:lo] |= iv.mask(tail[:lo])
+                        bv.bits[hi:] |= iv.mask(tail[hi:])
+                    for attr, found in parts.items():
+                        tail = pairs[attr].tail
+                        self._recorder.sequential(len(tail))
+                        found.append(tail[bv.bits])
+            return {attr: _concat(found) for attr, found in parts.items()}
+
+    def _gather(
+        self, pair: CrackedPair, lo: int, hi: int, holes: list[Hole]
+    ) -> np.ndarray:
+        """Tail values of the certain window plus every qualifying hole row.
+
+        Gathering in (window, hole, hole, ...) order with the area's shared
+        hole masks keeps the rows of different attributes aligned with each
+        other.  Without holes the result is a view of the live tail.
+        """
+        self._recorder.sequential(hi - lo)
+        if not holes:
+            return pair.tail[lo:hi]
+        parts = [pair.tail[lo:hi]]
+        for h_lo, h_hi, qualifies in holes:
+            self._recorder.sequential(h_hi - h_lo)
+            parts.append(pair.tail[h_lo:h_hi][qualifies])
+        return np.concatenate(parts)
 
     # -- selectivity estimation ----------------------------------------------------
 
@@ -128,7 +290,11 @@ class SidewaysFacade:
 
 
 class SidewaysCracker(SidewaysFacade):
-    """Sideways cracking (full maps) over one relation."""
+    """Sideways cracking (full maps) over one relation.
+
+    A full map set is the one-area case of the chunk-wise plan: the whole
+    map is the area, and every map of the plan reports the same window.
+    """
 
     def __init__(
         self,
@@ -171,40 +337,39 @@ class SidewaysCracker(SidewaysFacade):
             return cmap.index, len(cmap)
         return None
 
-    # -- single-selection, multi-projection (Section 3.2) ----------------------------
+    # -- the plan: one area, the whole map -------------------------------------------
 
-    def _pin(self, head_attr: str, tail_attrs: list[str]) -> None:
-        """Protect the running plan's maps (and ``M_Akey``) from eviction."""
-        if self._storage is not None:
-            pairs = {(head_attr, attr) for attr in tail_attrs}
-            pairs.add((head_attr, KEY_TAIL))
-            self._storage.pin(pairs)
-
-    def _unpin(self) -> None:
-        if self._storage is not None:
-            self._storage.unpin()
-
-    def select_project(
-        self, head_attr: str, interval: Interval, projections: list[str]
-    ) -> dict[str, np.ndarray]:
-        """``select p1, .., pk from R where interval(head_attr)``.
-
-        One ``sideways.select`` per projection; adaptive alignment keeps the
-        result slices positionally aligned across maps.
-        """
+    @contextmanager
+    def _plan(
+        self, head_attr: str, interval: Interval, attrs: list[str], everything: bool
+    ) -> Iterator[list[PreparedArea]]:
+        """``sideways.select`` on every map of the plan; adaptive alignment
+        makes them agree on the window, which is checked."""
         mapset = self.set_for(head_attr)
-        self._pin(head_attr, projections)
+        if self._storage is not None:
+            # Protect the running plan's maps (and ``M_Akey``) from eviction.
+            self._storage.pin({(head_attr, attr) for attr in (*attrs, KEY_TAIL)})
         try:
-            out: dict[str, np.ndarray] = {}
+            if everything:
+                # The rows outside ``w`` are read too: no update may stay
+                # pending anywhere, not only inside the head interval.
+                mapset.merge_pending()
             selector = self._plan_selector(mapset, interval)
-            for attr in projections:
+            pairs: dict[str, CrackedPair] = {}
+            window = None
+            for attr in attrs:
                 cmap, lo, hi, holes = selector(attr)
-                self._recorder.sequential(hi - lo)
-                # Copy: the map keeps reorganizing under future queries.
-                out[attr] = self._gather(cmap, lo, hi, holes, interval).copy()
-            return out
+                if pairs and (lo, hi, holes) != window:
+                    raise PlanError("aligned maps disagree on the candidate area")
+                window = (lo, hi, holes)
+                pairs[attr] = cmap
+            yield [(
+                pairs, lo, hi,
+                qualify_holes(self._recorder, cmap.head, holes, interval),
+            )]
         finally:
-            self._unpin()
+            if self._storage is not None:
+                self._storage.unpin()
 
     def _plan_selector(self, mapset: MapSet, interval: Interval):
         """One query plan's map accessor: leader cracks, followers resolve.
@@ -230,128 +395,6 @@ class SidewaysCracker(SidewaysFacade):
             return mapset.window_of(attr, interval)
 
         return _progressive
-
-    def _gather(
-        self,
-        cmap,
-        lo: int,
-        hi: int,
-        holes: list[tuple[int, int]],
-        interval: Interval,
-    ) -> np.ndarray:
-        """Tail values qualifying ``interval``: certain window + holes.
-
-        Hole positions are undecided by position alone; their head values
-        are filtered explicitly.  Every aligned map yields the same hole
-        masks, so concatenation order is positionally consistent across the
-        maps of one plan.
-        """
-        if not holes:
-            return cmap.tail[lo:hi]
-        parts = [cmap.tail[lo:hi]]
-        for h_lo, h_hi in holes:
-            self._recorder.sequential(2 * (h_hi - h_lo))
-            qual = interval.mask(cmap.head[h_lo:h_hi])
-            parts.append(cmap.tail[h_lo:h_hi][qual])
-        return np.concatenate(parts)
-
-    # -- multi-selection plans (Section 3.3) --------------------------------------------
-
-    def query(
-        self,
-        predicates: dict[str, Interval],
-        projections: list[str],
-        conjunctive: bool = True,
-        head_attr: str | None = None,
-    ) -> dict[str, np.ndarray]:
-        """A full multi-selection / multi-projection sideways plan.
-
-        Returns positionally aligned projection arrays of the qualifying
-        tuples.  ``head_attr`` overrides the histogram-driven map-set choice
-        (used by the ablation benchmarks).
-        """
-        if head_attr is None:
-            head_attr = self.choose_head(predicates, conjunctive)
-        if head_attr not in predicates:
-            raise PlanError(f"head attribute {head_attr!r} has no predicate")
-        tails = [a for a in predicates if a != head_attr] + list(projections)
-        self._pin(head_attr, tails)
-        try:
-            if conjunctive:
-                return self._conjunctive(head_attr, predicates, projections)
-            return self._disjunctive(head_attr, predicates, projections)
-        finally:
-            self._unpin()
-
-    def _conjunctive(
-        self, head_attr: str, predicates: dict[str, Interval], projections: list[str]
-    ) -> dict[str, np.ndarray]:
-        mapset = self.set_for(head_attr)
-        head_interval = predicates[head_attr]
-        others = [(a, iv) for a, iv in predicates.items() if a != head_attr]
-
-        selector = self._plan_selector(mapset, head_interval)
-        bv: BitVector | None = None
-        area: tuple | None = None
-        # select_create_bv on the first non-head predicate, select_refine_bv
-        # on the rest.
-        for attr, iv in others:
-            cmap, lo, hi, holes = selector(attr)
-            area = (lo, hi, tuple(holes))
-            self._recorder.sequential(hi - lo)
-            mask = iv.mask(self._gather(cmap, lo, hi, holes, head_interval))
-            if bv is None:
-                bv = BitVector.from_mask(mask)
-            else:
-                bv.refine_and(mask)
-
-        out: dict[str, np.ndarray] = {}
-        for attr in projections:
-            cmap, lo, hi, holes = selector(attr)
-            if area is not None and (lo, hi, tuple(holes)) != area:
-                raise PlanError("aligned maps disagree on the candidate area")
-            area = (lo, hi, tuple(holes))
-            self._recorder.sequential(hi - lo)
-            values = self._gather(cmap, lo, hi, holes, head_interval)
-            out[attr] = values[bv.bits] if bv is not None else values.copy()
-        return out
-
-    def _disjunctive(
-        self, head_attr: str, predicates: dict[str, Interval], projections: list[str]
-    ) -> dict[str, np.ndarray]:
-        mapset = self.set_for(head_attr)
-        head_interval = predicates[head_attr]
-        others = [(a, iv) for a, iv in predicates.items() if a != head_attr]
-
-        selector = self._plan_selector(mapset, head_interval)
-        bv: BitVector | None = None
-        for attr, iv in others:
-            cmap, lo, hi, holes = selector(attr)
-            if bv is None:
-                bv = BitVector(len(cmap))
-                bv.set_range(lo, hi)
-                # Hole positions qualifying the head predicate are result
-                # tuples regardless of the other predicates.
-                for h_lo, h_hi in holes:
-                    self._recorder.sequential(h_hi - h_lo)
-                    bv.bits[h_lo:h_hi] |= head_interval.mask(cmap.head[h_lo:h_hi])
-            # Only the areas outside w can contain additional qualifiers
-            # (holes lie outside w and are covered by these two scans).
-            self._recorder.sequential(len(cmap) - (hi - lo))
-            bv.bits[:lo] |= iv.mask(cmap.tail[:lo])
-            bv.bits[hi:] |= iv.mask(cmap.tail[hi:])
-
-        out: dict[str, np.ndarray] = {}
-        for attr in projections:
-            cmap, lo, hi, holes = selector(attr)
-            if bv is None:
-                # Degenerate: a single-predicate "disjunction".
-                self._recorder.sequential(hi - lo)
-                out[attr] = self._gather(cmap, lo, hi, holes, head_interval).copy()
-            else:
-                self._recorder.sequential(len(cmap))
-                out[attr] = cmap.tail[bv.bits]
-        return out
 
     # -- bookkeeping -----------------------------------------------------------------------
 

@@ -209,11 +209,6 @@ class CrackProgress:
         if self.tracker is not None:
             self.tracker.consume(amount)
 
-    @property
-    def stepped(self) -> bool:
-        """Did any progressive step happen (i.e. the op log must be taped)?"""
-        return any(op[0] == "step" for op in self.ops)
-
 
 def crack_progress(
     pending: PendingMap,

@@ -4,8 +4,9 @@
 select/merge, map-set select/align/merge, partial-set plan/prepare/merge).
 Semantics:
 
-* **disarmed** (no fault plan, journal not forced): zero overhead beyond one
-  module-level check — no snapshot, no validation;
+* **disarmed** (no fault plan, journal not forced): one module-level check
+  and a shared do-nothing context manager — no generator, no snapshot, no
+  validation;
 * **armed**: the structure is snapshotted through
   :mod:`repro.faults.journal`; if the operation raises a *recoverable*
   failure (an :class:`InjectedFault`, any :class:`CrackError`, or a
@@ -19,15 +20,16 @@ Semantics:
   the same rollback/quarantine path and raises the violations, because the
   already-computed answer may derive from the corrupted data.
 
-Guards are re-entrant: an inner guarded call inside an outer guarded op is a
-no-op, so rollback always restores to the outermost operation boundary.
+Guards are re-entrant: an inner guarded call inside an outer guarded op is
+the same no-op, so rollback always restores to the outermost operation
+boundary.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager, Iterator
 
 from repro.analysis import sanitizer
 from repro.errors import CrackError, InjectedFault, InvariantError, InvariantViolation
@@ -76,14 +78,21 @@ def _rollback(structure, kind: str, restore, cause: str) -> None:
         quarantine(structure, cause)
 
 
-@contextmanager
-def atomic(structure, kind: str) -> Iterator[None]:
+#: What :func:`atomic` hands out when there is nothing to guard.
+_DISARMED = nullcontext()
+
+
+def atomic(structure, kind: str) -> ContextManager[None]:
     """Guard one reorganization op on ``structure`` (journal + rollback)."""
     plan = active_plan()
     depth = getattr(_GUARD, "depth", 0)
     if (plan is None and not FORCE_JOURNAL) or depth > 0:
-        yield
-        return
+        return _DISARMED
+    return _armed(structure, kind, plan, depth)
+
+
+@contextmanager
+def _armed(structure, kind: str, plan, depth: int) -> Iterator[None]:
     restore = journal.take_snapshot(structure, kind)
     _GUARD.depth = depth + 1
     try:

@@ -71,6 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis import racesan
+from repro.analysis.sanitizer import active_sanitizers
 from repro.cracking.progressive import ProgressiveBudget
 from repro.engine.base import Engine
 from repro.engine.database import Database
@@ -412,8 +413,14 @@ class ServerExecutor:
         self.latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         # Deep sweeps must skip structures busy under another worker's
         # write lock (that worker validates them at its own checkpoint).
-        if db.sanitizer is not None:
-            db.sanitizer.structure_guard = self.registry.structure_guard
+        # Every active sanitizer sweeps at every query checkpoint — the
+        # database's own and, under ``pytest --sanitize``, the suite-wide one.
+        self._guarded_sanitizers = [
+            (sanitizer, sanitizer.structure_guard)
+            for sanitizer in active_sanitizers()
+        ]
+        for sanitizer, _ in self._guarded_sanitizers:
+            sanitizer.structure_guard = self.registry.structure_guard
         # Database.close() must tear the executor (and its shared-memory
         # segments) down even if the embedder forgets to.
         db.register_closeable(self)
@@ -452,6 +459,8 @@ class ServerExecutor:
                 columns = list(self._partitioned.values())
             for column in columns:
                 column.close()
+            for sanitizer, previous in self._guarded_sanitizers:
+                sanitizer.structure_guard = previous
             self._closed = True
 
     def __enter__(self) -> "ServerExecutor":

@@ -42,10 +42,6 @@ class MemoryModel:
         """Cache capacity in column cells; feeds access classification."""
         return self.cache_bytes // self.element_bytes
 
-    @property
-    def elements_per_line(self) -> int:
-        return max(1, self.line_bytes // self.element_bytes)
-
     def cost_ns(self, stats: AccessStats) -> float:
         """Model time (ns) to execute the accesses in ``stats``."""
         return (

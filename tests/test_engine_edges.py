@@ -10,7 +10,9 @@ from repro.engine import (
     JoinSide,
     PlainEngine,
     Predicate,
+    PresortedEngine,
     Query,
+    SelectionCrackingEngine,
     SidewaysEngine,
 )
 from repro.errors import PlanError
@@ -72,6 +74,32 @@ class TestQueryValidation:
         assert np.isnan(result.aggregates["max(B)"])
         assert np.isnan(result.aggregates["sum(B)"])
         assert result.aggregates["count(B)"] == 0.0
+
+
+class TestPredicatesWithoutProjections:
+    """``select from R where ...``: nothing to return, and nothing to read."""
+
+    ENGINES = {
+        "scan": PlainEngine,
+        "presorted": PresortedEngine,
+        "selection_cracking": SelectionCrackingEngine,
+        "sideways": SidewaysEngine,
+        "partial_sideways": lambda db: SidewaysEngine(db, partial=True),
+    }
+
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    @pytest.mark.parametrize("attrs", ["A", "AB"])
+    @pytest.mark.parametrize("conjunctive", [True, False])
+    def test_every_engine_returns_no_columns(self, db, engine, attrs, conjunctive):
+        query = Query(
+            "R",
+            tuple(Predicate(a, Interval.open(20_000, 60_000)) for a in attrs),
+            conjunctive=conjunctive,
+        )
+        result = self.ENGINES[engine](db).run(query)
+        assert result.columns == {}
+        assert result.row_count == 0
+        assert result.aggregates == {}
 
 
 class TestRecorderIsolation:

@@ -122,6 +122,37 @@ def test_tape_interpreter_allowed_in_replay_and_tape(tmp_path):
     }
 
 
+def test_bitvector_plan_detected(tmp_path):
+    path = write(tmp_path, "core/partial/second_suite.py", (
+        "from repro.core.bitvector import BitVector\n"
+        "from repro.core import bitvector\n"
+        "def conjunctive(mask):\n"
+        "    bv = BitVector.from_mask(mask)\n"
+        "    other = bitvector.BitVector(len(mask))\n"
+        "    bv.refine_and(other.bits)\n"  # using one is fine, making one is not
+        "    return bv\n"
+    ))
+    violations = lint_file(path)
+    assert [v.rule for v in violations] == ["bitvector-plan"] * 3
+    assert [v.line for v in violations] == [1, 4, 5]
+
+
+def test_bitvector_plan_allowed_in_the_suite_and_the_join_side(tmp_path):
+    source = (
+        "from repro.core.bitvector import BitVector\n"
+        "def plan(n):\n"
+        "    return BitVector(n)\n"
+    )
+    for allowed in (
+        "core/sideways.py", "core/bitvector.py", "engine/sideways_engine.py"
+    ):
+        assert rules_in(write(tmp_path, allowed, source)) == set()
+    for elsewhere in (
+        "core/partial/engine.py", "workloads/tpch/executor.py", "score/sideways.py"
+    ):
+        assert rules_in(write(tmp_path, elsewhere, source)) == {"bitvector-plan"}
+
+
 def test_mutable_default_detected(tmp_path):
     path = write(tmp_path, "core/bad_defaults.py", (
         "def f(a, items=[], *, lookup=dict()):\n"
