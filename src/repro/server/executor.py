@@ -55,7 +55,10 @@ sampled *inside* the table lock that serialized the query against
 updates, and results enter the cache under that captured version — never
 under a version sampled racily before execution.  ``ServedResult.digest()``
 is the sha1 of those bytes; the determinism tests and ``exp17`` compare it
-against a serial baseline.
+against a serial baseline.  The order is computed as one ``np.sort`` over
+packed int64 row keys when the result columns are integers whose value
+ranges fit 63 bits together, and as a ``np.lexsort`` otherwise; both give
+the same order and bytes.
 """
 
 from __future__ import annotations
@@ -184,17 +187,62 @@ def canonicalize(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     Rows are ordered lexicographically over the result columns (attribute
     name order fixes the sort-key priority).  Result *membership* is exact
     under every execution path, so canonical results are bit-identical
-    across serial, concurrent, partitioned, and budgeted runs.
+    across serial, concurrent, partitioned, and budgeted runs.  Returns
+    fresh C-contiguous arrays in the input's key order.
     """
-    if not columns:
-        return columns
     names = sorted(columns)
-    n = len(columns[names[0]])
-    if n <= 1:
-        return dict(columns)
+    if not names or len(columns[names[0]]) <= 1:
+        return {name: arr.copy() for name, arr in columns.items()}
+    packed = _canonicalize_packed(columns, names)
+    if packed is not None:
+        return packed
     # np.lexsort keys: last key is the primary sort key.
     order = np.lexsort(tuple(columns[name] for name in reversed(names)))
     return {name: np.ascontiguousarray(arr[order]) for name, arr in columns.items()}
+
+
+def _canonicalize_packed(
+    columns: dict[str, np.ndarray], names: list[str]
+) -> dict[str, np.ndarray] | None:
+    """:func:`canonicalize` as one int64 sort, or ``None`` if rows do not pack.
+
+    Packs when every column is a 1-D integer array and the bit widths of
+    the value ranges sum to at most 63: each row becomes one non-negative
+    int64 holding ``value - min`` per column, ``names[0]`` in the highest
+    bits, so key order is row order.  Equal keys are equal rows, so an
+    unstable sort gives the same bytes as a stable lexsort.
+    """
+    fields = []
+    total = 0
+    for name in names:
+        arr = columns[name]
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            return None
+        lo = arr.min()
+        width = (int(arr.max()) - int(lo)).bit_length()
+        total += width
+        if total > 63:
+            return None
+        fields.append((name, lo, width))
+    key = np.zeros(len(columns[names[0]]), dtype=np.int64)
+    shift = total
+    for name, lo, width in fields:
+        shift -= width
+        if width:
+            # Subtract in the column's own (wrapping) dtype, then read the
+            # bits as unsigned: the offset is below 2**width, so it is exact
+            # even where ``value - min`` overflows the signed type.
+            offset = (columns[name] - lo).view(f"u{lo.itemsize}")
+            key |= offset.astype(np.int64) << shift
+    key.sort()
+    out = {}
+    shift = total
+    for name, lo, width in fields:
+        shift -= width
+        values = ((key >> shift) & ((1 << width) - 1)).astype(columns[name].dtype)
+        values += lo  # wraps back exactly as the subtraction did
+        out[name] = values
+    return {name: out[name] for name in columns}
 
 
 def digest_columns(columns: dict[str, np.ndarray]) -> str:

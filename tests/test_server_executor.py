@@ -36,6 +36,15 @@ def test_canonicalize_is_schedule_independent(rng):
     one = canonicalize({"A": a, "B": b})
     other = canonicalize({"A": a[shuffled], "B": b[shuffled]})
     assert digest_columns(one) == digest_columns(other)
+    # The lexsort fallback: a float column, and an int column whose value
+    # range is 64 bits wide (too wide to pack into one int64 key).
+    f = rng.integers(0, 10, size=200) / 4.0
+    w = rng.integers(0, 50, size=200).astype(np.int64)
+    w[:2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    for wide in ({"A": a, "F": f}, {"A": a, "W": w}):
+        one = canonicalize(wide)
+        other = canonicalize({k: v[shuffled] for k, v in wide.items()})
+        assert digest_columns(one) == digest_columns(other)
 
 
 def test_partition_path_and_cache(executor):
