@@ -1,23 +1,27 @@
 """Kernel microbenchmarks and the perf-regression gate.
 
-``python -m repro.bench.micro`` times the crack kernels on both backends
-(``reference`` — the original allocating kernels — and ``fused`` — the
-arena-backed rewrite, see ``docs/kernels.md``), verifies they produce
-bit-identical arrays, measures the multi-map gang-apply win and the
+``python -m repro.bench.micro`` times each crack kernel against the copy
+ceiling of the same work — ``np.copyto`` of the head and every tail over
+each segment ``[lo, hi)`` the kernel rewrites, on the same arrays with the
+same restore setup — checks every kernel's output against its specification
+(a stable partition gathers every array through ``np.argsort(group_id,
+kind="stable")``), measures the multi-map gang-apply win and the
 ``min_piece`` sensitivity, and writes everything to ``BENCH_kernels.json``.
 
-The regression gate compares *speedup ratios* (fused over reference, gang
-over individual), not absolute times, so a checked-in baseline from one
-machine remains meaningful on another: a ratio only regresses when the
-fused path itself got slower relative to the same-machine reference.
+Each case's ``ratio`` is ``compare_ms / kernel_ms``: for the single-kernel
+cases the fraction of the copy ceiling the kernel reaches, for
+``gang_apply_x4`` the gang call's win over four individual calls.  The
+regression gate compares these ratios, not absolute times, so a checked-in
+baseline from one machine remains meaningful on another: a ratio only
+regresses when the kernel itself got slower relative to a same-machine copy.
 Gate usage (what CI runs)::
 
     python -m repro.bench.micro --json BENCH_current.json \
         --gate BENCH_kernels.json --tolerance 50
 
-fails (exit 1) when any case's speedup drops more than ``tolerance``
-percent below the baseline's, comparing only cases run at the same row
-count as the baseline.
+fails (exit 1) when any case's ratio drops more than ``tolerance`` percent
+below the baseline's, comparing only cases run at the same row count and
+against the same ``compare`` side as the baseline.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import argparse
 import json
 import sys
 import time
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,13 +41,11 @@ from repro.cracking.bounds import Bound, Interval, Side
 from repro.cracking.column import CrackerColumn
 from repro.cracking.crack import crack_bound
 from repro.cracking.index import CrackerIndex
-from repro.cracking.kernels import crack_three, crack_two, sort_piece, use_backend
+from repro.cracking.kernels import crack_three, crack_two, sort_piece
 from repro.cracking.stochastic import default_min_piece, resolve_policy
 from repro.stats.counters import StatsRecorder
 from repro.stats.memory_model import DEFAULT_MODEL
 from repro.storage.bat import BAT
-
-BACKENDS = ("reference", "fused")
 
 #: min_piece sweep points: 1/64th .. 4x the cache, bracketing the derived
 #: default (cache_elements // 16) from both sides.
@@ -56,135 +59,142 @@ def _make_arrays(rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return head, keys
 
 
-def _timed_backends(base_head, base_keys, op) -> dict:
-    """Time ``op(head, keys)`` under both backends on restored inputs."""
-    work_head = base_head.copy()
-    work_keys = base_keys.copy()
-
-    def restore() -> None:
-        work_head[:] = base_head
-        work_keys[:] = base_keys
-
-    out: dict[str, dict] = {}
-    for backend in BACKENDS:
-        with use_backend(backend):
-            out[backend] = time_callable(
-                lambda: op(work_head, work_keys), setup=restore
-            )
-    return out
+def _spec_partition(arrays: Sequence[np.ndarray], lo: int, hi: int, group_id) -> None:
+    """The kernels' specification: a stable partition of ``[lo, hi)`` gathers
+    every array through a stable argsort of the group ids."""
+    order = np.argsort(group_id, kind="stable")
+    for arr in arrays:
+        arr[lo:hi] = arr[lo:hi][order]
 
 
-def _verify_identical(base_head, base_keys, op) -> bool:
-    results = []
-    for backend in BACKENDS:
-        head, keys = base_head.copy(), base_keys.copy()
-        with use_backend(backend):
-            ret = op(head, keys)
-        results.append((head, keys, ret))
-    (h1, k1, r1), (h2, k2, r2) = results
-    return bool(np.array_equal(h1, h2) and np.array_equal(k1, k2) and r1 == r2)
-
-
-def _case_record(name: str, rows: int, timings: dict, identical: bool) -> dict:
-    ref_ms = timings["reference"]["median_s"] * 1e3
-    fused_ms = timings["fused"]["median_s"] * 1e3
+def _case_record(
+    name: str, rows: int, kernel: dict, compare: str, other: dict, identical: bool
+) -> dict:
+    kernel_ms = kernel["median_s"] * 1e3
+    compare_ms = other["median_s"] * 1e3
     return {
         "case": name,
         "rows": rows,
-        "reference_ms": ref_ms,
-        "fused_ms": fused_ms,
-        "speedup": ref_ms / fused_ms if fused_ms > 0 else float("inf"),
+        "kernel_ms": kernel_ms,
+        "compare": compare,
+        "compare_ms": compare_ms,
+        "ratio": compare_ms / kernel_ms if kernel_ms > 0 else float("inf"),
         "identical": identical,
-        "reference_iqr_ms": timings["reference"]["iqr_s"] * 1e3,
-        "fused_iqr_ms": timings["fused"]["iqr_s"] * 1e3,
+        "kernel_iqr_ms": kernel["iqr_s"] * 1e3,
+        "compare_iqr_ms": other["iqr_s"] * 1e3,
         # Raw repeats, so artifact consumers can run real significance tests.
-        "reference_samples_s": timings["reference"]["samples_s"],
-        "fused_samples_s": timings["fused"]["samples_s"],
+        "kernel_samples_s": kernel["samples_s"],
+        "compare_samples_s": other["samples_s"],
     }
 
 
+def _kernel_case(
+    name: str,
+    base: Sequence[np.ndarray],
+    op: Callable,
+    segments: Sequence[tuple[int, int]],
+    spec: Callable,
+    **timing,
+) -> dict:
+    """Time ``op(*arrays)`` against the copy ceiling of ``segments``.
+
+    Both sides run on the same work arrays, restored from ``base`` before
+    every repeat; ``identical`` says ``op`` rearranged the arrays (and
+    returned) exactly what ``spec`` does.
+    """
+    work = [arr.copy() for arr in base]
+
+    def restore() -> None:
+        for dst, src in zip(work, base):
+            dst[:] = src
+
+    def copy_ceiling() -> None:
+        for lo, hi in segments:
+            for dst, src in zip(work, base):
+                np.copyto(dst[lo:hi], src[lo:hi])
+
+    kernel = time_callable(lambda: op(*work), setup=restore, **timing)
+    ceiling = time_callable(copy_ceiling, setup=restore, **timing)
+    got = [arr.copy() for arr in base]
+    want = [arr.copy() for arr in base]
+    identical = op(*got) == spec(*want) and all(
+        np.array_equal(g, w) for g, w in zip(got, want)
+    )
+    return _case_record(name, len(base[0]), kernel, "copy", ceiling, identical)
+
+
 def _bench_crack_two(rows: int, seed: int) -> dict:
-    base_head, base_keys = _make_arrays(rows, seed)
-    bound = Bound(float(np.median(base_head)), Side.LT)
+    base = _make_arrays(rows, seed)
+    bound = Bound(float(np.median(base[0])), Side.LT)
 
     def op(head, keys):
-        return crack_two(head, [keys], 0, len(head), bound)
+        return crack_two(head, [keys], 0, rows, bound)
 
-    return _case_record(
-        "crack_two", rows,
-        _timed_backends(base_head, base_keys, op),
-        _verify_identical(base_head, base_keys, op),
-    )
+    def spec(head, keys):
+        below = bound.below_mask(head)
+        _spec_partition((head, keys), 0, rows, ~below)
+        return int(below.sum())
+
+    return _kernel_case("crack_two", base, op, [(0, rows)], spec)
 
 
 def _bench_crack_three(rows: int, seed: int) -> dict:
-    base_head, base_keys = _make_arrays(rows, seed)
-    q25, q75 = np.percentile(base_head, [25, 75])
+    base = _make_arrays(rows, seed)
+    q25, q75 = np.percentile(base[0], [25, 75])
     lower, upper = Bound(float(q25), Side.LE), Bound(float(q75), Side.LT)
 
     def op(head, keys):
-        return crack_three(head, [keys], 0, len(head), lower, upper)
+        return crack_three(head, [keys], 0, rows, lower, upper)
 
-    return _case_record(
-        "crack_three", rows,
-        _timed_backends(base_head, base_keys, op),
-        _verify_identical(base_head, base_keys, op),
-    )
+    def spec(head, keys):
+        group = np.where(lower.below_mask(head), 0, np.where(upper.below_mask(head), 1, 2))
+        _spec_partition((head, keys), 0, rows, group)
+        return int((group == 0).sum()), int((group <= 1).sum())
+
+    return _kernel_case("crack_three", base, op, [(0, rows)], spec)
 
 
 def _bench_sort_piece(rows: int, seed: int) -> dict:
-    base_head, base_keys = _make_arrays(rows, seed)
+    base = _make_arrays(rows, seed)
     lo, hi = rows // 8, rows - rows // 8
 
     def op(head, keys):
         sort_piece(head, [keys], lo, hi)
-        return None
 
-    return _case_record(
-        "sort_piece", rows,
-        _timed_backends(base_head, base_keys, op),
-        _verify_identical(base_head, base_keys, op),
-    )
+    def spec(head, keys):
+        _spec_partition((head, keys), lo, hi, head[lo:hi].copy())
+
+    return _kernel_case("sort_piece", base, op, [(lo, hi)], spec)
 
 
 def _bench_crack_sequence(rows: int, cracks: int, seed: int) -> dict:
     """A realistic convergence sequence: ``cracks`` bounds through the index."""
-    base_head, base_keys = _make_arrays(rows, seed)
+    base = _make_arrays(rows, seed)
     rng = np.random.default_rng(seed + 1)
     bounds = [
         Bound(float(v), Side.LT)
         for v in rng.integers(0, 10 * rows, size=cracks)
     ]
-    work_head = base_head.copy()
-    work_keys = base_keys.copy()
-    state: dict[str, CrackerIndex] = {}
 
-    def restore() -> None:
-        work_head[:] = base_head
-        work_keys[:] = base_keys
-        state["index"] = CrackerIndex()
-
-    def op() -> None:
-        recorder = StatsRecorder()
-        index = state["index"]
-        for bound in bounds:
-            crack_bound(index, work_head, [work_keys], bound, recorder)
-
-    timings = {}
-    for backend in BACKENDS:
-        with use_backend(backend):
-            timings[backend] = time_callable(op, repeats=5, warmup=1, setup=restore)
-
-    def verify_op(head, keys):
+    def op(head, keys, segments=None):
         recorder = StatsRecorder()
         index = CrackerIndex()
         for bound in bounds:
+            if segments is not None and index.position_of(bound) is None:
+                segments.append(index.enclosing(bound, rows))
             crack_bound(index, head, [keys], bound, recorder)
-        return None
 
-    record = _case_record(
-        "crack_sequence", rows, timings,
-        _verify_identical(base_head, base_keys, verify_op),
+    # One untimed pass records the pieces the cracks partition.
+    segments: list[tuple[int, int]] = []
+    op(*[arr.copy() for arr in base], segments=segments)
+    # Stable partitions compose: the end state is a stable sort by final piece.
+    cuts = np.unique([b.value for b in bounds])
+
+    def spec(head, keys):
+        _spec_partition((head, keys), 0, rows, np.searchsorted(cuts, head, side="right"))
+
+    record = _kernel_case(
+        "crack_sequence", base, op, segments, spec, repeats=5, warmup=1
     )
     record["cracks"] = cracks
     return record
@@ -193,8 +203,8 @@ def _bench_crack_sequence(rows: int, cracks: int, seed: int) -> dict:
 def _bench_gang(rows: int, n_maps: int, seed: int) -> dict:
     """Gang apply vs per-map replay of one crack over ``n_maps`` siblings.
 
-    Both run on the fused backend; the ratio isolates the shared-permutation
-    win (one mask + one ``flatnonzero`` pass instead of ``n_maps``).
+    The ratio isolates the shared-permutation win (one mask + one
+    ``flatnonzero`` pass instead of ``n_maps``).
     """
     base_head, base_keys = _make_arrays(rows, seed)
     bound = Bound(float(np.median(base_head)), Side.LT)
@@ -214,31 +224,25 @@ def _bench_gang(rows: int, n_maps: int, seed: int) -> dict:
         extra = [arr for pair in zip(heads[1:], tails[1:]) for arr in pair]
         crack_two(heads[0], [tails[0], *extra], 0, rows, bound)
 
-    with use_backend("fused"):
-        t_individual = time_callable(individual, setup=restore)
-        t_gang = time_callable(gang, setup=restore)
+    t_individual = time_callable(individual, setup=restore)
+    t_gang = time_callable(gang, setup=restore)
+    spec = [base_head.copy(), base_keys.copy()]
+    _spec_partition(spec, 0, rows, ~bound.below_mask(base_head))
+
+    def matches_spec(run: Callable[[], None]) -> bool:
         restore()
-        individual()
-        snap = [(h.copy(), t.copy()) for h, t in zip(heads, tails)]
-        restore()
-        gang()
-        identical = all(
-            np.array_equal(h, sh) and np.array_equal(t, st)
-            for (h, t), (sh, st) in zip(zip(heads, tails), snap)
+        run()
+        return all(
+            np.array_equal(h, spec[0]) and np.array_equal(t, spec[1])
+            for h, t in zip(heads, tails)
         )
-    ind_ms = t_individual["median_s"] * 1e3
-    gang_ms = t_gang["median_s"] * 1e3
-    return {
-        "case": f"gang_apply_x{n_maps}",
-        "rows": rows,
-        "reference_ms": ind_ms,  # "reference" = per-map individual replay
-        "fused_ms": gang_ms,
-        "speedup": ind_ms / gang_ms if gang_ms > 0 else float("inf"),
-        "identical": identical,
-        "n_maps": n_maps,
-        "reference_samples_s": t_individual["samples_s"],
-        "fused_samples_s": t_gang["samples_s"],
-    }
+
+    identical = matches_spec(individual) and matches_spec(gang)
+    record = _case_record(
+        f"gang_apply_x{n_maps}", rows, t_gang, "individual", t_individual, identical
+    )
+    record["n_maps"] = n_maps
+    return record
 
 
 def _bench_min_piece(rows: int, queries: int, seed: int) -> list[dict]:
@@ -272,8 +276,6 @@ def _bench_min_piece(rows: int, queries: int, seed: int) -> list[dict]:
 
 def _bench_arena(rows: int, seed: int) -> dict:
     """Arena behavior on a shrinking-piece workload: resizes stay logarithmic."""
-    from repro.cracking.kernels import fused_crack_two
-
     base_head, base_keys = _make_arrays(rows, seed)
     arena = KernelArena()
     rng = np.random.default_rng(seed + 2)
@@ -283,7 +285,7 @@ def _bench_arena(rows: int, seed: int) -> dict:
         if index.position_of(bound) is not None:
             continue
         lo, hi = index.enclosing(bound, rows)
-        split = fused_crack_two(base_head, [base_keys], lo, hi, bound, arena)
+        split = crack_two(base_head, [base_keys], lo, hi, bound, arena)
         index.insert(bound, split)
     return {"rows": rows, "cracks": 64, **arena.stats()}
 
@@ -324,12 +326,12 @@ def run(
 
 def describe(result: dict) -> str:
     rows = [
-        [c["case"], c["rows"], c["reference_ms"], c["fused_ms"],
-         f"{c['speedup']:.2f}x", "yes" if c["identical"] else "NO"]
+        [c["case"], c["rows"], c["kernel_ms"], c["compare"], c["compare_ms"],
+         f"{c['ratio']:.2f}", "yes" if c["identical"] else "NO"]
         for c in result["cases"]
     ]
     table = format_table(
-        ["case", "rows", "reference_ms", "fused_ms", "speedup", "identical"],
+        ["case", "rows", "kernel_ms", "compare", "compare_ms", "ratio", "spec"],
         rows,
         f"Kernel microbenchmarks (median of k, {result['rows']:,} rows base)",
     )
@@ -349,33 +351,39 @@ def describe(result: dict) -> str:
         f"{arena['resizes']} buffer resizes, peak request "
         f"{arena['peak_request']:,} elements"
     )
-    verdict = "bit-identical" if result["all_identical"] else "MISMATCH"
-    return "\n".join([table, "", sweep, "", arena_line, f"backends: {verdict}"])
+    verdict = "every case matches" if result["all_identical"] else "MISMATCH"
+    return "\n".join([table, "", sweep, "", arena_line, f"spec: {verdict}"])
 
 
-def check_gate(result: dict, baseline: dict, tolerance_pct: float) -> list[str]:
-    """Speedup-ratio regression check; returns human-readable failures.
+def ratio_failures(result: dict, baseline: dict, tolerance_pct: float) -> list[str]:
+    """Ratio regression check; returns human-readable failures.
 
-    Only cases whose row count matches the baseline's are compared — the
-    fused win shrinks at small sizes, so a scaled-down smoke run must not
-    be judged against a full-scale baseline.
+    Only cases whose row count and ``compare`` side match the baseline's are
+    compared — ratios shift with size, so a scaled-down smoke run must not
+    be judged against a full-scale baseline, and a ratio against another
+    denominator is not the same number.
     """
     failures = []
-    if not result["all_identical"]:
-        failures.append("backend outputs are not bit-identical")
     base_cases = {c["case"]: c for c in baseline.get("cases", [])}
     for case in result["cases"]:
         base = base_cases.get(case["case"])
-        if base is None or base["rows"] != case["rows"]:
+        if (base is None or base["rows"] != case["rows"]
+                or base.get("compare") != case["compare"]):
             continue
-        floor = base["speedup"] * (1 - tolerance_pct / 100.0)
-        if case["speedup"] < floor:
+        floor = base["ratio"] * (1 - tolerance_pct / 100.0)
+        if case["ratio"] < floor:
             failures.append(
-                f"{case['case']}: speedup {case['speedup']:.2f}x fell below "
-                f"{floor:.2f}x ({tolerance_pct:.0f}% under baseline "
-                f"{base['speedup']:.2f}x)"
+                f"{case['case']}: ratio {case['ratio']:.2f} vs {case['compare']} "
+                f"fell below {floor:.2f} ({tolerance_pct:.0f}% under baseline "
+                f"{base['ratio']:.2f})"
             )
     return failures
+
+
+def check_gate(result: dict, baseline: dict, tolerance_pct: float) -> list[str]:
+    """Spec identity plus :func:`ratio_failures`; returns the failures."""
+    failures = [] if result["all_identical"] else ["kernel outputs differ from the spec"]
+    return failures + ratio_failures(result, baseline, tolerance_pct)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -389,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--gate", default=None,
                         help="baseline JSON to run the regression gate against")
     parser.add_argument("--tolerance", type=float, default=50.0,
-                        help="allowed %% speedup regression vs baseline")
+                        help="allowed %% ratio regression vs baseline")
     args = parser.parse_args(argv)
 
     result = run(scale=args.scale, rows=args.rows, seed=args.seed,

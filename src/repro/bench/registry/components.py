@@ -81,7 +81,7 @@ def _flag(value) -> int:
 
 @METRICS.register("kernels")
 def kernels_metrics(result: dict) -> dict[str, float]:
-    out = {f"{c['case']}_speedup": round(c["speedup"], 3)
+    out = {f"{c['case']}_ratio": round(c["ratio"], 3)
            for c in result.get("cases", ())}
     out["all_identical"] = _flag(result.get("all_identical"))
     return out

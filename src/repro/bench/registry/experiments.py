@@ -14,7 +14,7 @@ from repro.bench.registry.core import ExperimentSpec, register_experiment
 register_experiment(ExperimentSpec(
     name="kernels",
     module="repro.bench.micro",
-    description="Crack-kernel microbenchmarks: fused vs reference backends",
+    description="Crack-kernel microbenchmarks: each kernel vs its copy ceiling",
     params=("rows", "seed"),
     compat_json=None,  # the perf gate names its output per config
     baseline_ref="baseline/kernels",

@@ -57,7 +57,7 @@ def _sample_sets(payload: dict) -> dict[str, list[float]]:
     """Per-case raw timing samples, where the payload recorded them."""
     out = {}
     for case in payload.get("cases", ()):
-        for side in ("reference", "fused"):
+        for side in ("kernel", "compare"):
             samples = case.get(f"{side}_samples_s")
             if samples:
                 out[f"{case['case']}:{side}"] = samples

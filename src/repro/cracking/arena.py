@@ -3,11 +3,10 @@
 Every crack used to allocate ~6 temporaries (two boolean masks, the
 ``flatnonzero`` index arrays, the concatenated order, and one fancy-index
 copy per co-cracked array).  A :class:`KernelArena` keeps one set of
-buffers — a pair of boolean masks, an ``intp`` permutation buffer, and one
-scratch array per payload dtype — sized to the largest piece seen so far,
-so the kernels in :mod:`repro.cracking.kernels` can run allocation-free:
-masks are computed with ``np.less(..., out=)``, the permutation is written
-into the order buffer, and each array is gathered with
+buffers — a pair of boolean masks and one scratch array per payload
+dtype — sized to the largest piece seen so far, so the kernels in
+:mod:`repro.cracking.kernels` run allocation-light: masks are computed with
+``np.less(..., out=)``, and each array is gathered with
 ``np.take(..., out=scratch)`` and copied back in place.
 
 Buffers grow monotonically (doubling, so resizes stay logarithmic in the
@@ -20,7 +19,7 @@ pieces shrink over time, so one high-water-mark allocation per thread serves
 every structure that thread cracks.  The arena is thread-*local*, not
 thread-*safe*: the serving layer's partition workers each get their own
 scratch set automatically, so two shards cracking concurrently never share
-(and corrupt) a mask or permutation buffer.  Callers that want explicit
+(and corrupt) a mask or scratch buffer.  Callers that want explicit
 isolation (tests, pinned per-shard arenas) can pass their own instance to
 the kernels.
 """
@@ -37,18 +36,17 @@ from repro.faults.plan import fault_hook
 class KernelArena:
     """One set of reusable kernel scratch buffers.
 
-    ``mask``/``mask2`` hand out boolean views, ``order`` an ``intp``
-    permutation view, and ``scratch`` a per-dtype gather target.  Views of
-    length ``n`` alias the front of the backing buffers; a request larger
-    than the current capacity reallocates (doubling) and counts a resize.
+    ``mask``/``mask2`` hand out boolean views and ``scratch`` a per-dtype
+    gather target.  Views of length ``n`` alias the front of the backing
+    buffers; a request larger than the current capacity reallocates
+    (doubling) and counts a resize.
     """
 
-    __slots__ = ("_mask", "_mask2", "_order", "_scratch", "resizes", "peak_request")
+    __slots__ = ("_mask", "_mask2", "_scratch", "resizes", "peak_request")
 
     def __init__(self, capacity: int = 0) -> None:
         self._mask = np.empty(capacity, dtype=bool)
         self._mask2 = np.empty(capacity, dtype=bool)
-        self._order = np.empty(capacity, dtype=np.intp)
         self._scratch: dict[np.dtype, np.ndarray] = {}
         self.resizes = 0
         self.peak_request = 0
@@ -73,13 +71,6 @@ class KernelArena:
         self._mask2 = self._fit(self._mask2, n)
         return self._mask2[:n]
 
-    def order(self, n: int) -> np.ndarray:
-        """An ``intp`` permutation buffer of length ``n``."""
-        fault_hook("arena.alloc")
-        self.peak_request = max(self.peak_request, n)
-        self._order = self._fit(self._order, n)
-        return self._order[:n]
-
     def scratch(self, dtype: np.dtype, n: int) -> np.ndarray:
         """A gather target of ``dtype`` and length ``n``."""
         fault_hook("arena.alloc")
@@ -98,7 +89,6 @@ class KernelArena:
         out = {
             "mask": int(self._mask.shape[0]),
             "mask2": int(self._mask2.shape[0]),
-            "order": int(self._order.shape[0]),
         }
         for dtype, buf in self._scratch.items():
             out[f"scratch[{dtype}]"] = int(buf.shape[0])
@@ -115,7 +105,6 @@ class KernelArena:
         """Release all backing buffers (e.g. after a huge one-off sort)."""
         self._mask = np.empty(0, dtype=bool)
         self._mask2 = np.empty(0, dtype=bool)
-        self._order = np.empty(0, dtype=np.intp)
         self._scratch.clear()
 
 

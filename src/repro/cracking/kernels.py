@@ -1,4 +1,4 @@
-"""Vectorized crack kernels: reference and fused backends.
+"""Vectorized crack kernels.
 
 The original cracking papers use in-place swap-based partitioning; in Python
 that would be orders of magnitude too slow, so we use NumPy *stable*
@@ -14,158 +14,32 @@ one tail; key-carrying structures may have more; gang replay passes the
 head+tail pairs of every sibling map as extra tails so one permutation
 serves them all).
 
-Two backends compute the same permutations (bit-identical, covered by the
-golden tests in ``tests/test_fused_kernels.py``):
-
-- ``reference`` — the original allocating kernels, kept as the semantic
-  oracle and as the baseline the perf gate measures against.
-- ``fused`` (default) — allocation-light kernels that reuse
-  :class:`~repro.cracking.arena.KernelArena` buffers: comparison masks are
-  written into arena storage with ``np.less(..., out=)`` (with an integer
-  fast-path threshold for integer payloads), the permutation stays as the
-  per-group ``flatnonzero`` index arrays — each group is gathered straight
-  into its slice of a dtype-keyed scratch buffer via ``np.take(...,
-  out=scratch[pos:end], mode="wrap")`` and copied back in one contiguous
-  pass.  ``wrap`` elides the bounds check; indices come from
-  ``flatnonzero`` so they are always in range.
+The kernels are allocation-light: they reuse
+:class:`~repro.cracking.arena.KernelArena` buffers.  Comparison masks are
+written into arena storage with ``np.less(..., out=)`` (with an integer
+fast-path threshold for integer payloads), and the permutation stays as the
+per-group ``flatnonzero`` index arrays — each group is gathered straight
+into its slice of a dtype-keyed scratch buffer via ``np.take(...,
+out=scratch[pos:end], mode="wrap")`` and copied back in one contiguous
+pass.  ``wrap`` elides the bounds check; indices come from ``flatnonzero``
+so they are always in range.  The golden tests in
+``tests/test_fused_kernels.py`` hold every kernel to its specification: a
+stable partition of ``[lo, hi)`` equals gathering every array through
+``np.argsort(group_id, kind="stable")``.
 
 See ``docs/kernels.md`` for the design rationale and the measured numbers.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.cracking.arena import KernelArena, default_arena
 from repro.cracking.bounds import Bound
-from repro.errors import ArenaPressure, CrackError
+from repro.errors import CrackError
 from repro.faults.plan import fault_hook
-
-# ---------------------------------------------------------------------------
-# Reference backend: the original allocating kernels, kept verbatim as the
-# semantic oracle for the golden-equivalence tests and the perf baseline.
-# ---------------------------------------------------------------------------
-
-
-def _apply_order(
-    head: np.ndarray, tails: Sequence[np.ndarray], lo: int, hi: int, order: np.ndarray
-) -> None:
-    head[lo:hi] = head[lo:hi][order]
-    for tail in tails:
-        tail[lo:hi] = tail[lo:hi][order]
-
-
-def reference_crack_two(
-    head: np.ndarray,
-    tails: Sequence[np.ndarray],
-    lo: int,
-    hi: int,
-    bound: Bound,
-    arena: KernelArena | None = None,
-) -> int:
-    if not (0 <= lo <= hi <= len(head)):
-        raise CrackError(f"crack_two range [{lo}, {hi}) outside array of {len(head)}")
-    seg = head[lo:hi]
-    below = bound.below_mask(seg)
-    k = int(below.sum())
-    if k == 0 or k == len(seg):
-        return lo + k
-    order = np.concatenate([np.flatnonzero(below), np.flatnonzero(~below)])
-    _apply_order(head, tails, lo, hi, order)
-    return lo + k
-
-
-def reference_crack_three(
-    head: np.ndarray,
-    tails: Sequence[np.ndarray],
-    lo: int,
-    hi: int,
-    lower: Bound,
-    upper: Bound,
-    arena: KernelArena | None = None,
-) -> tuple[int, int]:
-    if not (0 <= lo <= hi <= len(head)):
-        raise CrackError(f"crack_three range [{lo}, {hi}) outside array of {len(head)}")
-    if upper < lower:
-        raise CrackError(f"crack_three bounds out of order: {lower} vs {upper}")
-    seg = head[lo:hi]
-    below_low = lower.below_mask(seg)
-    below_high = upper.below_mask(seg)
-    mid = below_high & ~below_low
-    high = ~below_high
-    k1 = int(below_low.sum())
-    k2 = k1 + int(mid.sum())
-    order = np.concatenate(
-        [np.flatnonzero(below_low), np.flatnonzero(mid), np.flatnonzero(high)]
-    )
-    _apply_order(head, tails, lo, hi, order)
-    return lo + k1, lo + k2
-
-
-def reference_sort_piece(
-    head: np.ndarray,
-    tails: Sequence[np.ndarray],
-    lo: int,
-    hi: int,
-    arena: KernelArena | None = None,
-) -> None:
-    order = np.argsort(head[lo:hi], kind="stable")
-    _apply_order(head, tails, lo, hi, order)
-
-
-def reference_progressive_step(
-    head: np.ndarray,
-    tails: Sequence[np.ndarray],
-    bound: Bound,
-    left: int,
-    right: int,
-    k: int,
-    arena: KernelArena | None = None,
-) -> tuple[int, int, int]:
-    if not (0 <= left <= right <= len(head)):
-        raise CrackError(
-            f"progressive step window [{left}, {right}) outside array of {len(head)}"
-        )
-    k = min(int(k), right - left)
-    if k <= 0:
-        return left, right, 0
-    L, R, W = left, right, left + k
-    below = bound.below_mask(head[L:W])
-    idx_b = np.flatnonzero(below)
-    nb = len(idx_b)
-    na = k - nb
-    if na == 0:
-        # The whole window is below: advance the marker, move nothing.
-        return W, R, 0
-    idx_a = np.flatnonzero(~below)
-    if W == R:
-        # Final window: partition [L, R) outright.
-        order = np.concatenate([idx_b, idx_a])
-        _apply_order(head, tails, L, R, order)
-        return L + nb, L + nb, k
-    if R - na < W:
-        # The above-destination overlaps the window: permute all of [L, R).
-        m = R - L
-        order = np.concatenate([idx_b, np.arange(k, m), idx_a])
-        _apply_order(head, tails, L, R, order)
-        return L + nb, R - na, m
-    # Disjoint: compact belows to the front, swap the window's aboves with
-    # the untouched elements just before the above block.
-    for arr in (head, *tails):
-        win = arr[L:W].copy()
-        displaced = arr[R - na:R].copy()
-        arr[L:L + nb] = win[idx_b]
-        arr[L + nb:W] = displaced
-        arr[R - na:R] = win[idx_a]
-    return L + nb, R - na, k + na
-
-
-# ---------------------------------------------------------------------------
-# Fused backend: same permutations, arena-backed storage.
-# ---------------------------------------------------------------------------
 
 
 def _reserve_scratch(
@@ -174,10 +48,9 @@ def _reserve_scratch(
     """Acquire every scratch buffer a gang apply will need, up front.
 
     All arena requests happen *before* any array is mutated, so an
-    allocation failure (:class:`~repro.errors.ArenaPressure`, real or
-    injected) can only strike while the inputs are still pristine — which is
-    what lets the dispatchers transparently retry on the allocation-free
-    ``reference`` backend.
+    allocation failure (:class:`~repro.errors.ArenaPressure`) can only strike
+    while the inputs are still pristine: it leaves the kernel like any other
+    recoverable fault, with nothing half-moved for the journal to undo.
     """
     scratch: dict[np.dtype, np.ndarray] = {}
     for arr in arrays:
@@ -241,7 +114,7 @@ def _apply_index_groups(
         seg[:] = buf
 
 
-def fused_crack_two(
+def crack_two(
     head: np.ndarray,
     tails: Sequence[np.ndarray],
     lo: int,
@@ -249,6 +122,12 @@ def fused_crack_two(
     bound: Bound,
     arena: KernelArena | None = None,
 ) -> int:
+    """Stable two-way partition of ``head[lo:hi]`` around ``bound``.
+
+    After the call, elements in ``[lo, split)`` satisfy the bound's left side
+    and elements in ``[split, hi)`` its right side.  Returns ``split``.
+    """
+    fault_hook("kernels.crack_two", head[lo:hi])
     if not (0 <= lo <= hi <= len(head)):
         raise CrackError(f"crack_two range [{lo}, {hi}) outside array of {len(head)}")
     arena = arena if arena is not None else default_arena()
@@ -266,7 +145,7 @@ def fused_crack_two(
     return lo + k
 
 
-def fused_crack_three(
+def crack_three(
     head: np.ndarray,
     tails: Sequence[np.ndarray],
     lo: int,
@@ -275,6 +154,12 @@ def fused_crack_three(
     upper: Bound,
     arena: KernelArena | None = None,
 ) -> tuple[int, int]:
+    """Stable three-way partition around two bounds in one pass.
+
+    Produces ``[lo, p1)`` below ``lower``, ``[p1, p2)`` between the bounds,
+    and ``[p2, hi)`` above ``upper``; returns ``(p1, p2)``.
+    """
+    fault_hook("kernels.crack_three", head[lo:hi])
     if not (0 <= lo <= hi <= len(head)):
         raise CrackError(f"crack_three range [{lo}, {hi}) outside array of {len(head)}")
     if upper < lower:
@@ -300,172 +185,6 @@ def fused_crack_three(
     return lo + k1, lo + k2
 
 
-def fused_sort_piece(
-    head: np.ndarray,
-    tails: Sequence[np.ndarray],
-    lo: int,
-    hi: int,
-    arena: KernelArena | None = None,
-) -> None:
-    order = np.argsort(head[lo:hi], kind="stable")
-    apply_permutation(head, tails, lo, hi, order, arena)
-
-
-def fused_progressive_step(
-    head: np.ndarray,
-    tails: Sequence[np.ndarray],
-    bound: Bound,
-    left: int,
-    right: int,
-    k: int,
-    arena: KernelArena | None = None,
-) -> tuple[int, int, int]:
-    if not (0 <= left <= right <= len(head)):
-        raise CrackError(
-            f"progressive step window [{left}, {right}) outside array of {len(head)}"
-        )
-    k = min(int(k), right - left)
-    if k <= 0:
-        return left, right, 0
-    arena = arena if arena is not None else default_arena()
-    L, R, W = left, right, left + k
-    seg = head[L:W]
-    below = arena.mask(k)
-    bound.below_mask_into(seg, below)
-    idx_b = np.flatnonzero(below)
-    nb = len(idx_b)
-    na = k - nb
-    if na == 0:
-        return W, R, 0
-    np.logical_not(below, out=below)
-    idx_a = np.flatnonzero(below)
-    if W == R:
-        _apply_index_groups(head, tails, L, R, (idx_b, idx_a), arena)
-        return L + nb, L + nb, k
-    if R - na < W:
-        m = R - L
-        order_mid = np.arange(k, m)
-        _apply_index_groups(head, tails, L, R, (idx_b, order_mid, idx_a), arena)
-        return L + nb, R - na, m
-    # Disjoint destinations: stage window belows, window aboves, and the
-    # displaced untouched run in one scratch buffer, then write each run to
-    # its final slot.  Bit-identical to the reference branch.
-    n_move = k + na
-    scratch = _reserve_scratch(arena, (head, *tails), n_move)
-    for arr in (head, *tails):
-        buf = scratch[arr.dtype]
-        win = arr[L:W]
-        np.take(win, idx_b, out=buf[:nb], mode="wrap")
-        np.take(win, idx_a, out=buf[nb:k], mode="wrap")
-        buf[k:n_move] = arr[R - na:R]
-        arr[L:L + nb] = buf[:nb]
-        arr[L + nb:W] = buf[k:n_move]
-        arr[R - na:R] = buf[nb:k]
-    return L + nb, R - na, k + na
-
-
-# ---------------------------------------------------------------------------
-# Backend registry and public dispatchers.
-# ---------------------------------------------------------------------------
-
-KernelSet = dict[str, Callable]
-
-KERNEL_BACKENDS: dict[str, KernelSet] = {
-    "reference": {
-        "crack_two": reference_crack_two,
-        "crack_three": reference_crack_three,
-        "sort_piece": reference_sort_piece,
-        "progressive_step": reference_progressive_step,
-    },
-    "fused": {
-        "crack_two": fused_crack_two,
-        "crack_three": fused_crack_three,
-        "sort_piece": fused_sort_piece,
-        "progressive_step": fused_progressive_step,
-    },
-}
-
-_active_backend = "fused"
-
-
-def get_backend() -> str:
-    """Name of the backend the public kernels currently dispatch to."""
-    return _active_backend
-
-
-def set_backend(name: str) -> None:
-    if name not in KERNEL_BACKENDS:
-        raise CrackError(
-            f"unknown kernel backend {name!r}; have {sorted(KERNEL_BACKENDS)}"
-        )
-    global _active_backend
-    _active_backend = name
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[None]:
-    """Temporarily switch kernel backend (tests and the microbenchmark)."""
-    prev = get_backend()
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(prev)
-
-
-def crack_two(
-    head: np.ndarray,
-    tails: Sequence[np.ndarray],
-    lo: int,
-    hi: int,
-    bound: Bound,
-    arena: KernelArena | None = None,
-) -> int:
-    """Stable two-way partition of ``head[lo:hi]`` around ``bound``.
-
-    After the call, elements in ``[lo, split)`` satisfy the bound's left side
-    and elements in ``[split, hi)`` its right side.  Returns ``split``.
-    """
-    fault_hook("kernels.crack_two", head[lo:hi])
-    try:
-        return KERNEL_BACKENDS[_active_backend]["crack_two"](
-            head, tails, lo, hi, bound, arena
-        )
-    except ArenaPressure:
-        if _active_backend == "reference":
-            raise
-        # Arena failures strike before any mutation (masks and scratch are
-        # reserved up front), so the inputs are intact: retry without it.
-        return KERNEL_BACKENDS["reference"]["crack_two"](head, tails, lo, hi, bound)
-
-
-def crack_three(
-    head: np.ndarray,
-    tails: Sequence[np.ndarray],
-    lo: int,
-    hi: int,
-    lower: Bound,
-    upper: Bound,
-    arena: KernelArena | None = None,
-) -> tuple[int, int]:
-    """Stable three-way partition around two bounds in one pass.
-
-    Produces ``[lo, p1)`` below ``lower``, ``[p1, p2)`` between the bounds,
-    and ``[p2, hi)`` above ``upper``; returns ``(p1, p2)``.
-    """
-    fault_hook("kernels.crack_three", head[lo:hi])
-    try:
-        return KERNEL_BACKENDS[_active_backend]["crack_three"](
-            head, tails, lo, hi, lower, upper, arena
-        )
-    except ArenaPressure:
-        if _active_backend == "reference":
-            raise
-        return KERNEL_BACKENDS["reference"]["crack_three"](
-            head, tails, lo, hi, lower, upper
-        )
-
-
 def progressive_step_kernel(
     head: np.ndarray,
     tails: Sequence[np.ndarray],
@@ -484,16 +203,52 @@ def progressive_step_kernel(
     :class:`~repro.cracking.progressive.PendingCrack` bookkeeping.
     """
     fault_hook("kernels.progressive_step", head[left:right])
-    try:
-        return KERNEL_BACKENDS[_active_backend]["progressive_step"](
-            head, tails, bound, left, right, k, arena
+    if not (0 <= left <= right <= len(head)):
+        raise CrackError(
+            f"progressive step window [{left}, {right}) outside array of {len(head)}"
         )
-    except ArenaPressure:
-        if _active_backend == "reference":
-            raise
-        return KERNEL_BACKENDS["reference"]["progressive_step"](
-            head, tails, bound, left, right, k
-        )
+    k = min(int(k), right - left)
+    if k <= 0:
+        return left, right, 0
+    arena = arena if arena is not None else default_arena()
+    L, R, W = left, right, left + k
+    seg = head[L:W]
+    below = arena.mask(k)
+    bound.below_mask_into(seg, below)
+    idx_b = np.flatnonzero(below)
+    nb = len(idx_b)
+    na = k - nb
+    if na == 0:
+        # The whole window is below: advance the marker, move nothing.
+        return W, R, 0
+    np.logical_not(below, out=below)
+    idx_a = np.flatnonzero(below)
+    if W == R:
+        # Final window: partition [L, R) outright.
+        _apply_index_groups(head, tails, L, R, (idx_b, idx_a), arena)
+        return L + nb, L + nb, k
+    if R - na < W:
+        # The above-destination overlaps the window: permute all of [L, R).
+        m = R - L
+        order_mid = np.arange(k, m)
+        _apply_index_groups(head, tails, L, R, (idx_b, order_mid, idx_a), arena)
+        return L + nb, R - na, m
+    # Disjoint destinations: compact belows to the front and swap the
+    # window's aboves with the untouched run just before the above block —
+    # staged (window belows, window aboves, displaced run) in one scratch
+    # buffer, then each run written to its final slot.
+    n_move = k + na
+    scratch = _reserve_scratch(arena, (head, *tails), n_move)
+    for arr in (head, *tails):
+        buf = scratch[arr.dtype]
+        win = arr[L:W]
+        np.take(win, idx_b, out=buf[:nb], mode="wrap")
+        np.take(win, idx_a, out=buf[nb:k], mode="wrap")
+        buf[k:n_move] = arr[R - na:R]
+        arr[L:L + nb] = buf[:nb]
+        arr[L + nb:W] = buf[k:n_move]
+        arr[R - na:R] = buf[nb:k]
+    return L + nb, R - na, k + na
 
 
 def sort_piece(
@@ -511,9 +266,5 @@ def sort_piece(
     tape and replayed for alignment.
     """
     fault_hook("kernels.sort_piece", head[lo:hi])
-    try:
-        KERNEL_BACKENDS[_active_backend]["sort_piece"](head, tails, lo, hi, arena)
-    except ArenaPressure:
-        if _active_backend == "reference":
-            raise
-        KERNEL_BACKENDS["reference"]["sort_piece"](head, tails, lo, hi)
+    order = np.argsort(head[lo:hi], kind="stable")
+    apply_permutation(head, tails, lo, hi, order, arena)

@@ -255,8 +255,9 @@ def progressive_step(
     """Advance ``p`` by classifying a window of ``k`` elements.
 
     Returns the number of elements physically touched (``<= 2 * k`` per
-    array).  Delegates the array work to the backend-dispatched step kernel
-    and updates the pending's ``left`` / ``right`` markers.
+    array).  Delegates the array work to
+    :func:`~repro.cracking.kernels.progressive_step_kernel` and updates the
+    pending's ``left`` / ``right`` markers.
     """
     k = min(int(k), p.right - p.left)
     if k <= 0:

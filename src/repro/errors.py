@@ -206,10 +206,10 @@ class InjectedFault(Exception):
 class ArenaPressure(MemoryError):
     """Simulated (or real) allocation failure inside a :class:`KernelArena`.
 
-    Subclasses :class:`MemoryError` so generic out-of-memory handling
-    applies; the fused-kernel dispatchers catch it *before any array is
-    mutated* and transparently retry on the allocation-free ``reference``
-    backend.
+    Subclasses :class:`MemoryError`, so it is one of the recoverable
+    failures of :data:`repro.faults.guard.RECOVERABLE`: the kernels request
+    their arena buffers *before any array is mutated*, and the failure
+    leaves the kernel like any other fault (rollback, heal, scan fallback).
     """
 
     def __init__(self, site: str = "arena.alloc", detail: str = "") -> None:

@@ -18,9 +18,10 @@ simultaneous armed failpoints (the engine's recovery loop must converge
 once all shots are spent).  ``kind`` is one of:
 
 * ``error``   — raise :class:`repro.errors.InjectedFault` (default);
-* ``oom``     — raise :class:`repro.errors.ArenaPressure`; only meaningful at
-  ``arena.alloc``, where the fused kernels fall back to the allocation-free
-  ``reference`` backend;
+* ``oom``     — raise :class:`repro.errors.ArenaPressure` (a ``MemoryError``);
+  meant for ``arena.alloc``, where it leaves the kernel before any array is
+  mutated and is recovered like every other fault (rollback, heal, scan
+  fallback);
 * ``corrupt`` — flip payload values in place at a payload-carrying site and
   mark the plan *dirty*; the atomic guard then forces a deep validation so
   CrackSan checksums catch the damage.

@@ -97,13 +97,18 @@ class TestGateCheckers:
 
     def test_kernels_regression_detected(self):
         current = {"all_identical": True, "cases": [
-            {"case": "crack_two", "rows": 1000, "speedup": 1.0}]}
+            {"case": "crack_two", "rows": 1000, "compare": "copy", "ratio": 0.1}]}
         baseline = {"cases": [
-            {"case": "crack_two", "rows": 1000, "speedup": 4.0}]}
+            {"case": "crack_two", "rows": 1000, "compare": "copy", "ratio": 0.4}]}
         checks = GATES.get("kernels")(current, baseline, {"tolerance": 50.0})
-        assert not all(c.ok for c in checks)
+        assert [c.name for c in checks if not c.ok] == ["ratios_within_tolerance"]
         # Within tolerance passes.
-        current["cases"][0]["speedup"] = 3.0
+        current["cases"][0]["ratio"] = 0.3
+        checks = GATES.get("kernels")(current, baseline, {"tolerance": 50.0})
+        assert all(c.ok for c in checks)
+        # A ratio against another denominator is not compared.
+        baseline["cases"][0]["compare"] = "individual"
+        current["cases"][0]["ratio"] = 0.01
         checks = GATES.get("kernels")(current, baseline, {"tolerance": 50.0})
         assert all(c.ok for c in checks)
 

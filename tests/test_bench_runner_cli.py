@@ -173,10 +173,11 @@ class TestTrendReport:
         from repro.bench.registry.trend import significance_lines
 
         current = {"cases": [{"case": "crack_two",
-                              "reference_samples_s": [1.0, 1.1, 1.05],
-                              "fused_samples_s": [0.5, 0.52, 0.51]}]}
+                              "kernel_samples_s": [1.0, 1.1, 1.05],
+                              "compare_samples_s": [0.5, 0.52, 0.51]}]}
         lines = significance_lines(current, current)
-        assert any("crack_two:fused" in line for line in lines)
+        assert any("crack_two:kernel" in line for line in lines)
+        assert any("crack_two:compare" in line for line in lines)
         assert any("not significant" in line for line in lines)
 
 

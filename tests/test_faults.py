@@ -319,7 +319,7 @@ class TestEngineRecovery:
         assert not again.fault_recovered
         assert db.fault_plan.injected == ["kernels.crack_two@1=error"]
 
-    def test_arena_oom_falls_back_to_reference_backend(self):
+    def test_arena_oom_recovers_like_any_fault(self):
         db = make_db(faults="arena.alloc=oom")
         engine = make_engine("selection_cracking", db)
         baseline = PlainEngine(db)
@@ -329,9 +329,13 @@ class TestEngineRecovery:
         assert np.array_equal(
             np.sort(got.columns["B"]), np.sort(want.columns["B"])
         )
-        # The kernel dispatcher absorbs the pressure by retrying on the
-        # allocation-free reference backend — no engine-level recovery.
-        assert not got.fault_recovered
+        # ArenaPressure is a MemoryError: it leaves the kernel, the journal
+        # rolls back, and the engine heals and answers through a scan.
+        assert got.fault_recovered
+        assert db.fault_plan.injected == ["arena.alloc@1=oom"]
+        # The spec is spent: the next query cracks without recovery.
+        again = engine.run(query_for(5_000))
+        assert not again.fault_recovered
         assert db.fault_plan.injected == ["arena.alloc@1=oom"]
 
     def test_faults_off_exceptions_propagate(self, db):

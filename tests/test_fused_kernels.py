@@ -1,8 +1,11 @@
-"""Golden-permutation equivalence of the fused kernels vs the reference
-backend, arena reuse/resize behavior, and gang replay equivalence."""
+"""Golden-permutation tests of the crack kernels against their specification,
+arena reuse/resize behavior, progressive-step properties, and gang replay
+equivalence."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.map import CrackerMap
 from repro.core.mapset import MapSet
@@ -10,17 +13,10 @@ from repro.cracking.arena import KernelArena, default_arena
 from repro.cracking.bounds import Bound, Interval, Side
 from repro.cracking.crack import gang_replay_crack, gang_replay_sort
 from repro.cracking.kernels import (
-    KERNEL_BACKENDS,
     crack_three,
     crack_two,
-    fused_crack_three,
-    fused_crack_two,
-    get_backend,
-    reference_crack_three,
-    reference_crack_two,
-    set_backend,
+    progressive_step_kernel,
     sort_piece,
-    use_backend,
 )
 from repro.errors import CrackError
 from repro.stats.counters import StatsRecorder
@@ -37,6 +33,27 @@ def _arrays(rng, n, lo=0, hi=1000):
     keys = np.arange(n, dtype=np.int64)
     tail = rng.integers(0, 10**6, size=n).astype(np.int64)
     return head, keys, tail
+
+
+def _spec_partition(arrays, lo, hi, group_id):
+    """The reference every kernel must equal: a stable partition of
+    ``[lo, hi)`` gathers every array through a stable argsort of group ids."""
+    order = np.argsort(group_id, kind="stable")
+    for arr in arrays:
+        arr[lo:hi] = arr[lo:hi][order]
+
+
+def _spec_crack_two(arrays, lo, hi, bound):
+    below = bound.below_mask(arrays[0][lo:hi])
+    _spec_partition(arrays, lo, hi, ~below)
+    return lo + int(below.sum())
+
+
+def _spec_crack_three(arrays, lo, hi, lower, upper):
+    seg = arrays[0][lo:hi]
+    group = np.where(lower.below_mask(seg), 0, np.where(upper.below_mask(seg), 1, 2))
+    _spec_partition(arrays, lo, hi, group)
+    return lo + int((group == 0).sum()), lo + int((group <= 1).sum())
 
 
 # -- golden equivalence -----------------------------------------------------------
@@ -56,14 +73,13 @@ BOUNDS = [
 @pytest.mark.parametrize("n", [0, 1, 2, 257, 5000])
 def test_crack_two_matches_reference(rng, bound, n):
     head, keys, tail = _arrays(rng, n)
-    h_ref, k_ref, t_ref = head.copy(), keys.copy(), tail.copy()
-    split_ref = reference_crack_two(h_ref, [k_ref, t_ref], 0, n, bound)
-    h_fus, k_fus, t_fus = head.copy(), keys.copy(), tail.copy()
-    split_fus = fused_crack_two(h_fus, [k_fus, t_fus], 0, n, bound)
-    assert split_ref == split_fus
-    assert np.array_equal(h_ref, h_fus)
-    assert np.array_equal(k_ref, k_fus)
-    assert np.array_equal(t_ref, t_fus)
+    spec = [head.copy(), keys.copy(), tail.copy()]
+    split_spec = _spec_crack_two(spec, 0, n, bound)
+    split = crack_two(head, [keys, tail], 0, n, bound)
+    assert split == split_spec
+    assert np.array_equal(head, spec[0])
+    assert np.array_equal(keys, spec[1])
+    assert np.array_equal(tail, spec[2])
 
 
 @pytest.mark.parametrize(
@@ -81,14 +97,25 @@ def test_crack_two_matches_reference(rng, bound, n):
 @pytest.mark.parametrize("n", [0, 3, 1000])
 def test_crack_three_matches_reference(rng, lower, upper, n):
     head, keys, tail = _arrays(rng, n)
-    h_ref, k_ref, t_ref = head.copy(), keys.copy(), tail.copy()
-    p_ref = reference_crack_three(h_ref, [k_ref, t_ref], 0, n, lower, upper)
-    h_fus, k_fus, t_fus = head.copy(), keys.copy(), tail.copy()
-    p_fus = fused_crack_three(h_fus, [k_fus, t_fus], 0, n, lower, upper)
-    assert p_ref == p_fus
-    assert np.array_equal(h_ref, h_fus)
-    assert np.array_equal(k_ref, k_fus)
-    assert np.array_equal(t_ref, t_fus)
+    spec = [head.copy(), keys.copy(), tail.copy()]
+    p_spec = _spec_crack_three(spec, 0, n, lower, upper)
+    p = crack_three(head, [keys, tail], 0, n, lower, upper)
+    assert p == p_spec
+    assert np.array_equal(head, spec[0])
+    assert np.array_equal(keys, spec[1])
+    assert np.array_equal(tail, spec[2])
+
+
+@pytest.mark.parametrize("n", [0, 1, 257, 5000])
+def test_sort_piece_matches_reference(rng, n):
+    head, keys, tail = _arrays(rng, n)
+    lo, hi = n // 8, n - n // 8
+    spec = [head.copy(), keys.copy(), tail.copy()]
+    _spec_partition(spec, lo, hi, spec[0][lo:hi])
+    sort_piece(head, [keys, tail], lo, hi)
+    assert np.array_equal(head, spec[0])
+    assert np.array_equal(keys, spec[1])
+    assert np.array_equal(tail, spec[2])
 
 
 def test_subrange_and_float_dtype_match(rng):
@@ -96,29 +123,33 @@ def test_subrange_and_float_dtype_match(rng):
     head = rng.normal(size=n)  # float payload skips the int fast path
     keys = np.arange(n, dtype=np.int64)
     bound = Bound(0.25, Side.LE)
-    h_ref, k_ref = head.copy(), keys.copy()
-    split_ref = reference_crack_two(h_ref, [k_ref], 1000, 3000, bound)
-    h_fus, k_fus = head.copy(), keys.copy()
-    split_fus = fused_crack_two(h_fus, [k_fus], 1000, 3000, bound)
-    assert split_ref == split_fus
-    assert np.array_equal(h_ref, h_fus)
-    assert np.array_equal(k_ref, k_fus)
+    spec = [head.copy(), keys.copy()]
+    split_spec = _spec_crack_two(spec, 1000, 3000, bound)
+    h, k = head.copy(), keys.copy()
+    split = crack_two(h, [k], 1000, 3000, bound)
+    assert split == split_spec
+    assert np.array_equal(h, spec[0])
+    assert np.array_equal(k, spec[1])
     # Outside the subrange nothing moved.
-    assert np.array_equal(h_fus[:1000], head[:1000])
-    assert np.array_equal(h_fus[3000:], head[3000:])
+    assert np.array_equal(h[:1000], head[:1000])
+    assert np.array_equal(h[3000:], head[3000:])
 
 
 def test_multi_tail_gang_equivalence(rng):
-    """One fused call over 2k arrays == k independent crack_twos."""
+    """One call over 2k arrays == k independent crack_twos == the spec."""
     n = 3000
     head, keys, _ = _arrays(rng, n)
     bound = Bound(500, Side.LT)
     pairs = [(head.copy(), keys.copy()) for _ in range(4)]
     for h, k in pairs:
-        reference_crack_two(h, [k], 0, n, bound)
+        crack_two(h, [k], 0, n, bound)
+    spec = [head.copy(), keys.copy()]
+    _spec_crack_two(spec, 0, n, bound)
+    assert np.array_equal(pairs[0][0], spec[0])
+    assert np.array_equal(pairs[0][1], spec[1])
     gang_head, gang_keys = head.copy(), keys.copy()
     extra = [arr for _ in range(3) for arr in (head.copy(), keys.copy())]
-    fused_crack_two(gang_head, [gang_keys, *extra], 0, n, bound)
+    crack_two(gang_head, [gang_keys, *extra], 0, n, bound)
     assert np.array_equal(gang_head, pairs[0][0])
     assert np.array_equal(gang_keys, pairs[0][1])
     for i in range(3):
@@ -129,41 +160,104 @@ def test_multi_tail_gang_equivalence(rng):
 def test_fused_raises_like_reference(rng):
     head, keys, _ = _arrays(rng, 10)
     with pytest.raises(CrackError):
-        fused_crack_two(head, [keys], 5, 20, Bound(1, Side.LT))
+        crack_two(head, [keys], 5, 20, Bound(1, Side.LT))
     with pytest.raises(CrackError):
-        fused_crack_three(
+        crack_three(
             head, [keys], 0, 10, Bound(9, Side.LT), Bound(1, Side.LT)
         )
 
 
-# -- backend registry -------------------------------------------------------------
+# -- progressive step -------------------------------------------------------------
 
 
-def test_backend_registry_dispatch(rng):
-    assert get_backend() == "fused"
-    assert set(KERNEL_BACKENDS) == {"reference", "fused"}
-    with use_backend("reference"):
-        assert get_backend() == "reference"
-        head, keys, _ = _arrays(rng, 100)
-        crack_two(head, [keys], 0, 100, Bound(500, Side.LT))
-    assert get_backend() == "fused"
-    with pytest.raises(CrackError):
-        set_backend("simd")
+STEP_BOUNDS = [Bound(500, Side.LT), Bound(499, Side.LE), Bound(499.5, Side.LT)]
 
 
-def test_backends_identical_through_dispatcher(rng):
-    n = 2000
-    head, keys, _ = _arrays(rng, n)
-    results = {}
-    for backend in KERNEL_BACKENDS:
-        h, k = head.copy(), keys.copy()
-        with use_backend(backend):
-            crack_two(h, [k], 0, n, Bound(300, Side.LE))
-            crack_three(h, [k], 0, n, Bound(300, Side.LE), Bound(800, Side.LT))
-            sort_piece(h, [k], 100, 900)
-        results[backend] = (h, k)
-    assert np.array_equal(results["reference"][0], results["fused"][0])
-    assert np.array_equal(results["reference"][1], results["fused"][1])
+@st.composite
+def _step_inputs(draw):
+    """A window ``[left, right)`` whose first ``k`` elements hold exactly
+    ``na`` aboves, shaped to land in the named branch of the step kernel."""
+    branch = draw(st.sampled_from(["final", "overlap", "disjoint"]))
+    if branch == "final":
+        m = draw(st.integers(1, 40))
+        k = m
+        na = draw(st.integers(1, k))
+    elif branch == "overlap":
+        m = draw(st.integers(3, 40))
+        k = draw(st.integers(m // 2 + 1, m - 1))
+        na = draw(st.integers(m - k + 1, k))
+    else:
+        m = draw(st.integers(2, 40))
+        k = draw(st.integers(1, m - 1))
+        na = draw(st.integers(1, min(k, m - k)))
+    above = draw(st.permutations([True] * na + [False] * (k - na)))
+    pad = (draw(st.integers(0, 5)), draw(st.integers(0, 5)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    bound = draw(st.sampled_from(STEP_BOUNDS))
+    return branch, m, k, np.array(above, dtype=bool), pad, seed, bound
+
+
+def _step_arrays(m, k, above, pad, seed):
+    rng = np.random.default_rng(seed)
+    window = np.concatenate([
+        np.where(above, rng.integers(500, 1000, size=k), rng.integers(0, 500, size=k)),
+        rng.integers(0, 1000, size=m - k),
+    ])
+    head = np.concatenate([
+        rng.integers(0, 1000, size=pad[0]), window, rng.integers(0, 1000, size=pad[1]),
+    ]).astype(np.int64)
+    return head, np.arange(len(head), dtype=np.int64), head * 0.5
+
+
+@settings(max_examples=150, deadline=None)
+@given(_step_inputs())
+@example(("final", 4, 4, np.array([True, False, True, False]), (1, 2), 3, STEP_BOUNDS[0]))
+@example(("overlap", 6, 4, np.array([True, True, False, True]), (0, 0), 5, STEP_BOUNDS[1]))
+@example(("disjoint", 9, 3, np.array([False, True, False]), (2, 1), 8, STEP_BOUNDS[2]))
+def test_progressive_step_kernel_properties(inputs):
+    branch, m, k, above, pad, seed, bound = inputs
+    head, keys, tail = _step_arrays(m, k, above, pad, seed)
+    original = head.copy()
+    left, right = pad[0], pad[0] + m
+    na = int(above.sum())
+
+    runs = []
+    for _ in range(2):
+        h, ky, t = head.copy(), keys.copy(), tail.copy()
+        got = progressive_step_kernel(h, [ky, t], bound, left, right, k)
+        runs.append((got, h, ky, t))
+    (new_left, new_right, touched), h, ky, t = runs[0]
+
+    # Each branch leaves its own signature.
+    if branch == "final":
+        assert new_left == new_right == left + (k - na) and touched == k
+    elif branch == "overlap":
+        assert (new_left, new_right, touched) == (left + k - na, right - na, m)
+    else:
+        assert (new_left, new_right, touched) == (left + k - na, right - na, k + na)
+    assert left <= new_left <= new_right <= right
+    assert bound.below_mask(h[left:new_left]).all()
+    assert not bound.below_mask(h[new_right:right]).any()
+    assert touched <= 2 * k
+    # Only the window moved, and it is a permutation of itself.
+    assert np.array_equal(h[:left], original[:left])
+    assert np.array_equal(h[right:], original[right:])
+    assert np.array_equal(np.sort(h[left:right]), np.sort(original[left:right]))
+    # Exactly: the window's belows and aboves keep their order, and the run
+    # past the window moves as one block (rotated when the aboves land
+    # disjoint from the window).
+    win, rest = original[left:left + k], original[left + k:right]
+    below = bound.below_mask(win)
+    middle = np.concatenate([rest[-na:], rest[:-na]]) if branch == "disjoint" else rest
+    assert np.array_equal(h[left:right], np.concatenate([win[below], middle, win[~below]]))
+    # Every tail still pairs with its head.
+    assert np.array_equal(original[ky], h)
+    assert np.array_equal(t, h * 0.5)
+    # Deterministic: a second run on copies is bit-identical.
+    got2, h2, ky2, t2 = runs[1]
+    assert got2 == (new_left, new_right, touched)
+    assert np.array_equal(h2, h) and np.array_equal(ky2, ky)
+    assert np.array_equal(t2, t)
 
 
 # -- arena ------------------------------------------------------------------------
@@ -198,7 +292,7 @@ def test_arena_isolation_from_default(rng):
     head, keys, _ = _arrays(rng, 500)
     arena = KernelArena()
     before = default_arena().resizes
-    fused_crack_two(head, [keys], 0, 500, Bound(500, Side.LT), arena)
+    crack_two(head, [keys], 0, 500, Bound(500, Side.LT), arena)
     assert arena.resizes > 0
     assert default_arena().resizes == before
 
