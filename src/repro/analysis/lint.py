@@ -7,10 +7,12 @@ pass enforces them syntactically:
     BAT payload arrays (``head`` / ``tail`` / ``tails`` / ``keys``) may be
     mutated in place (subscript assignment) only inside the stable partition
     kernels (``cracking/kernels.py``), the crack driver
-    (``cracking/crack.py``), and the kernel scratch arena
-    (``cracking/arena.py``, whose buffers payloads round-trip through).
-    Everywhere else payloads are rebound to arrays the kernels returned —
-    in-place writes elsewhere would desynchronize tape replay.
+    (``cracking/crack.py``), the kernel scratch arena
+    (``cracking/arena.py``, whose buffers payloads round-trip through), and
+    the Ripple merge (``cracking/ripple.py``, which shifts rows inside the
+    buffers it owns).  Everywhere else payloads are rebound to arrays the
+    kernels returned — in-place writes elsewhere would desynchronize tape
+    replay.
 ``unseeded-random``
     No ``np.random.*`` calls outside the seeded-Generator plumbing: only
     ``np.random.default_rng(seed)`` *with* an explicit seed is allowed
@@ -100,7 +102,10 @@ REPLAYED_ENTRY_TYPES = frozenset({"CrackEntry", "SortEntry", "ProgressiveCrackEn
 RULES: dict[str, tuple[str, tuple[str, ...]]] = {
     "payload-mutation": (
         "BAT payload arrays mutated outside the partition kernels",
-        ("cracking/kernels.py", "cracking/crack.py", "cracking/arena.py"),
+        (
+            "cracking/kernels.py", "cracking/crack.py", "cracking/arena.py",
+            "cracking/ripple.py",
+        ),
     ),
     "unseeded-random": (
         "np.random used outside the seeded-Generator plumbing",

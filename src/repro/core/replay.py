@@ -110,7 +110,8 @@ def apply_entry(
 ) -> tuple[np.ndarray, Sequence[np.ndarray]]:
     """Apply one tape entry to ``head`` and its position-aligned ``tails``.
 
-    Returns the arrays to continue with (update entries reallocate them).
+    Returns the arrays to continue with (update entries return the views
+    :mod:`~repro.cracking.ripple` merged into).
     Every permutation is a function of the head values alone, so replaying
     with fewer tails — or none — walks the head through the identical
     states.  ``fetch_tails`` holds one ``keys -> values`` callback per tail

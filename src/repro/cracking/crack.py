@@ -44,12 +44,15 @@ def _account_partition(
 def _wants_progress(progress: CrackProgress | None) -> bool:
     """Does the context require the budget-aware path?
 
-    Only when a budget is being tracked or pendings are already in flight —
-    otherwise the classic eager path runs unchanged (zero overhead, and
-    bit-identical tapes for unbudgeted structures).
+    Only when a budget is being tracked, pendings are in flight, or the
+    operation already logged an op — otherwise the classic eager path runs
+    unchanged (zero overhead, and bit-identical tapes for unbudgeted
+    structures).  The last case matters once a bound drained the pendings:
+    the next bound's crack must still reach ``progress.ops``, or the owner's
+    tape would miss it.
     """
     return progress is not None and (
-        bool(progress.pending) or progress.tracker is not None
+        bool(progress.pending) or progress.tracker is not None or bool(progress.ops)
     )
 
 

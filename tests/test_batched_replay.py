@@ -13,7 +13,7 @@ decisions that reconciled the old copies are pinned one test each.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.invariants import boundary_signature, pending_signature
@@ -231,6 +231,11 @@ def _random_tape(seed, policy, steps):
     starts=st.lists(st.integers(0, 1_000), min_size=1, max_size=4),
     mid=st.integers(0, 1_000),
 )
+# The budget is lifted while a crack is in flight; the next query drains it
+# with its lower bound and must still tape the eager crack of its upper one.
+@example(seed=0, policy=None,
+         steps=[("budget", 5), ("crack", 0, 2), ("budget", None), ("crack", 0, 2)],
+         starts=[0], mid=0)
 def test_every_replay_path_reaches_the_same_state(seed, policy, steps, starts, mid):
     mapset, live = _random_tape(seed, policy, steps)
     tape, end = mapset.tape, len(mapset.tape)

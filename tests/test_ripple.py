@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cracking import ripple
-from repro.cracking.bounds import Bound, Interval, Side
+from repro.cracking.bounds import Bound, Interval, Side, interval_from_bounds
 from repro.cracking.crack import crack_into
 from repro.cracking.index import CrackerIndex
 from repro.cracking.ripple import (
     delete_positions,
     locate_deletions,
     merge_insertions,
+)
+from repro.engine import (
+    Database, Predicate, Query, SelectionCrackingEngine, SidewaysEngine,
 )
 from repro.stats.counters import StatsRecorder
 
@@ -289,3 +292,218 @@ def test_delete_positions_on_both_sides_of_the_cut_over(holes, rng):
     assert [pos for _, pos in index.inorder()] == [
         pos - int((victims < pos).sum()) for pos in before
     ]
+
+
+# -- chained merges against the allocate-and-concatenate merge ----------------
+#
+# The per-row references above hand every call a fresh array, so they never
+# reach the in-place branch.  Here cracks, insert batches and delete batches
+# chain on the arrays each merge returned, against the merge as it was before
+# it reused buffers: one fresh array per call.
+
+
+def _concatenating_merge(index, head, tails, ins_head, ins_tails, recorder):
+    n = len(head)
+    order, affected, offsets = ripple._group_by_piece(index, ins_head)
+    edges = index.piece_edges(n)
+    first_touched = edges.item(affected[0])
+    cuts = [0, *edges[affected + 1].tolist()]
+
+    def grown(old, new):
+        new = new[order]
+        parts = []
+        for j in range(len(affected)):
+            parts += (old[cuts[j]:cuts[j + 1]], new[offsets[j]:offsets[j + 1]])
+        parts.append(old[cuts[-1]:])
+        return np.concatenate(parts)
+
+    merged = grown(head, ins_head), [
+        grown(tail, ins) for tail, ins in zip(tails, ins_tails)
+    ]
+    moved = (n - first_touched + len(ins_head)) * (1 + len(tails))
+    recorder.sequential(moved)
+    recorder.write(moved)
+    index.apply_order_shifts(list(zip(affected.tolist(), np.diff(offsets).tolist())))
+    return merged
+
+
+def _concatenating_delete(index, head, tails, positions, recorder):
+    positions = np.unique(np.asarray(positions, dtype=np.int64))
+    n = len(head)
+    holes = positions.tolist()
+    kept = list(zip([0, *(p + 1 for p in holes)], [*holes, n]))
+
+    def shrunk(arr):
+        return np.concatenate([arr[lo:hi] for lo, hi in kept])
+
+    moved = (n - positions.item(0)) * (1 + len(tails))
+    recorder.sequential(moved)
+    recorder.write(moved)
+    index.apply_shifts([(p + 1, -1) for p in positions.tolist()])
+    return shrunk(head), [shrunk(t) for t in tails]
+
+
+_chain_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("crack"), st.integers(-1, 13),
+                  st.sampled_from([Side.LT, Side.LE])),
+        # Repeated batches outgrow the headroom within a few steps.
+        st.tuples(st.just("insert"),
+                  st.lists(st.integers(-1, 13), min_size=1, max_size=12),
+                  st.sampled_from([1, 10])),
+        st.tuples(st.just("delete"), st.sets(st.integers(0, 10**6), min_size=1),
+                  st.sets(st.sampled_from(["first", "last"]))),
+    ),
+    min_size=1, max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(values=st.lists(st.integers(0, 12), min_size=1, max_size=60),
+       foreign=st.sampled_from(["fresh", "prefix view"]),
+       steps=_chain_steps,
+       rows_per_hole=st.sampled_from([0, ripple._ROWS_PER_HOLE, 10**9]))
+def test_chained_merges_match_the_concatenating_merge(
+    values, foreign, steps, rows_per_hole
+):
+    n = len(values)
+    head = np.array(values, dtype=np.int64)
+    start = [head, np.arange(100, 100 + n, dtype=np.int64), head * 0.5]
+    want = [arr.copy() for arr in start]
+    if foreign == "fresh":
+        got = [arr.copy() for arr in start]
+    else:
+        got = [np.concatenate([arr, arr[:7]])[:n] for arr in start]
+    got_index, want_index = CrackerIndex(), CrackerIndex()
+    got_rec, want_rec = StatsRecorder(), StatsRecorder()
+    next_key = 10_000
+
+    with mock.patch.object(ripple, "_ROWS_PER_HOLE", rows_per_hole):
+        for step in steps:
+            if step[0] == "crack":
+                interval = interval_from_bounds(Bound(step[1], step[2]), None)
+                crack_into(got_index, got[0], got[1:], interval, got_rec)
+                crack_into(want_index, want[0], want[1:], interval, want_rec)
+            elif step[0] == "insert":
+                ins_head = np.array(step[1] * step[2], dtype=np.int64)
+                ins_tails = [
+                    np.arange(next_key, next_key + len(ins_head), dtype=np.int64),
+                    ins_head * 0.5,
+                ]
+                next_key += len(ins_head)
+                head, tails = merge_insertions(
+                    got_index, got[0], got[1:], ins_head, ins_tails, got_rec
+                )
+                got = [head, *tails]
+                head, tails = _concatenating_merge(
+                    want_index, want[0], want[1:], ins_head, ins_tails, want_rec
+                )
+                want = [head, *tails]
+            elif len(want[0]):
+                size = len(want[0])
+                victims = {p % size for p in step[1]}
+                victims |= {0} if "first" in step[2] else set()
+                victims |= {size - 1} if "last" in step[2] else set()
+                positions = np.array(sorted(victims), dtype=np.int64)[::-1]
+                head, tails = delete_positions(
+                    got_index, got[0], got[1:], positions, got_rec
+                )
+                got = [head, *tails]
+                head, tails = _concatenating_delete(
+                    want_index, want[0], want[1:], positions, want_rec
+                )
+                want = [head, *tails]
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert list(got_index.inorder()) == list(want_index.inorder())
+            assert _charges(got_rec) == _charges(want_rec)
+
+
+# -- nothing but the view ripple handed out is ever written -------------------
+
+
+def _batch(rng, size, first_key):
+    return (rng.integers(0, 1000, size=size).astype(np.int64),
+            np.arange(first_key, first_key + size, dtype=np.int64))
+
+
+@pytest.mark.parametrize("first", ["merge", "delete"])
+@pytest.mark.parametrize("foreign", ["head", "tail"])
+def test_a_foreign_prefix_view_is_never_written(foreign, first, rng):
+    n = 400
+    head, keys, index = cracked_state(rng, n=n)
+    big = np.concatenate([head if foreign == "head" else keys, np.arange(50)])
+    before = big.copy()
+    arrays = {"head": head, "tail": keys, foreign: big[:n]}
+    head, tails = arrays["head"], [arrays["tail"]]
+    for step in (["merge", "delete"] if first == "merge" else ["delete", "merge"]) * 2:
+        if step == "merge":
+            ins_vals, ins_keys = _batch(rng, 30, 10_000 + len(head))
+            head, tails = merge_insertions(index, head, tails, ins_vals, [ins_keys])
+        else:
+            head, tails = delete_positions(
+                index, head, tails, np.arange(0, len(head), 9, dtype=np.int64)
+            )
+    assert big.tobytes() == before.tobytes()
+    assert not np.shares_memory(head, big) and not np.shares_memory(tails[0], big)
+
+
+def test_only_the_exact_view_handed_out_is_merged_in_place(rng):
+    head, keys, index = cracked_state(rng)
+    ins_vals, ins_keys = _batch(rng, 5, 10_000)
+    head, (keys,) = merge_insertions(index, head, [keys], ins_vals, [ins_keys])
+    ins_vals, ins_keys = _batch(rng, 5, 20_000)
+    grown, (grown_keys,) = merge_insertions(index, head, [keys], ins_vals, [ins_keys])
+    assert np.shares_memory(grown, head) and np.shares_memory(grown_keys, keys)
+
+    # A second view object of the same buffer is somebody else's array.
+    snapshot = grown.tobytes(), grown_keys.tobytes()
+    ins_vals, ins_keys = _batch(rng, 5, 30_000)
+    merged, (merged_keys,) = merge_insertions(
+        index, grown[:], [grown_keys[:]], ins_vals, [ins_keys]
+    )
+    assert (grown.tobytes(), grown_keys.tobytes()) == snapshot
+    assert not np.shares_memory(merged, grown)
+    assert not np.shares_memory(merged_keys, grown_keys)
+    shrunk, (shrunk_keys,) = delete_positions(
+        index, merged[:], [merged_keys[:]], np.array([0, 7, 9], dtype=np.int64)
+    )
+    assert not np.shares_memory(shrunk, merged)
+    assert not np.shares_memory(shrunk_keys, merged_keys)
+
+
+@pytest.mark.parametrize("make_engine", [
+    SelectionCrackingEngine,
+    SidewaysEngine,
+    lambda db: SidewaysEngine(db, partial=True),
+], ids=["selection_cracking", "sideways", "partial_sideways"])
+def test_results_survive_later_in_place_merges(make_engine, rng):
+    """Columns a query returned before an update batch stay byte-identical
+    while later queries merge that batch into the buffers behind them."""
+    db = Database()
+    n = 3_000
+    db.create_table("T", {c: rng.integers(1, 10_001, size=n) for c in "ABC"})
+    engine = make_engine(db)
+    victims = iter(rng.permutation(n).tolist())
+    buffer_for, in_place = ripple._buffer_for, []
+
+    def spy(arr, rows, dtype):
+        buf, reused = buffer_for(arr, rows, dtype)
+        in_place.append(reused)
+        return buf, reused
+
+    held = []
+    with mock.patch.object(ripple, "_buffer_for", spy):
+        for _ in range(4):
+            for lo in range(1, 10_001, 2_000):
+                query = Query(
+                    "T", predicates=(Predicate("A", Interval.open(lo, lo + 3_000)),),
+                    projections=("B", "C"),
+                )
+                columns = engine.run(query).columns
+                held.append((columns, {a: c.tobytes() for a, c in columns.items()}))
+            for columns, snapshot in held:
+                assert {a: c.tobytes() for a, c in columns.items()} == snapshot
+            db.insert("T", {c: rng.integers(1, 10_001, size=40) for c in "ABC"})
+            db.delete("T", np.array([next(victims) for _ in range(30)]))
+    assert any(in_place)
