@@ -13,9 +13,11 @@ The serving subsystem (:mod:`repro.server`) claims two things:
 The workload models a serving scenario: ``queries`` requests drawn from
 ``templates`` distinct query templates with Zipf-distributed popularity
 (real query traffic repeats itself heavily), over a multi-column table.
-Single-predicate templates exercise the partition-parallel scatter-gather
-path; multi-predicate conjunctive templates exercise the shared-read probe
-path and the classic engine path under the table write lock.
+Templates that name the partitioned attribute ``A`` run the
+partition-parallel scatter-gather path (a conjunction refines the shard
+keys by its other predicate); conjunctions over the other attributes run
+the shared-read probe path once a cracker column can answer them, and the
+classic engine path under the table write lock until then.
 
 The serial baseline is a plain :class:`SelectionCrackingEngine` loop — no
 locks, no cache, no partitions — paying the same canonicalization the

@@ -17,11 +17,14 @@ Execution paths, fastest first:
     :attr:`~repro.engine.database.Database.data_version`, so any update
     invalidates every affected entry.
 ``partition``
-    Single-predicate selections on a partitioned attribute run under the
-    table's *shared* lock as prune → per-shard probe/crack (one shard lock
-    at a time; the hierarchy is table → shard) → scatter-gather merge,
-    then reconstruct projections with read-only base-column gathers.  The
-    shared table lock serializes the scatter against :meth:`insert` /
+    Selections without a group-by that name a partitioned attribute run
+    under the table's *shared* lock.  A conjunction takes its keys from
+    the first partitioned predicate as prune → per-shard probe/crack (one
+    shard lock at a time; the hierarchy is table → shard) → scatter-gather
+    merge, and refines them by the other predicates with read-only
+    base-column gathers (the paper's positional ``rel_select``), as it
+    reconstructs projections; a disjunction unions every predicate's keys.
+    The shared table lock serializes the scatter against :meth:`insert` /
     :meth:`delete`, which route pending updates under the table's
     exclusive lock — a query sees either all of an update or none of it.
 ``process``
@@ -32,20 +35,20 @@ Execution paths, fastest first:
     keys come back through shared result buffers, so shard cracks run on
     separate cores instead of interleaving under one GIL.  Enabled with
     ``processes > 0``; results stay bit-identical to every other path.
+``read``
+    The same selection when no predicate is partitioned: the keys come
+    from :meth:`~repro.cracking.column.CrackerColumn.probe` on an
+    existing cracker column, which reorganizes nothing and may decline.
+``engine``
+    Group-by queries, and selections whose predicates have no key source,
+    run the classic engine under the table's exclusive lock; the
+    progressive crack budget bounds the partitioning work (and so the lock
+    hold time) of each such query.
 
 The result cache is an **LRU sized in bytes** (``cache_bytes``): whole
 entries are admitted at their payload size and evicted
 least-recently-served-first once the budget is exceeded; admission and
 eviction counts surface in :meth:`ServerExecutor.stats`.
-``read``
-    Multi-predicate queries whose leading predicate is answerable by
-    :meth:`~repro.cracking.column.CrackerColumn.probe` run entirely under
-    the table's *shared* lock: refinement and reconstruction are read-only
-    gathers over base columns.
-``engine``
-    Everything else runs the classic engine under the table's exclusive
-    lock; the progressive crack budget bounds the partitioning work (and so
-    the lock hold time) of each such query.
 
 Every result is **canonicalized** — rows sorted lexicographically over the
 result columns, aggregates recomputed from the sorted columns — so the
@@ -69,7 +72,7 @@ from collections import OrderedDict, deque
 from concurrent.futures import CancelledError as FutureCancelled
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -79,7 +82,7 @@ from repro.cracking.progressive import ProgressiveBudget
 from repro.engine.base import Engine
 from repro.engine.database import Database
 from repro.engine.operators import random_gather
-from repro.engine.query import Query, QueryResult, compute_aggregates
+from repro.engine.query import Predicate, Query, QueryResult, compute_aggregates
 from repro.engine.selection_cracking import SelectionCrackingEngine
 from repro.errors import QueryTimeout, ServerError, ServerOverloaded
 from repro.server.locks import LockRegistry, Mutex
@@ -730,20 +733,22 @@ class ServerExecutor:
     def run_batch(self, requests) -> list[ServedResult]:
         """Batched admission: serve many queries, deduplicating repeats.
 
-        Identical queries in one batch are executed once and fanned out —
-        the serving-side amortization a template-heavy workload earns.
-        Results come back in request order.  Every deadline is anchored at
-        one shared enqueue timestamp (taken before the first admission),
-        so a request's position in the batch does not grant extra budget.
+        Identical queries with the same budget in one batch are executed
+        once and fanned out — the serving-side amortization a
+        template-heavy workload earns; a repeat with another budget keeps
+        its own deadline.  Results come back in request order.  Every
+        deadline is anchored at one shared enqueue timestamp (taken before
+        the first admission), so a request's position in the batch does
+        not grant extra budget.
         """
         served = [self._coerce(r) for r in requests]
         batch_enqueued = time.perf_counter()
+        keys = [(_cache_key(s.query), self._budget_of(s)) for s in served]
         records: dict[tuple, _Request] = {}
-        for s in served:
-            key = _cache_key(s.query)
+        for s, key in zip(served, keys):
             if key not in records:
                 records[key] = self.admit(s, enqueued=batch_enqueued)
-        return [self._await(records[_cache_key(s.query)]) for s in served]
+        return [self._await(records[key]) for key in keys]
 
     def _coerce(self, request: "ServedQuery | Query | str") -> ServedQuery:
         if isinstance(request, ServedQuery):
@@ -854,17 +859,9 @@ class ServerExecutor:
         table_lock = self.registry.lock_for(query.table)
         with table_lock.read():
             version = self._capture_version(query.table)
-            gathered = self._try_partition_keys(query, deadline)
-            if gathered is not None:
-                return self._finish_from_keys(
-                    query, gathered.keys, gathered.path, version,
-                    fault_recovered=gathered.recovered,
-                    degraded=gathered.degraded,
-                )
-            if not query.group_by:
-                keys = self._try_read_only_keys(query)
-                if keys is not None:
-                    return self._finish_from_keys(query, keys, "read", version)
+            selected = self._select_keys(query, deadline)
+            if selected is not None:
+                return self._finish_from_keys(query, selected, version)
         if deadline.cancelled:
             # Boundary check before the exclusive section: an abandoned
             # request must not take the table's write lock just to compute
@@ -934,91 +931,90 @@ class ServerExecutor:
                 racesan.note_access(f"cracker[{cracker.label}].pieces", "write")
                 racesan.note_access(f"cracker[{cracker.label}].tape", "write")
 
-    def _try_partition_keys(
+    def _select_keys(
         self, query: Query, deadline: Deadline
     ) -> "GatherResult | None":
-        """Scatter-gather path: single-predicate query on a partitioned attr.
+        """The qualifying keys of a selection, or ``None`` for the engine.
 
-        Returns the column's :class:`~repro.server.partition.GatherResult`
-        — ``path`` is ``"partition"`` for in-process thread shards,
-        ``"process"`` for the shared-memory worker-process backend — or
-        ``None`` when the query is not scatter-shaped.  Caller holds the
-        table's read lock, so the scatter cannot overlap an
-        :meth:`insert`/:meth:`delete` routing pending rows (those hold the
-        table's write lock); shard locks (and worker pipes) nest strictly
-        inside.
+        A predicate's key source is its attribute's shards when it is
+        partitioned (they probe or crack under their own locks), else
+        ``probe`` on an existing cracker column (read-only; may decline).
+        A conjunction takes its keys from the first partitioned predicate,
+        or the first probeable one, and refines them by the others with
+        base-column gathers; a disjunction unions every predicate's keys
+        when each has a source.  Group-by queries have none.  Caller holds
+        the table's read lock, so no :meth:`insert`/:meth:`delete` routes
+        pending rows mid-selection; shard locks nest strictly inside.
         """
-        if query.group_by or len(query.predicates) != 1:
+        table = query.table
+        if query.group_by:
             return None
-        pred = query.predicates[0]
-        with self._partition_mutex:
-            column = self._partitioned.get((query.table, pred.attr))
-        if column is None:
-            return None
-        if deadline.cancelled:
-            # Scatter boundary: a cancelled request stops here instead of
-            # fanning work out to every shard.
-            raise QueryTimeout(
-                f"query on {query.table!r} cancelled before the scatter",
-                seconds=deadline.budget,
-            )
-        return column.select(pred.interval, deadline, self._shard_pool)
-
-    def _try_read_only_keys(self, query: Query) -> np.ndarray | None:
-        """Answer the selection with zero reorganization, or give up.
-
-        Conjunctive: probe any predicate's existing cracker column, refine
-        the rest with base-column gathers (order does not matter for
-        membership, and results are canonicalized).  Disjunctive: every
-        predicate must be probeable.  Caller holds the table's read lock.
-        """
         if not query.predicates:
-            return np.flatnonzero(~self.db.tombstones(query.table)).astype(np.int64)
-        crackers = self.db._crackers
-        relation = self.db.table(query.table)
-        if query.conjunctive:
-            keys = None
-            probed_attr = None
-            for pred in query.predicates:
-                cracker = crackers.get((query.table, pred.attr))
-                if cracker is None:
-                    continue
-                keys = cracker.probe(pred.interval)
-                racesan.note_access(f"cracker[{cracker.label}].pieces", "read")
-                if keys is not None:
-                    probed_attr = pred.attr
-                    break
-            if keys is None:
-                return None
-            for pred in query.predicates:
-                if pred.attr == probed_attr:
-                    continue
-                values = random_gather(
-                    relation.values(pred.attr), keys, self.db.recorder
+            live = np.flatnonzero(~self.db.tombstones(table)).astype(np.int64)
+            return GatherResult(live, "read")
+        sharded = dict(self._partitioned_for(table))
+
+        def source(pred: Predicate) -> "GatherResult | None":
+            column = sharded.get(pred.attr)
+            if column is None:
+                return self._probe(table, pred)
+            if deadline.cancelled:
+                # Scatter boundary: a cancelled request stops here instead
+                # of fanning work out to every shard.
+                raise QueryTimeout(
+                    f"query on {table!r} cancelled before the scatter",
+                    seconds=deadline.budget,
                 )
-                keys = keys[pred.interval.mask(values)]
-            return keys
+            return column.select(pred.interval, deadline, self._shard_pool)
+
+        if query.conjunctive:
+            named = [pred for pred in query.predicates if pred.attr in sharded]
+            for lead in named[:1] or query.predicates:
+                selected = source(lead)
+                if selected is not None:
+                    break
+            else:
+                return None
+            keys = selected.keys
+            relation = self.db.table(table)
+            for pred in query.predicates:
+                if pred is not lead:
+                    values = random_gather(
+                        relation.values(pred.attr), keys, self.db.recorder
+                    )
+                    keys = keys[pred.interval.mask(values)]
+            return replace(selected, keys=keys)
         parts = []
-        for pred in query.predicates:
-            cracker = crackers.get((query.table, pred.attr))
-            if cracker is None:
+        # Probes first: one that declines must do so before shards crack
+        # for nothing.  Shard answers sort last, so they name the path.
+        for pred in sorted(query.predicates, key=lambda p: p.attr in sharded):
+            part = source(pred)
+            if part is None:
                 return None
-            keys = cracker.probe(pred.interval)
-            racesan.note_access(f"cracker[{cracker.label}].pieces", "read")
-            if keys is None:
-                return None
-            parts.append(keys)
-        self.db.recorder.sequential(sum(len(p) for p in parts))
-        return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+            parts.append(part)
+        keys = np.concatenate([part.keys for part in parts])
+        self.db.recorder.sequential(len(keys))
+        return GatherResult(
+            np.unique(keys), parts[-1].path,
+            recovered=any(part.recovered for part in parts),
+            degraded=any(part.degraded for part in parts),
+        )
+
+    def _probe(self, table: str, pred: Predicate) -> "GatherResult | None":
+        cracker = self.db._crackers.get((table, pred.attr))
+        if cracker is None:
+            return None
+        keys = cracker.probe(pred.interval)
+        racesan.note_access(f"cracker[{cracker.label}].pieces", "read")
+        return None if keys is None else GatherResult(keys, "read")
 
     def _finish_from_keys(
-        self, query: Query, keys: np.ndarray, path: str, version: int,
-        fault_recovered: bool = False, degraded: bool = False,
+        self, query: Query, selected: GatherResult, version: int
     ) -> ServedResult:
         """Reconstruct, canonicalize, and aggregate from qualifying keys."""
         relation = self.db.table(query.table)
         columns = {
-            attr: random_gather(relation.values(attr), keys, self.db.recorder)
+            attr: random_gather(relation.values(attr), selected.keys, self.db.recorder)
             for attr in query.needed_columns
         }
         columns = canonicalize(columns)
@@ -1028,11 +1024,11 @@ class ServerExecutor:
         return ServedResult(
             columns=columns,
             aggregates=compute_aggregates(query.aggregates, columns),
-            row_count=len(keys),
-            path=path,
+            row_count=len(selected.keys),
+            path=selected.path,
             data_version=version,
-            fault_recovered=fault_recovered,
-            degraded=degraded,
+            fault_recovered=selected.recovered,
+            degraded=selected.degraded,
         )
 
     def _finish_from_result(

@@ -168,7 +168,8 @@ class GatherResult:
     """What one scatter-gather :meth:`ShardedColumn.select` produced.
 
     ``path`` is the executor's label for the backend that answered
-    (``"partition"`` or ``"process"``).  ``recovered`` — at least one shard
+    (``"partition"`` or ``"process"``; ``"read"`` for keys the executor
+    probed itself).  ``recovered`` — at least one shard
     died and was respawn-and-replayed; ``degraded`` — at least one shard's
     range was answered by the scan fallback.  Either flag keeps the result
     out of the executor's cache; ``degraded`` additionally surfaces in the

@@ -90,7 +90,6 @@ class ServerHandle:
         db: Database,
         workers: int = 4,
         partitions: int = 0,
-        engine=None,
         partition_attrs: "tuple[tuple[str, str], ...] | list" = (),
         processes: int = 0,
         cache_bytes: "int | None" = None,
@@ -102,7 +101,7 @@ class ServerHandle:
         from repro.server.executor import DEFAULT_CACHE_BYTES
 
         self.executor = ServerExecutor(
-            db, engine=engine, workers=workers, partitions=partitions,
+            db, workers=workers, partitions=partitions,
             processes=processes,
             cache_bytes=DEFAULT_CACHE_BYTES if cache_bytes is None else cache_bytes,
             max_queue=max_queue, max_inflight=max_inflight,

@@ -413,13 +413,20 @@ def test_breaker_opens_and_scan_fallback_is_exact(base_bat):
         pool.close()
 
 
-def test_executor_degraded_result_is_honest_and_never_cached(db):
+@pytest.mark.parametrize("query", [
+    _span(1_000, 50_000),
+    # A conjunction refines the shard keys by D; the flag must survive that.
+    Query("R", (
+        Predicate("A", Interval.half_open(1_000, 50_000)),
+        Predicate("D", Interval.half_open(10_000, 90_000)),
+    )),
+], ids=["span", "conjunction"])
+def test_executor_degraded_result_is_honest_and_never_cached(db, query):
     import time
 
     config = _aggressive_resilience(breaker_cooldown=0.5)
     with ServerExecutor(db, workers=2, processes=2, resilience=config) as executor:
         executor.partition("R", "A")
-        query = _span(1_000, 50_000)
         assert not executor.run(query).degraded
         executor.insert("R", {c: [1] for c in "ABCD"})  # invalidate cache
         install_plan(FaultPlan.parse("procpool.worker@1..2=error", seed=9))

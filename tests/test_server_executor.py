@@ -473,3 +473,29 @@ def test_run_batch_budget_covers_queue_wait(db):
                 ])
         finally:
             t.join(timeout=10)
+
+
+def test_run_batch_keeps_the_deadline_of_a_repeat_with_a_shorter_budget(db):
+    """Dedup must not merge identical queries with different budgets: the
+    short-budget repeat would otherwise be answered on the first member's
+    deadline, long after its own had passed."""
+    with ServerExecutor(db, workers=1, cache_bytes=0) as executor:
+        lock = executor.registry.lock_for("R")
+        acquired = threading.Event()
+
+        def holder():
+            with lock.write():
+                acquired.set()
+                time.sleep(0.4)
+
+        t = threading.Thread(target=holder)
+        t.start()
+        acquired.wait(timeout=5)
+        try:
+            with pytest.raises(QueryTimeout):
+                executor.run_batch([
+                    ServedQuery(_stuck_query(), timeout=30),
+                    ServedQuery(_stuck_query(), timeout=0.1),
+                ])
+        finally:
+            t.join(timeout=10)
