@@ -7,7 +7,9 @@ Subcommands::
     smoke [--scale S]            run every registered experiment at smoke scale
     gate --config ci/gates.toml  the one CI gate entry point
     report [--output trend.md]   markdown trend tables from the store
-    import-baselines             migrate legacy BENCH_*.json into the store
+
+A config with ``[artifact] ref = "baseline/<name>"`` refreshes that
+experiment's checked-in baseline.
 
 See ``docs/bench.md`` for the config schema and artifact-store layout.
 """
@@ -24,7 +26,6 @@ from repro.bench.registry.artifacts import (
     DEFAULT_ROOT,
     ArtifactError,
     ArtifactStore,
-    import_baseline,
 )
 from repro.bench.registry.config import ConfigError, load_config
 from repro.bench.registry.gates import (
@@ -60,10 +61,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     store = ArtifactStore(args.store)
     for path in args.configs:
         config = load_config(path)
-        outcomes = run_config(
-            config, store, scale=args.scale,
-            compat=not args.no_compat, quiet=args.quiet,
-        )
+        outcomes = run_config(config, store, scale=args.scale,
+                              quiet=args.quiet)
         for outcome in outcomes:
             print(f"stored {outcome.experiment} -> {outcome.record.artifact_id}"
                   f" ({outcome.ref})")
@@ -116,27 +115,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_import_baselines(args: argparse.Namespace) -> int:
-    store = ArtifactStore(args.store)
-    imported = 0
-    for name, spec in EXPERIMENTS.items():
-        if not spec.baseline_ref:
-            continue
-        json_path = Path(args.bench_dir) / (
-            spec.compat_json or f"BENCH_{name}.json")
-        if name == "kernels":
-            json_path = Path(args.bench_dir) / "BENCH_kernels.json"
-        if not json_path.exists():
-            print(f"  skip {name}: no {json_path}")
-            continue
-        record = import_baseline(store, name, json_path, ref=spec.baseline_ref)
-        print(f"  {spec.baseline_ref} -> {record.artifact_id} "
-              f"(from {json_path})")
-        imported += 1
-    print(f"imported {imported} baselines into {store.root}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.bench",
@@ -155,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="TOML/JSON experiment config path(s)")
     run.add_argument("--scale", type=float, default=None,
                      help="override the config's scale (and $REPRO_SCALE)")
-    run.add_argument("--no-compat", action="store_true",
-                     help="suppress the legacy BENCH_*.json compat file")
     run.add_argument("--quiet", action="store_true",
                      help="skip the per-run describe() tables")
     run.set_defaults(func=cmd_run)
@@ -187,12 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="history rows per experiment")
     report.set_defaults(func=cmd_report)
 
-    imp = sub.add_parser(
-        "import-baselines",
-        help="migrate legacy BENCH_*.json files into baseline/* refs")
-    imp.add_argument("--bench-dir", default=".",
-                     help="directory holding the BENCH_*.json files")
-    imp.set_defaults(func=cmd_import_baselines)
     return parser
 
 

@@ -6,7 +6,10 @@
 * **map-set choice** — histogram-driven most-selective head vs. naively
   taking the first predicate;
 * **crack-in-three** — one three-way partition per fresh range vs. two
-  successive two-way partitions (measures touched elements).
+  successive two-way partitions (measures touched elements);
+* **chunk-size enforcement** — bounded vs. unbounded partial-map chunks.
+
+``run()`` runs all five; the ``ablations`` gate judges each one's claim.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.harness import SequenceRunner, SystemSetup, default_scale
-from repro.bench.report import format_table
+from repro.bench.report import variant_table
 from repro.core.partial.engine import PartialConfig
 from repro.cracking.bounds import Interval
 from repro.cracking.crack import crack_bound, crack_into
@@ -167,9 +170,22 @@ def chunk_size_enforcement(scale: float | None = None, queries: int = 200,
     return {"rows": rows, "queries": queries, "totals": out}
 
 
-def describe(name: str, result: dict) -> str:
-    rows = []
-    for label, metrics in result["totals"].items():
-        rows.append([label] + [metrics[k] for k in sorted(metrics)])
-    headers = ["variant"] + sorted(next(iter(result["totals"].values())))
-    return format_table(headers, rows, f"Ablation: {name}")
+#: The ablation studies, keyed by the name their result carries.
+ABLATIONS = {
+    "partial_alignment": partial_alignment,
+    "head_dropping": head_dropping,
+    "mapset_choice": mapset_choice,
+    "crack_kernels": crack_kernels,
+    "chunk_size_enforcement": chunk_size_enforcement,
+}
+
+
+def run(scale: float | None = None) -> dict:
+    """Every ablation at ``scale``, keyed by name."""
+    return {name: study(scale=scale) for name, study in ABLATIONS.items()}
+
+
+def describe(result: dict) -> str:
+    return "\n\n".join(
+        variant_table(f"Ablation: {name.replace('_', ' ')}", study["totals"])
+        for name, study in result.items())

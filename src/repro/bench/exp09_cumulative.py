@@ -19,6 +19,7 @@ def run(scale: float | None = None, queries: int = 300, batch: int = 30,
         seed: int = 61) -> dict:
     workload = make_workload(scale, seed)
     totals: dict[str, dict[str, float]] = {}
+    totals_model: dict[str, dict[str, float]] = {}
     for fraction in RESULT_FRACTIONS:
         result_rows = max(20, int(workload.rows * fraction))
         sequence = workload.sequence(queries, batch, result_rows)
@@ -26,19 +27,26 @@ def run(scale: float | None = None, queries: int = 300, batch: int = 30,
             budget = None if factor is None else factor * workload.rows
             key = f"S={fraction:g} {t_label}"
             totals[key] = {}
+            totals_model[key] = {}
             for system in (FULL, PARTIAL):
                 runner = run_sequence(workload, sequence, system, budget)
                 totals[key][system] = runner.cumulative_seconds()
-    return {"rows": workload.rows, "queries": queries, "totals_seconds": totals}
+                totals_model[key][system] = runner.cumulative_model_ms()
+    return {"rows": workload.rows, "queries": queries, "totals_seconds": totals,
+            "totals_model_ms": totals_model}
 
 
 def describe(result: dict) -> str:
-    headers = ["case", "full (s)", "partial (s)", "partial/full"]
+    headers = ["case", "full (s)", "partial (s)", "partial/full",
+               "partial/full (model)"]
     rows = []
     for case, systems in result["totals_seconds"].items():
         full = systems[FULL]
         partial = systems[PARTIAL]
-        rows.append([case, full, partial, partial / full if full else float("nan")])
+        model = result["totals_model_ms"][case]
+        rows.append([case, full, partial,
+                     partial / full if full else float("nan"),
+                     model[PARTIAL] / model[FULL]])
     return format_table(
         headers, rows, "Fig 11: total cumulative cost over the sequence"
     )

@@ -19,24 +19,31 @@ def run(scale: float | None = None, queries: int = 300, seed: int = 67) -> dict:
     budget = 6.0 * workload.rows
     result_rows = max(50, workload.rows // 100)
     totals: dict[int, dict[str, float]] = {}
+    totals_model: dict[int, dict[str, float]] = {}
     for batch in BATCHES:
         sequence = workload.sequence(queries, batch, result_rows)
         changes = queries // batch
         totals[changes] = {}
+        totals_model[changes] = {}
         for system in (FULL, PARTIAL):
             runner = run_sequence(workload, sequence, system, budget)
             totals[changes][system] = runner.cumulative_seconds()
-    return {"rows": workload.rows, "queries": queries, "totals_seconds": totals}
+            totals_model[changes][system] = runner.cumulative_model_ms()
+    return {"rows": workload.rows, "queries": queries, "totals_seconds": totals,
+            "totals_model_ms": totals_model}
 
 
 def describe(result: dict) -> str:
-    headers = ["workload changes", "full (s)", "partial (s)", "full/partial"]
+    headers = ["workload changes", "full (s)", "partial (s)", "full/partial",
+               "full/partial (model)"]
     rows = []
     for changes, systems in sorted(result["totals_seconds"].items()):
         full = systems[FULL]
         partial = systems[PARTIAL]
+        model = result["totals_model_ms"][changes]
         rows.append(
-            [changes, full, partial, full / partial if partial else float("nan")]
+            [changes, full, partial, full / partial if partial else float("nan"),
+             model[FULL] / model[PARTIAL]]
         )
     return format_table(
         headers, rows,

@@ -17,7 +17,6 @@ stochastic policy.
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -69,7 +68,6 @@ def run(
     selectivity: float = 0.001,
     seed: int = 42,
     crack_policy: str | None = None,
-    json_path: str | None = None,
 ) -> dict:
     scale = default_scale() if scale is None else scale
     rows = max(2_000, int(rows * scale))
@@ -159,9 +157,6 @@ def run(
         "engine_failures": engine_failures,
         "headline": headline,
     }
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
     return result
 
 

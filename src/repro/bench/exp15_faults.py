@@ -5,9 +5,9 @@ Three questions the fault subsystem's design hinges on:
 1. **Fault-free path** — with no plan armed, every failpoint is one
    module-level ``None`` check and the atomic guards take no snapshot; the
    per-query overhead versus a hypothetical build without FaultSan should be
-   noise.  Measured as disarmed wall time per query (the kernel perf gate,
-   ``repro.bench.micro --gate``, independently bounds regressions on the
-   crack kernels the hooks are threaded through).
+   noise.  Measured as disarmed wall time per query (the registered
+   ``kernels`` perf gate independently bounds regressions on the crack
+   kernels the hooks are threaded through).
 2. **Journal cost when armed** — ``FORCE_JOURNAL`` snapshots every guarded
    reorganization without injecting anything, isolating the pure journal
    (pre-op copy) overhead a chaos run pays.
@@ -19,7 +19,6 @@ Three questions the fault subsystem's design hinges on:
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -82,7 +81,6 @@ def run(
     queries: int = 64,
     selectivity: float = 0.01,
     seed: int = 42,
-    json_path: str | None = None,
 ) -> dict:
     scale = default_scale() if scale is None else scale
     rows = max(2_000, int(rows * scale))
@@ -163,9 +161,6 @@ def run(
         "journal_forced_total_ms": float(np.sum(journaled)),
         "recovery": recovery,
     }
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
     return result
 
 

@@ -30,7 +30,6 @@ Every run is verified against a scan baseline, exactly like exp14.
 from __future__ import annotations
 
 import hashlib
-import json
 
 import numpy as np
 
@@ -157,7 +156,6 @@ def run(
     selectivity: float = 0.001,
     seed: int = 42,
     crack_budget: "str | float | None" = None,
-    json_path: str | None = "BENCH_exp16_progressive.json",
 ) -> dict:
     scale = default_scale() if scale is None else scale
     rows = max(2_000, int(rows * scale))
@@ -250,9 +248,6 @@ def run(
         "all_match_scan": not mismatches,
         "summary": summary,
     }
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
     return result
 
 

@@ -34,7 +34,6 @@ alone: compare summed worker seconds against elapsed wall time.
 
 from __future__ import annotations
 
-import json
 import time
 
 import numpy as np
@@ -110,7 +109,6 @@ def run(
     templates: int = 120,
     seed: int = 42,
     partitions: int = 8,
-    json_path: str | None = "BENCH_exp18_multicore.json",
 ) -> dict:
     scale = default_scale() if scale is None else scale
     rows = max(10_000, int(rows * scale))
@@ -200,9 +198,6 @@ def run(
         "mismatches": mismatches,
         "summary": summary,
     }
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
     return result
 
 

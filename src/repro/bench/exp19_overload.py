@@ -42,7 +42,6 @@ where chaos is meant.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -325,7 +324,6 @@ def run(
     clients: int = 12,
     requests_per_client: int = 20,
     seed: int = 42,
-    json_path: str | None = "BENCH_exp19_overload.json",
 ) -> dict:
     scale = default_scale() if scale is None else scale
     rows = max(10_000, int(rows * scale))
@@ -415,9 +413,6 @@ def run(
         "breaker_lifecycle": breaker,
         "summary": summary,
     }
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
     return result
 
 

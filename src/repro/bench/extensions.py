@@ -4,6 +4,8 @@
 * cracker join vs a monolithic hash join over cracked inputs;
 * row-store cracking vs column-wise sideways cracking as the projection
   count grows.
+
+``run()`` runs all three; the ``extensions`` gate judges each one's claim.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.harness import default_scale
-from repro.bench.report import format_table
+from repro.bench.report import variant_table
 from repro.core.aggregates import selection_max
 from repro.core.sideways import SidewaysCracker
 from repro.cracking.column import CrackerColumn
@@ -115,9 +117,20 @@ def row_vs_column(scale: float | None = None, queries: int = 60,
     return {"rows": rows, "queries": queries, "totals": out}
 
 
-def describe(name: str, result: dict) -> str:
-    rows = []
-    for label, metrics in result["totals"].items():
-        rows.append([label] + [metrics[k] for k in sorted(metrics)])
-    headers = ["variant"] + sorted(next(iter(result["totals"].values())))
-    return format_table(headers, rows, f"Extension: {name}")
+#: The extension studies, keyed by the name their result carries.
+EXTENSIONS = {
+    "piece_max": piece_max,
+    "join_strategies": join_strategies,
+    "row_vs_column": row_vs_column,
+}
+
+
+def run(scale: float | None = None) -> dict:
+    """Every extension study at ``scale``, keyed by name."""
+    return {name: study(scale=scale) for name, study in EXTENSIONS.items()}
+
+
+def describe(result: dict) -> str:
+    return "\n\n".join(
+        variant_table(f"Extension: {name.replace('_', ' ')}", study["totals"])
+        for name, study in result.items())

@@ -1,34 +1,24 @@
-"""Kernel microbenchmarks and the perf-regression gate.
+"""Kernel microbenchmarks: each crack kernel against its copy ceiling.
 
-``python -m repro.bench.micro`` times each crack kernel against the copy
-ceiling of the same work — ``np.copyto`` of the head and every tail over
-each segment ``[lo, hi)`` the kernel rewrites, on the same arrays with the
-same restore setup — checks every kernel's output against its specification
-(a stable partition gathers every array through ``np.argsort(group_id,
-kind="stable")``), measures the multi-map gang-apply win and the
-``min_piece`` sensitivity, and writes everything to ``BENCH_kernels.json``.
+The ``kernels`` experiment (``python -m repro.bench run ci/kernels.toml``)
+times each crack kernel against the copy ceiling of the same work —
+``np.copyto`` of the head and every tail over each segment ``[lo, hi)`` the
+kernel rewrites, on the same arrays with the same restore setup — checks
+every kernel's output against its specification (a stable partition gathers
+every array through ``np.argsort(group_id, kind="stable")``), and measures
+the multi-map gang-apply win and the ``min_piece`` sensitivity.
 
 Each case's ``ratio`` is ``compare_ms / kernel_ms``: for the single-kernel
 cases the fraction of the copy ceiling the kernel reaches, for
 ``gang_apply_x4`` the gang call's win over four individual calls.  The
-regression gate compares these ratios, not absolute times, so a checked-in
-baseline from one machine remains meaningful on another: a ratio only
-regresses when the kernel itself got slower relative to a same-machine copy.
-Gate usage (what CI runs)::
-
-    python -m repro.bench.micro --json BENCH_current.json \
-        --gate BENCH_kernels.json --tolerance 50
-
-fails (exit 1) when any case's ratio drops more than ``tolerance`` percent
-below the baseline's, comparing only cases run at the same row count and
-against the same ``compare`` side as the baseline.
+registered ``kernels`` gate compares these ratios, not absolute times, so
+the ``baseline/kernels`` ref from one machine remains meaningful on
+another: a ratio only regresses when the kernel itself got slower relative
+to a same-machine copy (see :func:`ratio_failures`).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
 from typing import Callable, Sequence
 
@@ -294,7 +284,6 @@ def run(
     scale: float | None = None,
     rows: int = 1_000_000,
     seed: int = 42,
-    json_path: str | None = None,
 ) -> dict:
     scale = default_scale() if scale is None else scale
     rows = max(4_096, int(rows * scale))
@@ -318,9 +307,6 @@ def run(
         "arena": _bench_arena(rows, seed),
         "all_identical": all(c["identical"] for c in cases),
     }
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(result, handle, indent=2)
     return result
 
 
@@ -378,43 +364,3 @@ def ratio_failures(result: dict, baseline: dict, tolerance_pct: float) -> list[s
                 f"{base['ratio']:.2f})"
             )
     return failures
-
-
-def check_gate(result: dict, baseline: dict, tolerance_pct: float) -> list[str]:
-    """Spec identity plus :func:`ratio_failures`; returns the failures."""
-    failures = [] if result["all_identical"] else ["kernel outputs differ from the spec"]
-    return failures + ratio_failures(result, baseline, tolerance_pct)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", type=float, default=None,
-                        help="row-count scale factor (default: $REPRO_SCALE or 1)")
-    parser.add_argument("--rows", type=int, default=1_000_000)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--json", dest="json_path", default=None,
-                        help="write the result JSON here")
-    parser.add_argument("--gate", default=None,
-                        help="baseline JSON to run the regression gate against")
-    parser.add_argument("--tolerance", type=float, default=50.0,
-                        help="allowed %% ratio regression vs baseline")
-    args = parser.parse_args(argv)
-
-    result = run(scale=args.scale, rows=args.rows, seed=args.seed,
-                 json_path=args.json_path)
-    print(describe(result))
-    if args.gate:
-        with open(args.gate) as handle:
-            baseline = json.load(handle)
-        failures = check_gate(result, baseline, args.tolerance)
-        if failures:
-            print("\nPERF GATE FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print("\nperf gate: ok")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

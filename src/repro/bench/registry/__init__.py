@@ -12,7 +12,9 @@ one bespoke gate per CI job.  This package collapses that into four pieces
   artifact store under ``benchmarks/artifacts/`` holding every benchmark
   result plus the named baseline references CI gates against;
 * :mod:`repro.bench.registry.gates` / :mod:`.trend` — one gate entry point
-  (``python -m repro.bench gate``) and a markdown trend-report builder.
+  (``python -m repro.bench gate``) and a markdown trend-report builder;
+  :mod:`repro.bench.registry.paper_gates` holds the gates named after the
+  paper's figures.
 
 Importing this package registers the built-in components and experiments
 (:mod:`repro.bench.registry.components`,
@@ -35,6 +37,7 @@ from repro.bench.registry.core import (
 from repro.bench.registry import components as _components  # noqa: F401
 from repro.bench.registry import experiments as _experiments  # noqa: F401
 from repro.bench.registry import gates as _gates  # noqa: F401
+from repro.bench.registry import paper_gates as _paper_gates  # noqa: F401
 
 __all__ = [
     "DATASETS",

@@ -194,16 +194,3 @@ class ArtifactStore:
         raise ArtifactError(
             f"cannot resolve {source!r}: not a ref, artifact id, or file")
 
-
-def import_baseline(
-    store: ArtifactStore, experiment: str, json_path: str | Path,
-    ref: str | None = None,
-) -> ArtifactRecord:
-    """Migrate a legacy flat ``BENCH_*.json`` into the store as a baseline ref."""
-    path = Path(json_path)
-    with path.open() as handle:
-        payload = json.load(handle)
-    meta = run_metadata(experiment, imported_from=str(path))
-    record = store.put(payload, meta)
-    store.set_ref(ref or f"baseline/{experiment}", record.artifact_id)
-    return record

@@ -20,8 +20,7 @@ parameter sweep::
     crack_budget = [0.01, 0.05]
 
     [artifact]
-    ref = "current/exp16"                      # named ref for this run
-    compat_json = "BENCH_exp16_progressive.json"  # false disables
+    ref = "current/exp16"  # named ref; "baseline/exp16" refreshes the baseline
 
 Unknown sections and unknown keys are rejected outright — a typo must
 fail the run, not silently fall back to a default.
@@ -45,7 +44,7 @@ _SECTIONS = {
     "run": {"sanitize", "faults", "racesan"},
     "params": None,  # free-form; validated against the spec at run time
     "sweep": None,
-    "artifact": {"ref", "compat_json"},
+    "artifact": {"ref"},
 }
 
 
@@ -58,8 +57,6 @@ class ExperimentConfig:
     sweep: dict = field(default_factory=dict)
     env: dict = field(default_factory=dict)  # sanitize / faults / racesan
     ref: str | None = None
-    #: None = spec default; False = suppressed; str = explicit filename.
-    compat_json: str | bool | None = None
     path: str | None = None
 
     def cells(self) -> list[dict]:
@@ -140,14 +137,6 @@ def parse_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(
             f"{source}: {sorted(overlap)} appear in both [params] and [sweep]")
 
-    artifact = raw.get("artifact", {})
-    compat = artifact.get("compat_json")
-    if compat is not None and not isinstance(compat, (str, bool)):
-        raise ConfigError(
-            f"{source}: [artifact] compat_json must be a string or false")
-    if compat is True:
-        compat = None  # "true" = spec default, same as omitting the key
-
     return ExperimentConfig(
         name=name,
         scale=float(scale) if scale is not None else None,
@@ -155,7 +144,6 @@ def parse_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         params=params,
         sweep=sweep,
         env={k: v for k, v in raw.get("run", {}).items() if v is not None},
-        ref=artifact.get("ref"),
-        compat_json=compat,
+        ref=raw.get("artifact", {}).get("ref"),
         path=source,
     )

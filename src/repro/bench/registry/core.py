@@ -92,11 +92,10 @@ EXPERIMENTS = Registry("experiment")
 class ExperimentSpec:
     """One runnable experiment: where its driver lives and how CI treats it.
 
-    The driver contract is unchanged from the bespoke era — a module with
-    ``run(scale=..., **params, json_path=...) -> dict`` and
-    ``describe(result) -> str`` — so every pre-registry CLI entry point
-    keeps working; the spec is the declarative layer the config runner,
-    artifact store, and gate command resolve through.
+    The driver contract is a module with ``run(scale=..., **params) -> dict``
+    and ``describe(result) -> str``; the spec is the declarative layer the
+    config runner, artifact store, gate command and ``python -m repro``
+    resolve through.
     """
 
     name: str
@@ -104,9 +103,6 @@ class ExperimentSpec:
     description: str
     #: run() keyword arguments a config's ``[params]`` table may set.
     params: tuple[str, ...] = ()
-    #: Legacy flat-JSON filename (``BENCH_*.json``) the driver writes for
-    #: bit-compatibility with pre-registry gates; None = no compat file.
-    compat_json: str | None = None
     #: Named reference the checked-in baseline lives under in the store.
     baseline_ref: str | None = None
     #: GATES entry that judges this experiment's result payload.

@@ -88,6 +88,12 @@ def gate_exp14(current, baseline, options) -> list[GateCheck]:
     checks = [GateCheck(
         "engines_match_scan", bool(current.get("engines_match_scan")),
         f"engine_failures = {current.get('engine_failures')!r}")]
+    mismatched = [f"{policy} on {pattern}"
+                  for pattern, cells in current.get("grid", {}).items()
+                  for policy, cell in cells.items() if not cell["matches_scan"]]
+    checks.append(GateCheck(
+        "every_cell_matches_scan", not mismatched,
+        f"policy x pattern cells off the scan: {mismatched or 'none'}"))
     min_ratio = options.get("min_headline_ratio")
     if min_ratio is not None:
         headline = current.get("headline") or {}
@@ -228,7 +234,13 @@ def run_gates(
                 baseline = store.resolve(entry.baseline)
             except (ArtifactError, json.JSONDecodeError):
                 baseline = None
-        checks = checker(current, baseline, options)
+        try:
+            checks = checker(current, baseline, options)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            results.append(GateResult(
+                entry.name, entry.experiment, ok=False,
+                error=f"payload lacks the shape this gate reads: {exc!r}"))
+            continue
         results.append(GateResult(
             entry.name, entry.experiment,
             ok=all(c.ok for c in checks), checks=checks))

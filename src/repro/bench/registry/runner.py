@@ -4,9 +4,7 @@
 experiment registry, expands its sweep, executes every cell with seeded
 determinism, and lands each result in the artifact store with full
 provenance (git SHA, host, scale + ``REPRO_SCALE`` echo, seed, params,
-fault/sanitizer environment).  Drivers still write their legacy
-``BENCH_*.json`` alongside (unless the config suppresses it), so every
-pre-registry consumer of those files keeps working bit for bit.
+fault/sanitizer environment).  The store is the only place a run writes.
 """
 
 from __future__ import annotations
@@ -74,7 +72,6 @@ def run_config(
     config: ExperimentConfig,
     store: ArtifactStore,
     scale: float | None = None,
-    compat: bool = True,
     echo=print,
     quiet: bool = False,
 ) -> list[RunOutcome]:
@@ -96,14 +93,6 @@ def run_config(
     resolved_scale = (scale if scale is not None
                       else config.scale if config.scale is not None
                       else default_scale())
-    compat_json: str | None
-    if not compat or config.compat_json is False:
-        compat_json = None
-    elif isinstance(config.compat_json, str):
-        compat_json = config.compat_json
-    else:
-        compat_json = spec.compat_json
-
     base_ref = config.ref or f"current/{spec.name}"
     outcomes: list[RunOutcome] = []
     previous = _armed_env(config.env)
@@ -113,8 +102,6 @@ def run_config(
             kwargs["scale"] = resolved_scale
             if config.seed is not None:
                 kwargs["seed"] = config.seed
-            kwargs["json_path"] = (
-                compat_json if compat_json and len(cells) == 1 else None)
             result = spec.run(**kwargs)
             meta = run_metadata(
                 spec.name,
@@ -162,11 +149,9 @@ def run_smoke(
             scale=base_scale * spec.smoke_factor,
             params=dict(spec.smoke_params),
             ref=f"smoke/{name}",
-            compat_json=False,
             path=f"<smoke:{name}>",
         )
         echo(f"-- smoke: {name} @ scale {config.scale:g}")
-        outcomes.extend(run_config(config, store, compat=False, echo=echo,
-                                   quiet=quiet))
+        outcomes.extend(run_config(config, store, echo=echo, quiet=quiet))
         echo(f"   ok: {outcomes[-1].record.artifact_id}")
     return outcomes

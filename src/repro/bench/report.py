@@ -24,6 +24,14 @@ def format_table(
     return "\n".join(lines)
 
 
+def variant_table(title: str, totals: dict[str, dict[str, object]]) -> str:
+    """One row per variant, one column per metric (sorted by name)."""
+    metrics = sorted(next(iter(totals.values())))
+    rows = [[label] + [values[k] for k in metrics]
+            for label, values in totals.items()]
+    return format_table(["variant"] + metrics, rows, title)
+
+
 def _fmt(cell: object) -> str:
     if isinstance(cell, float):
         if cell == 0:

@@ -2,8 +2,9 @@
 
 Usage::
 
-    python -m repro list                      # all experiments + ablations
+    python -m repro list                      # every registered experiment
     python -m repro run exp01 [--scale 2.0]   # run one, print its tables
+    python -m repro run ablations             # the five ablation studies
     python -m repro run all --scale 0.5
     python -m repro verify                    # TPC-H cross-system agreement
 """
@@ -11,122 +12,56 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import sys
 import time
-
-EXPERIMENTS = {
-    "exp01": ("exp01_tuple_reconstruction", "Fig 4(a) + Tot/TR/Sel table"),
-    "exp02": ("exp02_selectivity", "Fig 4(b) varying selectivity"),
-    "exp03": ("exp03_reordering", "Exp3 reordering intermediate results"),
-    "exp04": ("exp04_joins", "Fig 5 join queries"),
-    "exp05": ("exp05_skew", "Fig 6 skewed workload"),
-    "exp06": ("exp06_updates", "Fig 7 updates (HFLV/LFHV)"),
-    "exp07": ("exp07_storage", "Fig 9 storage restrictions"),
-    "exp08": ("exp08_adaptation", "Fig 10 workload adaptation"),
-    "exp09": ("exp09_cumulative", "Fig 11 cumulative sequence cost"),
-    "exp10": ("exp10_change_rate", "Fig 12 workload change rate"),
-    "exp11": ("exp11_alignment", "Fig 13 alignment cost"),
-    "exp12": ("exp12_tpch", "Fig 14 + TPC-H summary table"),
-    "exp13": ("exp13_tpch_mixed", "Section 5 mixed TPC-H workload"),
-    "exp14": ("exp14_robustness",
-              "Stochastic cracking robustness (policies x adversarial patterns)"),
-    "exp15": ("exp15_faults",
-              "FaultSan overhead (journal cost, recovery cost, rebuild cost)"),
-    "exp16": ("exp16_progressive",
-              "Progressive cracking (per-query budgets x adaptive policy)"),
-    "exp17": ("exp17_concurrency",
-              "Concurrent serving throughput + bit-identity vs serial"),
-    "exp18": ("exp18_multicore",
-              "Process-parallel shard workers vs threads vs serial"),
-    "exp19": ("exp19_overload",
-              "Overload: admission control, breakers, degraded serving"),
-}
-
-ABLATIONS = ("partial_alignment", "head_dropping", "mapset_choice",
-             "crack_kernels", "chunk_size_enforcement")
-EXTENSIONS = ("piece_max", "join_strategies", "row_vs_column")
 
 
 def _run_experiment(
     name: str, scale: float | None, crack_policy: str | None = None,
     crack_budget: str | None = None,
 ) -> None:
-    module_name, _ = EXPERIMENTS[name]
-    module = importlib.import_module(f"repro.bench.{module_name}")
+    from repro.bench.registry import EXPERIMENTS
+
+    spec = EXPERIMENTS.get(name)
     kwargs: dict = {"scale": scale}
     for flag, value in (("crack_policy", crack_policy),
                         ("crack_budget", crack_budget)):
-        if value is not None:
-            import inspect
-
-            if flag not in inspect.signature(module.run).parameters:
-                print(f"note: {name} ignores --{flag.replace('_', '-')}",
-                      file=sys.stderr)
-            else:
-                kwargs[flag] = value
+        if value is None:
+            continue
+        if flag in spec.params:
+            kwargs[flag] = value
+        else:
+            print(f"note: {name} ignores --{flag.replace('_', '-')}",
+                  file=sys.stderr)
     start = time.perf_counter()
-    result = module.run(**kwargs)
+    result = spec.run(**kwargs)
     elapsed = time.perf_counter() - start
     print(f"== {name} ({elapsed:.1f}s) ==")
-    print(module.describe(result))
-    print()
-
-
-def _run_named(kind: str, name: str, scale: float | None) -> None:
-    module = importlib.import_module(f"repro.bench.{kind}")
-    fn = getattr(module, name)
-    start = time.perf_counter()
-    result = fn(scale=scale)
-    elapsed = time.perf_counter() - start
-    print(f"== {kind}.{name} ({elapsed:.1f}s) ==")
-    print(module.describe(name, result))
+    print(spec.describe(result))
     print()
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
-    print("experiments (paper tables & figures):")
-    for name, (_, blurb) in EXPERIMENTS.items():
-        print(f"  {name:<8} {blurb}")
-    print("ablations:")
-    for name in ABLATIONS:
-        print(f"  abl:{name}")
-    print("extensions (paper future work):")
-    for name in EXTENSIONS:
-        print(f"  ext:{name}")
-    from repro.bench.registry import EXPERIMENTS as REGISTRY_EXPERIMENTS
+    from repro.bench.registry import EXPERIMENTS
 
-    print("registry experiments (python -m repro.bench run/smoke/gate/report):")
-    for name, spec in sorted(REGISTRY_EXPERIMENTS.items()):
-        print(f"  {name:<8} {spec.description}")
+    print("experiments (python -m repro run <name>):")
+    for name, spec in EXPERIMENTS.items():
+        print(f"  {name:<10} {spec.description}")
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from repro.bench.registry import EXPERIMENTS
+
     target = args.experiment
-    crack_policy = getattr(args, "crack_policy", None)
-    crack_budget = getattr(args, "crack_budget", None)
-    if target == "all":
-        for name in EXPERIMENTS:
-            _run_experiment(name, args.scale, crack_policy, crack_budget)
-        for name in ABLATIONS:
-            _run_named("ablations", name, args.scale)
-        for name in EXTENSIONS:
-            _run_named("extensions", name, args.scale)
-        return 0
-    if target in EXPERIMENTS:
-        _run_experiment(target, args.scale, crack_policy, crack_budget)
-        return 0
-    if target.startswith("abl:") and target[4:] in ABLATIONS:
-        _run_named("ablations", target[4:], args.scale)
-        return 0
-    if target.startswith("ext:") and target[4:] in EXTENSIONS:
-        _run_named("extensions", target[4:], args.scale)
-        return 0
-    print(f"unknown experiment {target!r}; try `python -m repro list`",
-          file=sys.stderr)
-    return 2
+    if target != "all" and target not in EXPERIMENTS:
+        print(f"unknown experiment {target!r}; try `python -m repro list`",
+              file=sys.stderr)
+        return 2
+    for name in EXPERIMENTS.names() if target == "all" else [target]:
+        _run_experiment(name, args.scale, args.crack_policy, args.crack_budget)
+    return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -211,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     run = sub.add_parser("run", help="run one experiment (or 'all')")
-    run.add_argument("experiment", help="expNN, abl:<name>, ext:<name>, or all")
+    run.add_argument("experiment",
+                     help="a name from `python -m repro list`, or all")
     run.add_argument("--scale", type=float, default=None,
                      help="scale factor for rows/thresholds (default 1.0)")
     run.add_argument("--crack-policy", default=None,

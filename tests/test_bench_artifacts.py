@@ -9,7 +9,6 @@ from repro.bench.registry.artifacts import (
     ArtifactStore,
     canonical_json,
     content_id,
-    import_baseline,
     run_metadata,
 )
 
@@ -133,19 +132,3 @@ class TestRunHistory:
         assert len(store.runs("expA")) == 1
         assert len(store.runs()) == 2
 
-
-class TestImportBaseline:
-    def test_import_sets_baseline_ref(self, store, tmp_path):
-        path = tmp_path / "BENCH_exp99.json"
-        path.write_text(json.dumps(PAYLOAD))
-        record = import_baseline(store, "exp99", path)
-        assert store.get_ref("baseline/exp99") == record.artifact_id
-        assert store.resolve("ref:baseline/exp99") == PAYLOAD
-        assert record.meta["imported_from"] == str(path)
-
-    def test_import_id_matches_direct_content_id(self, store, tmp_path):
-        path = tmp_path / "BENCH_exp99.json"
-        path.write_text(json.dumps(PAYLOAD, indent=2, sort_keys=True))
-        record = import_baseline(store, "exp99", path)
-        # Formatting of the legacy file must not affect the stored ID.
-        assert record.artifact_id == content_id(PAYLOAD)

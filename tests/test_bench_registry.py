@@ -75,8 +75,9 @@ class TestRegistry:
 
 class TestBuiltinRegistrations:
     def test_experiments_registered(self):
-        for name in ("kernels", "exp14", "exp15", "exp16", "exp17",
-                     "exp18", "exp19"):
+        paper = [f"exp{i:02d}" for i in range(1, 14)]
+        for name in paper + ["ablations", "extensions", "kernels", "exp14",
+                             "exp15", "exp16", "exp17", "exp18", "exp19"]:
             spec = EXPERIMENTS.get(name)
             assert isinstance(spec, ExperimentSpec)
             assert spec.name == name
@@ -182,14 +183,6 @@ class TestConfigParsing:
             {"fixed": 1, "a": 2, "b": "u"},
             {"fixed": 1, "a": 2, "b": "v"},
         ]
-
-    def test_compat_json_true_means_spec_default(self):
-        cfg = parse_config({"experiment": {"name": "x"},
-                            "artifact": {"compat_json": True}})
-        assert cfg.compat_json is None
-        cfg = parse_config({"experiment": {"name": "x"},
-                            "artifact": {"compat_json": False}})
-        assert cfg.compat_json is False
 
     def test_checked_in_ci_configs_parse(self):
         from pathlib import Path

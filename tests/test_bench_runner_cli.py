@@ -1,6 +1,5 @@
 """Config runner, smoke runner, trend report, and the repro.bench CLI."""
 
-import json
 import os
 
 import pytest
@@ -13,18 +12,14 @@ from repro.bench.registry.runner import run_config, run_smoke
 from repro.bench.registry.trend import build_report, mann_whitney_u
 
 
-def _toy_driver(scale=1.0, queries=10, seed=42, json_path=None):
-    result = {
+def _toy_driver(scale=1.0, queries=10, seed=42):
+    return {
         "scale": scale,
         "queries": queries,
         "seed": seed,
         "env_faults": os.environ.get("REPRO_FAULTS"),
         "summary": {"speedup": 2.0 * scale, "all_ok": True},
     }
-    if json_path:
-        with open(json_path, "w") as handle:
-            json.dump(result, handle, indent=2, sort_keys=True)
-    return result
 
 
 @pytest.fixture
@@ -34,7 +29,6 @@ def toy_spec():
         module="<toy>",
         description="toy experiment for runner tests",
         params=("queries", "seed"),
-        compat_json="BENCH_toy.json",
         baseline_ref="baseline/toyexp",
         runner=_toy_driver,
     )
@@ -51,9 +45,7 @@ def store(tmp_path):
 
 
 class TestRunConfig:
-    def test_single_run_stores_artifact_ref_and_compat(
-            self, toy_spec, store, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
+    def test_single_run_stores_artifact_and_ref(self, toy_spec, store):
         config = ExperimentConfig(name="toyexp", scale=0.5,
                                   params={"queries": 3})
         (outcome,) = run_config(config, store, quiet=True)
@@ -61,29 +53,25 @@ class TestRunConfig:
         assert store.resolve("ref:current/toyexp") == outcome.result
         assert outcome.result["queries"] == 3
         assert outcome.result["scale"] == 0.5
-        # The legacy compat JSON is written next to the invocation...
-        compat = json.loads((tmp_path / "BENCH_toy.json").read_text())
-        assert compat == outcome.result
-        # ...and metadata carries the provenance the gate/report rely on.
+        # Metadata carries the provenance the gate/report rely on.
         assert outcome.record.meta["scale"] == 0.5
         assert outcome.record.meta["params"] == {"queries": 3}
 
     def test_scale_precedence(self, toy_spec, store, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.25")
         config = ExperimentConfig(name="toyexp")
-        (outcome,) = run_config(config, store, compat=False, quiet=True)
+        (outcome,) = run_config(config, store, quiet=True)
         assert outcome.result["scale"] == 0.25  # env default
         assert outcome.record.meta["repro_scale_env"] == "0.25"
         config = ExperimentConfig(name="toyexp", scale=0.5)
-        (outcome,) = run_config(config, store, compat=False, quiet=True)
+        (outcome,) = run_config(config, store, quiet=True)
         assert outcome.result["scale"] == 0.5  # config beats env
-        (outcome,) = run_config(config, store, scale=0.75, compat=False,
-                                quiet=True)
+        (outcome,) = run_config(config, store, scale=0.75, quiet=True)
         assert outcome.result["scale"] == 0.75  # CLI beats config
 
     def test_seed_flows_into_run_and_metadata(self, toy_spec, store):
         config = ExperimentConfig(name="toyexp", seed=7)
-        (outcome,) = run_config(config, store, compat=False, quiet=True)
+        (outcome,) = run_config(config, store, quiet=True)
         assert outcome.result["seed"] == 7
         assert outcome.record.meta["seed"] == 7
 
@@ -102,7 +90,7 @@ class TestRunConfig:
     def test_sweep_fans_out_with_indexed_refs(self, toy_spec, store):
         config = ExperimentConfig(name="toyexp",
                                   sweep={"queries": [1, 2, 3]})
-        outcomes = run_config(config, store, compat=False, quiet=True)
+        outcomes = run_config(config, store, quiet=True)
         assert [o.ref for o in outcomes] == [
             "current/toyexp/0", "current/toyexp/1", "current/toyexp/2"]
         assert [o.result["queries"] for o in outcomes] == [1, 2, 3]
@@ -112,7 +100,7 @@ class TestRunConfig:
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         config = ExperimentConfig(name="toyexp",
                                   env={"faults": "mapset.align=error"})
-        (outcome,) = run_config(config, store, compat=False, quiet=True)
+        (outcome,) = run_config(config, store, quiet=True)
         assert outcome.result["env_faults"] == "mapset.align=error"
         assert "REPRO_FAULTS" not in os.environ
 
@@ -120,17 +108,21 @@ class TestRunConfig:
         config = ExperimentConfig(name="toyexp",
                                   env={"faults": "not a fault plan !!"})
         with pytest.raises(Exception):
-            run_config(config, store, compat=False, quiet=True)
+            run_config(config, store, quiet=True)
 
-    def test_no_compat_suppresses_json(self, toy_spec, store, tmp_path,
-                                       monkeypatch):
+    def test_run_writes_only_into_store(self, toy_spec, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        config = ExperimentConfig(name="toyexp")
-        run_config(config, store, compat=False, quiet=True)
-        assert not (tmp_path / "BENCH_toy.json").exists()
-        config = ExperimentConfig(name="toyexp", compat_json=False)
-        run_config(config, store, quiet=True)
-        assert not (tmp_path / "BENCH_toy.json").exists()
+        store = ArtifactStore(tmp_path / "artifacts")
+        run_config(ExperimentConfig(name="toyexp"), store, quiet=True)
+        assert [p.name for p in tmp_path.iterdir()] == ["artifacts"]
+
+    def test_config_ref_refreshes_baseline(self, toy_spec, store):
+        config = ExperimentConfig(name="toyexp", scale=0.25,
+                                  ref="baseline/toyexp")
+        (outcome,) = run_config(config, store, quiet=True)
+        assert outcome.ref == "baseline/toyexp"
+        assert store.resolve("ref:baseline/toyexp")["scale"] == 0.25
+        assert store.get_ref("current/toyexp") is None
 
 
 class TestRunSmoke:
@@ -141,20 +133,14 @@ class TestRunSmoke:
         toy = [o for o in outcomes if o.experiment == "toyexp"]
         assert len(toy) == 1
         assert toy[0].ref == "smoke/toyexp"
-        # Smoke never writes legacy compat files.
-        assert not (tmp_path / "BENCH_toy.json").exists()
 
 
 class TestTrendReport:
     def test_report_renders_current_and_baseline(self, toy_spec, store):
-        from repro.bench.registry.artifacts import import_baseline
-
-        base_path = store.root.parent / "BENCH_toy.json"
-        base_path.write_text(json.dumps(
-            {"summary": {"speedup": 1.5, "all_ok": True}}))
-        import_baseline(store, "toyexp", base_path, ref="baseline/toyexp")
+        run_config(ExperimentConfig(name="toyexp", scale=0.75,
+                                    ref="baseline/toyexp"), store, quiet=True)
         config = ExperimentConfig(name="toyexp", scale=0.5)
-        run_config(config, store, compat=False, quiet=True)
+        run_config(config, store, quiet=True)
         report = build_report(store, experiments=["toyexp"])
         assert "## toyexp" in report
         assert "current" in report and "baseline" in report
@@ -215,8 +201,6 @@ class TestCli:
         store = ArtifactStore(tmp_path / "store")
         payload = store.resolve("ref:current/toyexp")
         assert payload["queries"] == 4 and payload["seed"] == 9
-        compat = json.loads((tmp_path / "BENCH_toy.json").read_text())
-        assert compat == payload
 
     def test_run_rejects_bad_config_with_exit_two(self, tmp_path):
         from repro.bench.__main__ import main
@@ -228,23 +212,9 @@ class TestCli:
     def test_report_writes_markdown(self, toy_spec, store, tmp_path):
         from repro.bench.__main__ import main
 
-        run_config(ExperimentConfig(name="toyexp"), store, compat=False,
-                   quiet=True)
+        run_config(ExperimentConfig(name="toyexp"), store, quiet=True)
         out = tmp_path / "trend.md"
         rc = main(["--store", str(store.root), "report",
                    "--experiments", "toyexp", "--output", str(out)])
         assert rc == 0
         assert out.read_text().startswith("# Benchmark trends")
-
-    def test_import_baselines_from_dir(self, toy_spec, tmp_path, capsys):
-        from repro.bench.__main__ import main
-
-        bench_dir = tmp_path / "bench"
-        bench_dir.mkdir()
-        (bench_dir / "BENCH_toy.json").write_text(
-            json.dumps({"summary": {"all_ok": True}}))
-        rc = main(["--store", str(tmp_path / "store"), "import-baselines",
-                   "--bench-dir", str(bench_dir)])
-        assert rc == 0
-        store = ArtifactStore(tmp_path / "store")
-        assert store.get_ref("baseline/toyexp") is not None

@@ -2,19 +2,16 @@
 
 import pytest
 
-from repro.cli import ABLATIONS, EXPERIMENTS, EXTENSIONS, build_parser, main
+from repro.bench.registry import EXPERIMENTS
+from repro.cli import build_parser, main
 
 
 class TestParser:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
-        out = capsys.readouterr().out
-        for name in EXPERIMENTS:
-            assert name in out
-        for name in ABLATIONS:
-            assert f"abl:{name}" in out
-        for name in EXTENSIONS:
-            assert f"ext:{name}" in out
+        lines = capsys.readouterr().out.splitlines()
+        listed = [line.split()[0] for line in lines[1:]]
+        assert listed == EXPERIMENTS.names()  # each experiment once
 
     def test_unknown_experiment(self, capsys):
         assert main(["run", "exp99"]) == 2
@@ -33,12 +30,21 @@ class TestRun:
         assert "unordered" in out
 
     def test_run_ablation(self, capsys):
-        assert main(["run", "abl:crack_kernels", "--scale", "0.2"]) == 0
-        assert "crack_in_three" in capsys.readouterr().out
+        assert main(["run", "ablations", "--scale", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert "crack_in_three" in out
+        assert "Ablation: chunk size enforcement" in out
 
     def test_run_extension(self, capsys):
-        assert main(["run", "ext:piece_max", "--scale", "0.2"]) == 0
-        assert "piece_exploiting" in capsys.readouterr().out
+        assert main(["run", "extensions", "--scale", "0.2"]) == 0
+        out = capsys.readouterr().out
+        assert "piece_exploiting" in out
+        assert "Extension: row vs column" in out
+
+    def test_run_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "exp17", "--scale", "0.02"]) == 0
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVerify:
