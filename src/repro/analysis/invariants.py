@@ -244,10 +244,13 @@ def _length_violation(
 def _duplicate_key_violations(
     structure: str, keys: np.ndarray, seed: int | None
 ) -> list[InvariantViolation]:
-    if len(keys) == len(np.unique(keys)):
+    # A sort and a neighbour compare: several times cheaper than the
+    # hash-based np.unique on every deep sweep of a clean column.
+    ordered = np.sort(keys)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if not len(repeated):
         return []
-    values, counts = np.unique(keys, return_counts=True)
-    dupes = values[counts > 1]
+    dupes = np.unique(repeated)
     return [_violation(
         structure, "duplicate-keys",
         f"{len(dupes)} tuple key(s) appear more than once "

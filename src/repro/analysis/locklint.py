@@ -48,10 +48,6 @@ name-based resolution to stay sound.
     A read of ``db.data_version`` with no table lock held on some call
     path.  The PR 6 race class: a version sampled outside the lock that
     serialized the query can key a cache entry the data no longer matches.
-``raw-lock-construction``
-    ``threading.Lock`` / ``RLock`` / ``Condition`` / ``Semaphore``
-    constructed outside :mod:`repro.server.locks` (the race detector's own
-    internals are exempt — a detector cannot instrument itself).
 ``lock-in-cleanup``
     A table/shard lock acquired inside an ``except`` handler or
     ``finally`` block.  Cleanup paths run while the system is already
@@ -59,8 +55,10 @@ name-based resolution to stay sound.
 
 **Suppression.**  A trailing ``# locksan: allow(rule-name)`` comment
 silences that rule on that line (several rules comma-separate).  Each
-suppression marks a *documented* exception — the two sanctioned ones in
-the executor carry their correctness argument in the adjacent comment.
+suppression marks a *documented* exception — the one sanctioned in the
+executor carries its correctness argument in the adjacent comment.  Raw
+``threading`` lock construction outside :mod:`repro.server.locks` is
+:mod:`repro.analysis.lint`'s ``raw-lock-construction`` rule.
 
 Exit status contract (same as :mod:`repro.analysis.lint`): **0** clean,
 **1** violations, **2** usage error.
@@ -78,7 +76,6 @@ from pathlib import Path
 from repro.analysis.lint import (
     LintUsageError,
     LintViolation,
-    _LOCK_CTORS,
     _attr_or_name,
     _dotted,
     _from_import_aliases,
@@ -99,16 +96,9 @@ RULES: dict[str, str] = {
         "under a write lock",
     "unlocked-version-read":
         "db.data_version read with no table lock held on some call path",
-    "raw-lock-construction":
-        "raw threading lock constructed outside repro.server.locks",
     "lock-in-cleanup":
         "table/shard lock acquired inside an except/finally cleanup path",
 }
-
-#: Files allowed to construct raw threading primitives (see lint's rule).
-_RAW_LOCK_ALLOWED = (
-    "server/locks.py", "analysis/racesan.py", "analysis/diagnostics.py",
-)
 
 #: Only functions defined in these path fragments join the call graph for
 #: effect propagation; everything else is checked file-locally.
@@ -123,14 +113,6 @@ _BLOCKING_METHODS = frozenset({
     "recv", "recv_into", "sendall", "accept", "connect", "listen",
     "makefile", "result",
 })
-
-
-def _path_allowed(path: Path, allowlist: tuple[str, ...]) -> bool:
-    posix = path.as_posix()
-    return any(
-        posix == suffix or posix.endswith("/" + suffix)
-        for suffix in allowlist
-    )
 
 
 def _allow_map(source: str) -> dict[int, frozenset[str]]:
@@ -224,13 +206,12 @@ class _FuncVisitor(ast.NodeVisitor):
     """Walk one function body tracking the lexical held-lock stack."""
 
     def __init__(self, linter: "LockLint", summary: _Summary,
-                 aliases: "_FileAliases", allows: dict[int, frozenset[str]],
-                 raw_lock_exempt: bool) -> None:
+                 aliases: "_FileAliases",
+                 allows: dict[int, frozenset[str]]) -> None:
         self.linter = linter
         self.summary = summary
         self.aliases = aliases
         self.allows = allows
-        self.raw_lock_exempt = raw_lock_exempt
         self.held: list[tuple[str | None, str, str]] = []  # rank, mode, text
         self.env: dict[str, str] = {}
         self.cleanup = 0
@@ -381,7 +362,6 @@ class _FuncVisitor(ast.NodeVisitor):
             ref = _attr_or_name(arg)
             if ref is not None and isinstance(arg, ast.Attribute):
                 self._record_call(ref, arg)
-        self._check_raw_lock(node)
         reason = self._blocking_reason(node)
         if reason is not None:
             suppressed = self._suppressed(node, "blocking-under-write-lock")
@@ -394,28 +374,6 @@ class _FuncVisitor(ast.NodeVisitor):
             if not suppressed and self.summary.blocking is None:
                 self.summary.blocking = reason
         self.generic_visit(node)
-
-    def _check_raw_lock(self, node: ast.Call) -> None:
-        if self.raw_lock_exempt:
-            return
-        dotted = _dotted(node.func)
-        if dotted is None:
-            return
-        parts = dotted.split(".")
-        ctor = None
-        if (len(parts) == 2 and parts[0] in self.aliases.threading
-                and parts[1] in _LOCK_CTORS):
-            ctor = parts[1]
-        elif len(parts) == 1 and parts[0] in self.aliases.lock_ctors:
-            ctor = self.aliases.lock_ctors[parts[0]]
-        if ctor is not None and not self._suppressed(
-                node, "raw-lock-construction"):
-            self._report(
-                node, "raw-lock-construction",
-                f"raw threading.{ctor}() in {self.summary.qualname}(); "
-                f"construct locks in repro.server.locks so RaceSan sees "
-                f"every acquisition",
-            )
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if (
@@ -436,7 +394,6 @@ class _FuncVisitor(ast.NodeVisitor):
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.linter.add_function(
             node, None, Path(self.summary.path), self.aliases, self.allows,
-            self.raw_lock_exempt,
         )
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
@@ -448,8 +405,6 @@ class _FuncVisitor(ast.NodeVisitor):
 
 @dataclass(frozen=True)
 class _FileAliases:
-    threading: frozenset[str]
-    lock_ctors: dict[str, str]
     time: frozenset[str]
     sleep_names: frozenset[str]
     socket: frozenset[str]
@@ -487,30 +442,26 @@ class LockLint:
         allows = _allow_map(source)
         self._allow[path.as_posix()] = allows
         aliases = _FileAliases(
-            threading=_module_aliases(tree, "threading"),
-            lock_ctors=_from_import_aliases(tree, "threading", _LOCK_CTORS),
             time=_module_aliases(tree, "time"),
             sleep_names=frozenset(
                 _from_import_aliases(tree, "time", frozenset({"sleep"}))
             ),
             socket=_module_aliases(tree, "socket"),
         )
-        exempt = _path_allowed(path, _RAW_LOCK_ALLOWED)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.add_function(node, None, path, aliases, allows, exempt)
+                self.add_function(node, None, path, aliases, allows)
             elif isinstance(node, ast.ClassDef):
                 for member in node.body:
                     if isinstance(member,
                                   (ast.FunctionDef, ast.AsyncFunctionDef)):
                         self.add_function(
-                            member, node.name, path, aliases, allows, exempt
+                            member, node.name, path, aliases, allows
                         )
 
     def add_function(self, node, cls: str | None, path: Path,
                      aliases: _FileAliases,
-                     allows: dict[int, frozenset[str]],
-                     raw_lock_exempt: bool) -> None:
+                     allows: dict[int, frozenset[str]]) -> None:
         # Constructors register under their class name — `Foo(...)` call
         # sites resolve to the class, never to a merged "__init__".
         name = cls if (node.name == "__init__" and cls) else node.name
@@ -519,8 +470,7 @@ class LockLint:
             name=name, qualname=qualname, path=path.as_posix(),
             in_graph=_GRAPH_SCOPE in f"/{path.as_posix()}",
         )
-        visitor = _FuncVisitor(self, summary, aliases, allows,
-                               raw_lock_exempt)
+        visitor = _FuncVisitor(self, summary, aliases, allows)
         for stmt in node.body:
             visitor.visit(stmt)
         self.summaries.setdefault(name, []).append(summary)

@@ -15,9 +15,9 @@ The workload models a serving scenario: ``queries`` requests drawn from
 (real query traffic repeats itself heavily), over a multi-column table.
 Templates that name the partitioned attribute ``A`` run the
 partition-parallel scatter-gather path (a conjunction refines the shard
-keys by its other predicate); conjunctions over the other attributes run
-the shared-read probe path once a cracker column can answer them, and the
-classic engine path under the table write lock until then.
+keys by its other predicate); conjunctions over the other attributes take
+their keys from a one-shard column of their lead attribute, built the
+first time a query names it.
 
 The serial baseline is a plain :class:`SelectionCrackingEngine` loop — no
 locks, no cache, no partitions — paying the same canonicalization the

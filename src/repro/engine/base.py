@@ -19,6 +19,7 @@ import numpy as np
 from repro.analysis.sanitizer import checkpoint_query
 from repro.engine.database import Database
 from repro.engine.join import hash_join
+from repro.engine.operators import grouped
 from repro.errors import FaultError, InvariantError
 from repro.faults.guard import RECOVERABLE
 from repro.faults.plan import active_plan
@@ -85,7 +86,9 @@ class Engine(abc.ABC):
                 columns = self._execute(query, result.timer)
                 if query.group_by:
                     with result.timer.phase("group_by"):
-                        columns = self._grouped(query, columns)
+                        columns = grouped(
+                            columns, query.group_by, query.aggregates, self.recorder
+                        )
         result.columns = columns
         if query.group_by:
             result.aggregates = {}
@@ -96,22 +99,6 @@ class Engine(abc.ABC):
         # Outside the recorder frame, so sanitizer sweeps never skew counters.
         checkpoint_query()
         return result
-
-    def _grouped(self, query: Query, columns: dict) -> dict:
-        """Group-by + per-group aggregation over the selected tuples."""
-        from repro.engine.operators import group_by, segmented_aggregate
-
-        keys = [columns[attr] for attr in query.group_by]
-        group_ids, order, group_keys = group_by(keys, self.recorder)
-        out = {
-            attr: group_keys[i] for i, attr in enumerate(query.group_by)
-        }
-        for func, attr in query.aggregates:
-            values = columns[attr][order].astype("float64")
-            out[f"{func}({attr})"] = segmented_aggregate(
-                group_ids, values, func, self.recorder
-            )
-        return out
 
     @abc.abstractmethod
     def _execute(self, query: Query, timer: PhaseTimer) -> dict[str, np.ndarray]:

@@ -101,6 +101,25 @@ def segmented_aggregate(
     raise ValueError(f"unknown aggregate {func!r}")
 
 
+def grouped(
+    columns: dict[str, np.ndarray],
+    keys: tuple[str, ...],
+    aggregates: tuple[tuple[str, str], ...],
+    recorder: StatsRecorder | None = None,
+) -> dict[str, np.ndarray]:
+    """Group-by + per-group aggregation over positionally aligned columns.
+
+    Returns one row per group: the ``keys`` columns, then one
+    ``func(attr)`` column per aggregate.
+    """
+    group_ids, order, group_keys = group_by([columns[a] for a in keys], recorder)
+    out = {attr: group_keys[i] for i, attr in enumerate(keys)}
+    for func, attr in aggregates:
+        values = columns[attr][order].astype("float64")
+        out[f"{func}({attr})"] = segmented_aggregate(group_ids, values, func, recorder)
+    return out
+
+
 def sort_rows(
     keys: list[np.ndarray],
     descending: "list[bool] | None" = None,

@@ -7,7 +7,7 @@ version-keyed result cache, and serves SQL strings or programmatic
 :class:`~repro.engine.query.Query` objects concurrently over one shared
 :class:`~repro.engine.database.Database`.
 
-Execution paths, fastest first:
+Every answer takes one of three paths, fastest first:
 
 ``cache``
     The canonical result of an identical query at the same logical data
@@ -17,33 +17,36 @@ Execution paths, fastest first:
     :attr:`~repro.engine.database.Database.data_version`, so any update
     invalidates every affected entry.
 ``partition``
-    Selections without a group-by that name a partitioned attribute run
-    under the table's *shared* lock.  A conjunction takes its keys from
-    the first partitioned predicate as prune → per-shard probe/crack (one
-    shard lock at a time; the hierarchy is table → shard) → scatter-gather
-    merge, and refines them by the other predicates with read-only
-    base-column gathers (the paper's positional ``rel_select``), as it
-    reconstructs projections; a disjunction unions every predicate's keys.
-    The shared table lock serializes the scatter against :meth:`insert` /
-    :meth:`delete`, which route pending updates under the table's
-    exclusive lock — a query sees either all of an update or none of it.
+    Every other query runs under the table's *shared* lock and takes its
+    keys from :class:`~repro.server.partition.ShardedColumn` shards: prune →
+    per-shard probe/crack (one shard lock at a time; the hierarchy is
+    table → shard) → scatter-gather merge.  A conjunction takes its keys
+    from its first partitioned predicate and refines them by the others
+    with read-only base-column gathers (the paper's positional
+    ``rel_select``), as it reconstructs projections; a disjunction unions
+    every predicate's keys.  An attribute nobody partitioned gets a
+    one-shard in-process column the first time a query needs it as a key
+    source — the serial executor is the one-shard case, cracking its
+    column the first time a query names it, as the paper's selection
+    cracking does.  Group-by queries gather their needed columns by the
+    same keys and group them with
+    :func:`~repro.engine.operators.grouped`.  The shared table lock
+    serializes the scatter against :meth:`insert` / :meth:`delete`, which
+    route pending updates under the table's exclusive lock — a query sees
+    either all of an update or none of it.
 ``process``
-    The same scatter-gather — the same code — but each shard lives in its
-    own **worker process**
+    The same scatter-gather — the same code — but each shard of an
+    explicitly partitioned attribute lives in its own **worker process**
     (:class:`~repro.server.procpool.ProcessShardPool`): payloads sit in
     shared-memory segments, commands cross a pipe, and qualifying
     keys come back through shared result buffers, so shard cracks run on
     separate cores instead of interleaving under one GIL.  Enabled with
     ``processes > 0``; results stay bit-identical to every other path.
-``read``
-    The same selection when no predicate is partitioned: the keys come
-    from :meth:`~repro.cracking.column.CrackerColumn.probe` on an
-    existing cracker column, which reorganizes nothing and may decline.
-``engine``
-    Group-by queries, and selections whose predicates have no key source,
-    run the classic engine under the table's exclusive lock; the
-    progressive crack budget bounds the partitioning work (and so the lock
-    hold time) of each such query.
+
+A predicate whose shards raise a recoverable fault while a fault plan is
+armed is answered by a scan of the base column instead (quarantined shard
+crackers are rebuilt first); the result carries ``fault_recovered`` and is
+never cached.  A query with no predicates reads the live rows (``read``).
 
 The result cache is an **LRU sized in bytes** (``cache_bytes``): whole
 entries are admitted at their payload size and evicted
@@ -77,14 +80,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.analysis import racesan
-from repro.analysis.sanitizer import active_sanitizers
-from repro.cracking.progressive import ProgressiveBudget
-from repro.engine.base import Engine
+from repro.analysis.sanitizer import active_sanitizers, checkpoint_query
 from repro.engine.database import Database
-from repro.engine.operators import random_gather
-from repro.engine.query import Predicate, Query, QueryResult, compute_aggregates
-from repro.engine.selection_cracking import SelectionCrackingEngine
+from repro.engine.operators import grouped, random_gather
+from repro.engine.query import Predicate, Query, compute_aggregates
 from repro.errors import QueryTimeout, ServerError, ServerOverloaded
+from repro.faults.guard import RECOVERABLE
+from repro.faults.plan import active_plan
 from repro.server.locks import LockRegistry, Mutex
 from repro.server.partition import GatherResult, PartitionedColumn, ShardedColumn
 from repro.server.procpool import ProcessShardPool
@@ -98,15 +100,6 @@ DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Admission shed policies (the ``--shed-policy`` CLI knob).
 SHED_POLICIES = ("reject-newest", "reject-oldest", "deadline-aware")
-
-#: A request whose remaining budget falls under half its full budget takes
-#: a trimmed :class:`~repro.cracking.progressive.ProgressiveBudget` on the
-#: engine path — answer via hole-carrying resolve now, finish cracking on
-#: some later, less-pressed query.
-BUDGET_TRIM_FRACTION = 0.5
-
-#: The trimmed per-query crack allowance (elements).
-BUDGET_TRIM_ELEMENTS = 4096
 
 #: How many of the most recent served latencies feed ``latency_p50`` /
 #: ``latency_p99`` and the deadline-aware shed policy's service-time
@@ -281,7 +274,7 @@ class ServedResult:
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     aggregates: dict[str, float] = field(default_factory=dict)
     row_count: int = 0
-    path: str = "engine"
+    path: str = "partition"
     cached: bool = False
     elapsed_seconds: float = 0.0
     queue_seconds: float = 0.0
@@ -353,14 +346,12 @@ class ServerExecutor:
         The shared database.  Its sanitizer (if active) is wired to this
         executor's lock registry so deep sweeps skip structures busy under
         another worker's write lock.
-    engine:
-        The engine answering ``engine``-path queries; defaults to a
-        :class:`~repro.engine.selection_cracking.SelectionCrackingEngine`.
     workers:
         Thread-pool width (the ``--workers`` CLI knob).
     partitions:
-        Shard count for :meth:`partition` columns (the ``--partitions``
-        knob); ``0`` disables the partition path entirely.
+        Default shard count for :meth:`partition` columns (the
+        ``--partitions`` knob); with ``0`` only explicit counts partition,
+        and every key source is a one-shard column.
     processes:
         ``> 0`` selects the **process** backend: :meth:`partition` builds
         :class:`~repro.server.procpool.ProcessShardPool` columns whose
@@ -389,7 +380,6 @@ class ServerExecutor:
     def __init__(
         self,
         db: Database,
-        engine: Engine | None = None,
         workers: int = 4,
         partitions: int = 0,
         default_timeout: float | None = DEFAULT_TIMEOUT,
@@ -414,7 +404,6 @@ class ServerExecutor:
                 f"{', '.join(SHED_POLICIES)}"
             )
         self.db = db
-        self.engine = engine if engine is not None else SelectionCrackingEngine(db)
         self.workers = workers
         self.partitions = partitions
         self.processes = processes
@@ -436,6 +425,9 @@ class ServerExecutor:
             else None
         )
         self._partitioned: dict[tuple[str, str], ShardedColumn] = {}
+        # The one-shard columns built because a query needed a key source;
+        # an explicit partition() of the same attribute replaces them.
+        self._auto_partitioned: set[tuple[str, str]] = set()
         self._partition_mutex = Mutex("executor.partition")
         self._cache_enabled = cache_bytes > 0
         self._cache = ResultCacheLRU(cache_bytes)
@@ -457,7 +449,6 @@ class ServerExecutor:
         self.shed = 0
         self.abandoned = 0
         self.degraded_served = 0
-        self.budget_trims = 0
         self.queries_served = 0
         self.cache_hits = 0
         self.path_counts: dict[str, int] = {}
@@ -538,12 +529,26 @@ class ServerExecutor:
         Thread-safe and idempotent: racing calls agree on one column
         (double-checked under ``_partition_mutex``), and the scatter
         snapshot is built under the table's write lock so it cannot
-        interleave with an insert/delete routing rows mid-build.  The
-        lock order is table → partition mutex, matching :meth:`insert`.
+        interleave with an insert/delete routing rows mid-build; rows
+        already deleted are routed as pending deletions.  The lock order
+        is table → partition mutex, matching :meth:`insert`.  A one-shard
+        column built because a query needed a key source is replaced.
         """
+        return self._partition(table, attr, partitions, auto=False)
+
+    def _partition(
+        self, table: str, attr: str, partitions: int | None, auto: bool
+    ) -> ShardedColumn:
         key = (table, attr)
-        with self._partition_mutex:
-            existing = self._partitioned.get(key)
+
+        def current() -> "ShardedColumn | None":
+            with self._partition_mutex:
+                existing = self._partitioned.get(key)
+                if auto or key not in self._auto_partitioned:
+                    return existing
+            return None
+
+        existing = current()
         if existing is not None:
             return existing
         count = partitions
@@ -554,16 +559,16 @@ class ServerExecutor:
                 f"cannot partition {table}.{attr}: partition count {count} < 1"
             )
         with self.registry.lock_for(table).write():
-            with self._partition_mutex:
-                existing = self._partitioned.get(key)
-                if existing is not None:
-                    return existing
-            base = self.db.table(table).column(attr)
+            existing = current()
+            if existing is not None:
+                return existing
+            relation = self.db.table(table)
+            base = relation.column(attr)
             cracking = dict(
                 budget=self.db.crack_budget, policy=self.db.crack_policy,
                 crack_seed=self.db.crack_seed,
             )
-            if self.processes > 0:
+            if self.processes > 0 and not auto:
                 column = ProcessShardPool(
                     base, count, table, attr, self.db.recorder,
                     resilience=self.resilience, **cracking,
@@ -573,8 +578,18 @@ class ServerExecutor:
                     base, count, self.registry, table, attr,
                     self.db.recorder, **cracking,
                 )
+            deleted = np.flatnonzero(self.db.tombstones(table))
+            if len(deleted):
+                column.add_deletions(relation.values(attr)[deleted], deleted)
             with self._partition_mutex:
+                replaced = self._partitioned.get(key)
                 self._partitioned[key] = column
+                if auto:
+                    self._auto_partitioned.add(key)
+                else:
+                    self._auto_partitioned.discard(key)
+            if replaced is not None:
+                replaced.close()
         return column
 
     def _partitioned_for(self, table: str) -> list[tuple[str, ShardedColumn]]:
@@ -844,74 +859,18 @@ class ServerExecutor:
 
     # -- execution paths -------------------------------------------------------
 
-    def _execute(
-        self, query: Query, deadline: "Deadline | float | None" = None
-    ) -> ServedResult:
+    def _execute(self, query: Query, deadline: Deadline) -> ServedResult:
         """Run one query, reading ``data_version`` only *inside* the table
         lock that serializes it against updates — the version a result
         carries (and is cached under) is exactly the version it saw.
-        ``deadline`` (a :class:`~repro.server.resilience.Deadline`, or
-        legacy float seconds) bounds process-backed shard dispatches — a
-        worker that misses it surfaces as
-        :class:`~repro.errors.QueryTimeout` — and trims the progressive
-        crack budget of an engine-path query running low on time."""
-        deadline = Deadline.coerce(deadline)
-        table_lock = self.registry.lock_for(query.table)
-        with table_lock.read():
+        ``deadline`` bounds process-backed shard dispatches — a worker that
+        misses it surfaces as :class:`~repro.errors.QueryTimeout` — and
+        trims the crack budget of in-process shards running low on time."""
+        self._ensure_key_sources(query)
+        with self.registry.lock_for(query.table).read():
             version = self._capture_version(query.table)
             selected = self._select_keys(query, deadline)
-            if selected is not None:
-                return self._finish_from_keys(query, selected, version)
-        if deadline.cancelled:
-            # Boundary check before the exclusive section: an abandoned
-            # request must not take the table's write lock just to compute
-            # an answer nobody will read.
-            raise QueryTimeout(
-                f"query on {query.table!r} cancelled before the engine path",
-                seconds=deadline.budget,
-            )
-        with table_lock.write():
-            version = self._capture_version(query.table)
-            trimmed = self._trim_budget(query.table, deadline)
-            try:
-                # The engine call is sanctioned here: cracking *is* the
-                # write this exclusive section exists for, and the crack
-                # budget caps the hold time.  Everywhere else the rule
-                # stands.
-                raw = self.engine.run(query)  # locksan: allow(blocking-under-write-lock)
-            finally:
-                for cracker, budget in trimmed:
-                    cracker.set_budget(budget)
-            self._note_engine_writes(query.table)
-            self._bind_table_structures(query.table, table_lock)
-        return self._finish_from_result(query, raw, "engine", version)
-
-    def _trim_budget(self, table: str, deadline: Deadline) -> list[tuple]:
-        """Deadline pressure shrinks the progressive crack budget.
-
-        A query that has burned more than ``BUDGET_TRIM_FRACTION`` of its
-        budget takes a small per-query allowance on this table's cracker
-        columns for the duration of its engine call — it answers via
-        hole-carrying resolve now and leaves the remaining partitioning
-        work to later, less-pressed queries.  Only *unbudgeted* crackers
-        are trimmed (an explicit ``--crack-budget`` is already a cap, and
-        raising it here would be wrong).  Returns ``(cracker, previous)``
-        pairs for the caller's finally-restore.  Caller holds the table's
-        write lock.
-        """
-        consumed = deadline.consumed_fraction()
-        if consumed is None or consumed < BUDGET_TRIM_FRACTION:
-            return []
-        trim = ProgressiveBudget(elements=BUDGET_TRIM_ELEMENTS)
-        trimmed = []
-        for (tbl, _attr), cracker in list(self.db._crackers.items()):
-            if tbl == table and cracker.budget is None:
-                cracker.set_budget(trim)
-                trimmed.append((cracker, None))
-        if trimmed:
-            with self._stats_mutex:
-                self.budget_trims += 1
-        return trimmed
+            return self._finish_from_keys(query, selected, version)
 
     def _capture_version(self, table: str) -> int:
         """Read ``data_version`` and tell RaceSan which table's lock guards
@@ -923,41 +882,38 @@ class ServerExecutor:
         )
         return version
 
-    def _note_engine_writes(self, table: str) -> None:
-        """Mark the engine path's structure mutations for RaceSan (caller
-        holds the table's write lock)."""
-        for (tbl, _attr), cracker in list(self.db._crackers.items()):
-            if tbl == table:
-                racesan.note_access(f"cracker[{cracker.label}].pieces", "write")
-                racesan.note_access(f"cracker[{cracker.label}].tape", "write")
+    def _ensure_key_sources(self, query: Query) -> None:
+        """Partition, one shard each, the attributes :meth:`_select_keys`
+        will read keys from and nobody partitioned: a conjunction's lead
+        when none of its predicates is partitioned, a disjunction's every
+        predicate.  Runs before the table's read lock is taken, so building
+        a column (under the write lock) never upgrades it."""
+        sharded = {attr for attr, _ in self._partitioned_for(query.table)}
+        needed = query.predicates
+        if query.conjunctive:
+            if any(pred.attr in sharded for pred in needed):
+                return
+            needed = needed[:1]
+        for pred in needed:
+            if pred.attr not in sharded:
+                self._partition(query.table, pred.attr, 1, auto=True)
 
-    def _select_keys(
-        self, query: Query, deadline: Deadline
-    ) -> "GatherResult | None":
-        """The qualifying keys of a selection, or ``None`` for the engine.
+    def _select_keys(self, query: Query, deadline: Deadline) -> GatherResult:
+        """The qualifying keys of a query, from its predicates' shards.
 
-        A predicate's key source is its attribute's shards when it is
-        partitioned (they probe or crack under their own locks), else
-        ``probe`` on an existing cracker column (read-only; may decline).
-        A conjunction takes its keys from the first partitioned predicate,
-        or the first probeable one, and refines them by the others with
-        base-column gathers; a disjunction unions every predicate's keys
-        when each has a source.  Group-by queries have none.  Caller holds
-        the table's read lock, so no :meth:`insert`/:meth:`delete` routes
+        A conjunction takes its keys from the first partitioned predicate
+        and refines them by the others with base-column gathers; a
+        disjunction unions every predicate's keys.  Caller holds the
+        table's read lock, so no :meth:`insert`/:meth:`delete` routes
         pending rows mid-selection; shard locks nest strictly inside.
         """
         table = query.table
-        if query.group_by:
-            return None
         if not query.predicates:
             live = np.flatnonzero(~self.db.tombstones(table)).astype(np.int64)
             return GatherResult(live, "read")
         sharded = dict(self._partitioned_for(table))
 
-        def source(pred: Predicate) -> "GatherResult | None":
-            column = sharded.get(pred.attr)
-            if column is None:
-                return self._probe(table, pred)
+        def source(pred: Predicate) -> GatherResult:
             if deadline.cancelled:
                 # Scatter boundary: a cancelled request stops here instead
                 # of fanning work out to every shard.
@@ -965,16 +921,17 @@ class ServerExecutor:
                     f"query on {table!r} cancelled before the scatter",
                     seconds=deadline.budget,
                 )
-            return column.select(pred.interval, deadline, self._shard_pool)
+            column = sharded[pred.attr]
+            try:
+                return column.select(pred.interval, deadline, self._shard_pool)
+            except RECOVERABLE:
+                if active_plan() is None:
+                    raise
+                return self._recover(table, pred, column)
 
         if query.conjunctive:
-            named = [pred for pred in query.predicates if pred.attr in sharded]
-            for lead in named[:1] or query.predicates:
-                selected = source(lead)
-                if selected is not None:
-                    break
-            else:
-                return None
+            lead = next(p for p in query.predicates if p.attr in sharded)
+            selected = source(lead)
             keys = selected.keys
             relation = self.db.table(table)
             for pred in query.predicates:
@@ -984,112 +941,66 @@ class ServerExecutor:
                     )
                     keys = keys[pred.interval.mask(values)]
             return replace(selected, keys=keys)
-        parts = []
-        # Probes first: one that declines must do so before shards crack
-        # for nothing.  Shard answers sort last, so they name the path.
-        for pred in sorted(query.predicates, key=lambda p: p.attr in sharded):
-            part = source(pred)
-            if part is None:
-                return None
-            parts.append(part)
+        parts = [source(pred) for pred in query.predicates]
         keys = np.concatenate([part.keys for part in parts])
         self.db.recorder.sequential(len(keys))
+        paths = {part.path for part in parts}
         return GatherResult(
-            np.unique(keys), parts[-1].path,
+            # Worker-process shards name the path of a mixed disjunction.
+            np.unique(keys), "process" if "process" in paths else "partition",
             recovered=any(part.recovered for part in parts),
             degraded=any(part.degraded for part in parts),
         )
 
-    def _probe(self, table: str, pred: Predicate) -> "GatherResult | None":
-        cracker = self.db._crackers.get((table, pred.attr))
-        if cracker is None:
-            return None
-        keys = cracker.probe(pred.interval)
-        racesan.note_access(f"cracker[{cracker.label}].pieces", "read")
-        return None if keys is None else GatherResult(keys, "read")
+    def _recover(
+        self, table: str, pred: Predicate, column: ShardedColumn
+    ) -> GatherResult:
+        """Answer ``pred`` after its shards raised a recoverable fault.
+
+        The fault guard already rolled the faulted shard back, or
+        quarantined it; quarantined shard crackers are rebuilt from the
+        base column's live rows, and the predicate is answered by scanning
+        the base column.  Caller holds the table's read lock.
+        """
+        relation = self.db.table(table)
+        live = ~self.db.tombstones(table)
+        column.heal(relation.column(pred.attr), live)
+        values = relation.values(pred.attr)
+        self.db.recorder.sequential(len(values))
+        keys = np.flatnonzero(pred.interval.mask(values) & live)
+        return GatherResult(keys, column.path, recovered=True)
 
     def _finish_from_keys(
         self, query: Query, selected: GatherResult, version: int
     ) -> ServedResult:
-        """Reconstruct, canonicalize, and aggregate from qualifying keys."""
+        """Reconstruct, canonicalize, and aggregate (or group) from
+        qualifying keys."""
         relation = self.db.table(query.table)
-        columns = {
+        columns = canonicalize({
             attr: random_gather(relation.values(attr), selected.keys, self.db.recorder)
             for attr in query.needed_columns
-        }
-        columns = canonicalize(columns)
-        from repro.analysis.sanitizer import checkpoint_query
-
+        })
+        if query.group_by:
+            # Grouped over canonical rows, so float aggregates sum in one
+            # order whichever shards produced the keys.
+            columns = canonicalize(grouped(
+                columns, query.group_by, query.aggregates, self.db.recorder
+            ))
+            aggregates = {}
+            row_count = len(next(iter(columns.values())))
+        else:
+            aggregates = compute_aggregates(query.aggregates, columns)
+            row_count = len(selected.keys)
         checkpoint_query()
         return ServedResult(
             columns=columns,
-            aggregates=compute_aggregates(query.aggregates, columns),
-            row_count=len(selected.keys),
+            aggregates=aggregates,
+            row_count=row_count,
             path=selected.path,
             data_version=version,
             fault_recovered=selected.recovered,
             degraded=selected.degraded,
         )
-
-    def _finish_from_result(
-        self, query: Query, raw: QueryResult, path: str, version: int
-    ) -> ServedResult:
-        columns = canonicalize(raw.columns)
-        if query.group_by:
-            aggregates = dict(raw.aggregates)
-        else:
-            aggregates = compute_aggregates(query.aggregates, columns)
-        return ServedResult(
-            columns=columns,
-            aggregates=aggregates,
-            row_count=raw.row_count,
-            path=path,
-            data_version=version,
-            fault_recovered=raw.fault_recovered,
-        )
-
-    def _bind_table_structures(self, table: str, lock) -> None:
-        """Bind this table's (possibly new) structures to its lock.
-
-        Everything mutated under the table's write lock — cracker columns,
-        sideways map sets, partial sets, and their sanitizer-registered
-        children — must carry the binding, or a concurrent deep sweep could
-        validate a structure mid-crack instead of skipping it.
-        """
-        for obj in self._table_structures(table):
-            if self.registry.lock_of(obj) is None:
-                self.registry.bind(obj, lock)
-
-    def _table_structures(self, table: str) -> list[object]:
-        out: list[object] = []
-
-        def add(obj: object) -> None:
-            if obj is None:
-                return
-            out.append(obj)
-            index = getattr(obj, "index", None)
-            if index is not None:
-                out.append(index)
-
-        for (tbl, _attr), cracker in list(self.db._crackers.items()):
-            if tbl == table:
-                add(cracker)
-        sideways = self.db._sideways.get(table)
-        if sideways is not None:
-            for mapset in list(sideways.sets.values()):
-                add(mapset)
-                for cmap in list(mapset.maps.values()):
-                    add(cmap)
-        partial = self.db._partial.get(table)
-        if partial is not None:
-            for pset in list(partial.sets.values()):
-                add(pset)
-                add(pset.chunkmap)
-                for pmap in list(pset.maps.values()):
-                    add(pmap)
-                    for chunk in list(pmap.chunks.values()):
-                        add(chunk)
-        return out
 
     # -- updates ---------------------------------------------------------------
 
@@ -1098,8 +1009,8 @@ class ServerExecutor:
 
         The version bump (inside ``db.insert``) and the shard routing both
         happen under the table's write lock, so no query can observe the
-        new version while a shard still lacks its pending rows: partition
-        and read paths take the table's read lock first.
+        new version while a shard still lacks its pending rows: queries
+        take the table's read lock first.
         """
         with self.registry.lock_for(table).write():
             keys = self.db.insert(table, rows)
@@ -1172,7 +1083,6 @@ class ServerExecutor:
             paths = dict(self.path_counts)
             abandoned = self.abandoned
             degraded = self.degraded_served
-            budget_trims = self.budget_trims
         with self._admission_mutex:
             shed = self.shed
             queue_depth = len(self._queued)
@@ -1185,10 +1095,6 @@ class ServerExecutor:
             return latencies[min(len(latencies) - 1, int(p * len(latencies)))]
 
         lock_stats = self.registry.stats()
-        hold_stats = [
-            {"label": c.label, **c._tracker.hold_stats()}
-            for c in self.db._crackers.values()
-        ]
         with self._partition_mutex:
             partitioned = dict(self._partitioned)
         with self._cache_mutex:
@@ -1205,7 +1111,7 @@ class ServerExecutor:
             "shed": shed,
             "abandoned": abandoned,
             "degraded": degraded,
-            "budget_trims": budget_trims,
+            "budget_trims": sum(col.budget_trims for col in partitioned.values()),
             "queue_depth": queue_depth,
             "inflight": inflight,
             "admission": {
@@ -1216,7 +1122,9 @@ class ServerExecutor:
             "latency_p50": pct(0.50),
             "latency_p99": pct(0.99),
             "locks": lock_stats,
-            "budget_holds": hold_stats,
+            "budget_holds": [
+                hold for col in partitioned.values() for hold in col.budget_holds()
+            ],
             "partitioned": {
                 f"{t}.{a}": col.stats() for (t, a), col in partitioned.items()
             },

@@ -51,8 +51,10 @@ import numpy as np
 from repro.analysis import racesan
 from repro.cracking.bounds import Interval
 from repro.cracking.column import CrackerColumn
+from repro.cracking.progressive import ProgressiveBudget
 from repro.cracking.stochastic import policy_rng
 from repro.errors import PlanError, ServerError
+from repro.faults.guard import is_quarantined
 from repro.server.locks import LockRegistry, RWLock
 from repro.server.resilience import Deadline
 from repro.stats.counters import StatsRecorder, global_recorder
@@ -60,6 +62,16 @@ from repro.storage.bat import BAT
 
 #: Default per-command deadline (seconds) when the caller supplies none.
 DEFAULT_DEADLINE = 30.0
+
+#: A request that has spent this fraction of its deadline cracks an
+#: in-process shard under a trimmed
+#: :class:`~repro.cracking.progressive.ProgressiveBudget` — answer via
+#: hole-carrying resolve now, finish cracking on some later, less-pressed
+#: query.
+BUDGET_TRIM_FRACTION = 0.5
+
+#: The trimmed per-select crack allowance (elements).
+BUDGET_TRIM_ELEMENTS = 4096
 
 
 def partition_layout(
@@ -168,12 +180,13 @@ class GatherResult:
     """What one scatter-gather :meth:`ShardedColumn.select` produced.
 
     ``path`` is the executor's label for the backend that answered
-    (``"partition"`` or ``"process"``; ``"read"`` for keys the executor
-    probed itself).  ``recovered`` — at least one shard
-    died and was respawn-and-replayed; ``degraded`` — at least one shard's
-    range was answered by the scan fallback.  Either flag keeps the result
-    out of the executor's cache; ``degraded`` additionally surfaces in the
-    wire payload so clients know the answer skipped the cracking path.
+    (``"partition"`` or ``"process"``).  ``recovered`` — at least one shard
+    died and was respawn-and-replayed, or a fault left the shards and the
+    executor answered by a base-column scan; ``degraded`` — at least one
+    shard's range was answered by the breaker's scan fallback.  Either flag
+    keeps the result out of the executor's cache; ``degraded`` additionally
+    surfaces in the wire payload so clients know the answer skipped the
+    cracking path.
     """
 
     keys: np.ndarray
@@ -185,7 +198,7 @@ class GatherResult:
 class _Shard:
     """The in-process shard: a cracker column under its own lock."""
 
-    __slots__ = ("lo", "hi", "cracker", "lock")
+    __slots__ = ("lo", "hi", "cracker", "lock", "trims")
 
     def __init__(
         self, lo: float, hi: float, cracker: CrackerColumn, lock: RWLock
@@ -194,6 +207,7 @@ class _Shard:
         self.hi = hi  # exclusive upper value bound (+inf for the last shard)
         self.cracker = cracker
         self.lock = lock
+        self.trims = 0  # cracks run under a deadline-trimmed budget
 
     @property
     def rows(self) -> int:
@@ -206,17 +220,33 @@ class _Shard:
         under exclusive write.  The executor scatters while holding the
         table's *read* lock, which serializes the whole scatter-gather
         against updates (they take the table's write lock); the hierarchy
-        is strictly table → shard, so no cycle can form."""
-        label = self.cracker.label
+        is strictly table → shard, so no cycle can form.
+
+        A request past ``BUDGET_TRIM_FRACTION`` of its deadline cracks an
+        unbudgeted shard under a ``BUDGET_TRIM_ELEMENTS`` allowance (an
+        explicit crack budget is already a cap and is left alone)."""
         with self.lock.read():
             keys, path = probe_shard(self.cracker, interval)
-            racesan.note_access(f"{label}.pieces", "read")
+            racesan.note_access(f"{self.cracker.label}.pieces", "read")
         if keys is None:
             with self.lock.write():
-                keys = self.cracker.select(interval)
-                racesan.note_access(f"{label}.pieces", "write")
-                racesan.note_access(f"{label}.tape", "write")
-                racesan.note_access(f"{label}.pendings", "write")
+                cracker = self.cracker
+                consumed = deadline.consumed_fraction() if deadline else None
+                trim = cracker.budget is None \
+                    and (consumed or 0.0) >= BUDGET_TRIM_FRACTION
+                if trim:
+                    cracker.set_budget(
+                        ProgressiveBudget(elements=BUDGET_TRIM_ELEMENTS)
+                    )
+                    self.trims += 1
+                try:
+                    keys = cracker.select(interval)
+                finally:
+                    if trim:
+                        cracker.set_budget(None)
+                racesan.note_access(f"{cracker.label}.pieces", "write")
+                racesan.note_access(f"{cracker.label}.tape", "write")
+                racesan.note_access(f"{cracker.label}.pendings", "write")
         return ShardReply(keys, {"path": path})
 
     def update(
@@ -403,6 +433,11 @@ class ShardedColumn:
         for shard in self.shards:
             shard.apply_pending()
 
+    def heal(self, base: BAT, live: np.ndarray) -> None:
+        """Rebuild shards a fault guard quarantined (caller holds the
+        table's lock).  Worker-process shards heal by respawn-and-replay
+        instead, so there is nothing to rebuild here."""
+
     # -- lifecycle and introspection -------------------------------------------
 
     def health(self) -> dict[str, dict]:
@@ -417,6 +452,17 @@ class ShardedColumn:
                 breakers[name] = report["breaker"]
                 workers_alive[name] = report["alive"]
         return {"breakers": breakers, "workers_alive": workers_alive}
+
+    def budget_holds(self) -> list[dict]:
+        """Per-shard crack-budget hold statistics of in-parent crackers
+        (worker-process shards crack elsewhere and report none)."""
+        return []
+
+    @property
+    def budget_trims(self) -> int:
+        """Shard cracks run under a deadline-trimmed budget (worker-process
+        shards never trim)."""
+        return 0
 
     def close(self) -> None:
         """Release everything the shards own.  Idempotent."""
@@ -468,20 +514,47 @@ class PartitionedColumn(ShardedColumn):
         policy: object = None,
         crack_seed: int = 42,
     ) -> None:
+        self._registry = registry
+        self._cracking = dict(budget=budget, policy=policy)
+        self._crack_seed = crack_seed
+
         def make_shard(index: int, lo: float, hi: float, shard_bat: BAT) -> _Shard:
-            cracker = CrackerColumn(
-                shard_bat,
-                self._recorder,
-                policy=policy,
-                budget=budget,
-                rng=policy_rng(crack_seed, "shard", table, attr, index),
-                label=f"shard[{table}.{attr}#{index}]",
-            )
             lock = registry.lock_for(table, attr, index)
-            registry.bind(cracker, lock)
-            return _Shard(lo, hi, cracker, lock)
+            return _Shard(lo, hi, self._cracker(index, shard_bat, lock), lock)
 
         super().__init__(base, partitions, table, attr, recorder, make_shard)
+
+    def _cracker(self, index: int, shard_bat: BAT, lock: RWLock) -> CrackerColumn:
+        cracker = CrackerColumn(
+            shard_bat,
+            self._recorder,
+            rng=policy_rng(self._crack_seed, "shard", self.table, self.attr, index),
+            label=f"shard[{self.table}.{self.attr}#{index}]",
+            **self._cracking,
+        )
+        self._registry.bind(cracker, lock)
+        return cracker
+
+    def heal(self, base: BAT, live: np.ndarray) -> None:
+        """Rebuild every quarantined shard cracker from ``base``'s ``live``
+        rows in the shard's value range — the shard-level counterpart of
+        :meth:`~repro.engine.database.Database.heal_faults`."""
+        for index, shard in enumerate(self.shards):
+            with shard.lock.write():
+                if is_quarantined(shard.cracker):
+                    (in_range,) = route_masks(base.values, [shard.lo, shard.hi])
+                    rows = np.flatnonzero(in_range & live)
+                    shard.cracker = self._cracker(index, base.gather(rows), shard.lock)
+
+    def budget_holds(self) -> list[dict]:
+        return [
+            {"label": shard.cracker.label, **shard.cracker._tracker.hold_stats()}
+            for shard in self.shards
+        ]
+
+    @property
+    def budget_trims(self) -> int:
+        return sum(shard.trims for shard in self.shards)
 
     def stats(self) -> dict[str, object]:
         return {

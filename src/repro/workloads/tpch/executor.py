@@ -18,6 +18,7 @@ column-store operators").
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable
 
 import numpy as np
@@ -34,6 +35,12 @@ EXTRA_MODES = ("partial_sideways", "rowstore_presorted")
 
 Residual = Callable[[dict[str, np.ndarray]], np.ndarray]
 
+
+def _code_range(lo: int, hi: int) -> Interval:
+    """Dictionary codes ``[lo, hi)``.  An :class:`Interval` is never empty,
+    so an empty range becomes ``[lo - 0.5, lo)``, which holds no integer
+    code."""
+    return Interval.half_open(lo if hi > lo else lo - 0.5, hi)
 
 class ModeExecutor:
     """Executes the mode-specific part of a TPC-H plan."""
@@ -54,19 +61,29 @@ class ModeExecutor:
             raise PlanError(f"{table}.{attr} is not dictionary-encoded")
         return dictionary
 
+    def _code(self, table: str, attr: str, string: str) -> tuple[int, bool]:
+        """``string``'s sorted insertion point among the dictionary codes,
+        and whether the dictionary holds it there."""
+        values = self._dictionary(table, attr).values
+        code = bisect.bisect_left(values, string)
+        return code, code < len(values) and values[code] == string
+
     def eq(self, table: str, attr: str, string: str) -> Interval:
-        """String equality as a point interval over dictionary codes."""
-        code = self._dictionary(table, attr).code_of(string)
-        return Interval.point(code)
+        """String equality as a point interval over dictionary codes.  A
+        string absent from the dictionary selects nothing, as SQL ``=``
+        would: the empty code range at its insertion point."""
+        code, present = self._code(table, attr, string)
+        return Interval.point(code) if present else _code_range(code, code)
 
     def prefix(self, table: str, attr: str, prefix: str) -> Interval:
         """``LIKE 'prefix%'`` as a half-open code range."""
-        lo, hi = self._dictionary(table, attr).prefix_range(prefix)
-        return Interval.half_open(lo, hi)
+        return _code_range(*self._dictionary(table, attr).prefix_range(prefix))
 
     def codes(self, table: str, attr: str, strings: list[str]) -> np.ndarray:
-        dictionary = self._dictionary(table, attr)
-        return np.array([dictionary.code_of(s) for s in strings], dtype=np.int64)
+        """The codes of ``strings``; absent strings match nothing and are
+        skipped."""
+        found = [self._code(table, attr, s) for s in strings]
+        return np.array([code for code, present in found if present], dtype=np.int64)
 
     def decode(self, table: str, attr: str, values: np.ndarray) -> list[str]:
         return self._dictionary(table, attr).decode(values)

@@ -197,28 +197,28 @@ def _two(attr_a, iv_a, attr_b, iv_b, **kwargs):
     ), **kwargs)
 
 
-#: (query, expected path on thread shards, on process shards).
+#: (query, expected path on serial, thread and process executors).
 GOLDEN_QUERIES = [
     (Query("R", (Predicate("A", Interval.half_open(1_000, 11_000)),),
-           projections=("A", "G")), "partition", "process"),
+           projections=("A", "G")), "partition", "partition", "process"),
     (Query("R", (Predicate("A", Interval.half_open(1_000, 11_000)),),
-           projections=("A", "G")), "cache", "cache"),
+           projections=("A", "G")), "cache", "cache", "cache"),
     (Query("R", (Predicate("A", Interval.half_open(4_000, 6_000)),),
-           projections=("G", "F", "W")), "partition", "process"),
+           projections=("G", "F", "W")), "partition", "partition", "process"),
     (_two("B", (5_000, 30_000), "C", (10_000, 40_000),
-          projections=("B", "D")), "engine", "engine"),
+          projections=("B", "D")), "partition", "partition", "partition"),
     (_two("B", (5_000, 30_000), "C", (12_000, 35_000),
-          projections=("D", "G")), "read", "read"),
+          projections=("D", "G")), "partition", "partition", "partition"),
     (Query("R", (Predicate("C", Interval.half_open(0, 25_000)),),
            projections=("G",),
            aggregates=(("sum", "D"), ("count", "D"), ("avg", "D")),
-           group_by=("G",)), "engine", "engine"),
+           group_by=("G",)), "partition", "partition", "partition"),
     (_two("A", (2_000, 9_000), "D", (-500, 400),
-          projections=("A", "D", "G")), "partition", "process"),
+          projections=("A", "D", "G")), "partition", "partition", "process"),
     (_two("D", (-300, 700), "A", (3_000, 15_000),
-          projections=("B", "D")), "partition", "process"),
+          projections=("B", "D")), "partition", "partition", "process"),
     (_two("A", (15_000, 16_000), "B", (5_000, 30_000),
-          projections=("A", "B"), conjunctive=False), "partition", "process"),
+          projections=("A", "B"), conjunctive=False), "partition", "partition", "process"),
 ]
 
 #: ``ServedResult.digest()`` of each ``GOLDEN_QUERIES`` entry, captured with
@@ -238,16 +238,18 @@ GOLDEN_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
 def test_golden_digests_on_every_path(backend):
     db = Database()
     db.create_table("R", _golden_arrays())
-    shards = dict(partitions=4) if backend == "thread" else dict(processes=2)
-    column = 1 if backend == "thread" else 2
+    shards = {"serial": {}, "thread": dict(partitions=4),
+              "process": dict(processes=2)}[backend]
+    column = ["serial", "thread", "process"].index(backend) + 1
     with ServerExecutor(db, workers=2, **shards) as ex:
-        ex.partition("R", "A")
+        if shards:
+            ex.partition("R", "A")
         results = [ex.run(entry[0]) for entry in GOLDEN_QUERIES]
     assert [r.path for r in results] == [e[column] for e in GOLDEN_QUERIES]
     assert [r.digest() for r in results] == GOLDEN_DIGESTS
-    # The shards answer every selection naming A: no second copy of A.
-    assert ("R", "A") not in db._crackers
+    # Shards answer every selection and group-by: no database cracker.
+    assert db._crackers == {}

@@ -205,15 +205,21 @@ def test_raw_lock_construction_detected(tmp_path):
     source = (
         "import threading\n"
         "from threading import RLock as _R\n"
+        "from threading import Lock as L\n"
         "def f():\n"
         "    a = threading.Lock()\n"
         "    b = threading.Semaphore(2)\n"
         "    c = _R()\n"
         "    d = threading.current_thread()\n"  # not a lock ctor: fine
+        "class Exec:\n"
+        "    def __init__(self):\n"
+        "        self._m = L()\n"
+        "        self._c = threading.Condition(threading.Lock())\n"
     )
     path = write(tmp_path, "server/bad_locks.py", source)
     violations = [v for v in lint_file(path) if v.rule == "raw-lock-construction"]
-    assert {v.line for v in violations} == {4, 5, 6}
+    assert sorted(v.line for v in violations) == [5, 6, 7, 11, 12, 12]
+    assert all("repro.server.locks" in v.message for v in violations)
     # The lock module and the race detector construct the primitives.
     assert rules_in(write(tmp_path, "server/locks.py", source)) == set()
     assert rules_in(write(tmp_path, "analysis/racesan.py", source)) == set()

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.lint import lint_file
 from repro.analysis.locklint import RULES, lint_paths, main
 
 REPO_SRC = str(Path(__file__).resolve().parents[1] / "src" / "repro")
@@ -198,10 +199,20 @@ def test_version_read_fires_when_one_call_site_is_unlocked(tmp_path):
 
 
 # -- raw-lock-construction -----------------------------------------------------
+# The rule lives in repro.analysis.lint; LockSan leaves it to that pass.
+
+
+def check_raw_lock(tmp_path, source: str, name: str = "server/mod.py"):
+    """The lint pass's raw-lock findings on a seeded file, after checking
+    that LockSan does not report the same rule a second time."""
+    assert "raw-lock-construction" not in rules_of(
+        check(tmp_path, source, name=name))
+    return [v for v in lint_file(tmp_path / name)
+            if v.rule == "raw-lock-construction"]
 
 
 def test_raw_lock_construction_fires(tmp_path):
-    violations = check(tmp_path, """
+    violations = check_raw_lock(tmp_path, """
         import threading
 
         class Exec:
@@ -213,7 +224,7 @@ def test_raw_lock_construction_fires(tmp_path):
 
 
 def test_raw_lock_from_import_alias_fires(tmp_path):
-    violations = check(tmp_path, """
+    violations = check_raw_lock(tmp_path, """
         from threading import RLock as _R
 
         def make(self):
@@ -223,7 +234,7 @@ def test_raw_lock_from_import_alias_fires(tmp_path):
 
 
 def test_locks_module_is_exempt(tmp_path):
-    violations = check(tmp_path, """
+    violations = check_raw_lock(tmp_path, """
         import threading
 
         def make(self):

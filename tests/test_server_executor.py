@@ -9,8 +9,12 @@ import pytest
 from repro.cracking.bounds import Interval
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
+from repro.engine.scan import PlainEngine
 from repro.engine.selection_cracking import SelectionCrackingEngine
 from repro.errors import QueryTimeout, ServerError
+from repro.faults import guard
+from repro.server.partition import ShardedColumn
+from repro.server.serve import ServerHandle
 from repro.server.executor import (
     ServedQuery,
     ServerExecutor,
@@ -59,30 +63,63 @@ def test_partition_path_and_cache(executor):
     assert again.digest() == first.digest()
 
 
-def test_read_path_after_engine_builds_cracker(executor):
-    # The first two-predicate query pays the engine under the write lock...
-    query = Query(
-        "R",
-        (
+def _scan_digest(db, query):
+    return digest_columns(canonicalize(PlainEngine(db).run(query).columns))
+
+
+def test_serial_conjunction_reads_keys_from_a_one_shard_column(db):
+    """With nothing partitioned, a conjunction's lead becomes a one-shard
+    key source: it runs under the shared table lock, builds no database
+    cracker, and a repeat of its interval probes the shard read-only."""
+    def b_and_c(c_lo, c_hi, projections):
+        return Query("R", (
             Predicate("B", Interval.half_open(10_000, 80_000)),
-            Predicate("C", Interval.half_open(20_000, 90_000)),
-        ),
-        projections=("B", "C"),
-    )
-    first = executor.run(query)
-    assert first.path == "engine"
-    # ... which leaves B's index boundaries in place, so the identical
-    # selection (cache off via a distinct projection) probes read-only.
-    probe = Query(
-        "R",
-        (
-            Predicate("B", Interval.half_open(10_000, 80_000)),
-            Predicate("C", Interval.half_open(30_000, 70_000)),
-        ),
-        projections=("B", "D"),
-    )
-    second = executor.run(probe)
-    assert second.path == "read"
+            Predicate("C", Interval.half_open(c_lo, c_hi)),
+        ), projections=projections)
+
+    with ServerExecutor(db, workers=2) as executor:
+        first = executor.run(b_and_c(20_000, 90_000, ("B", "C")))
+        column = executor._partitioned[("R", "B")]
+        assert len(column.shards) == 1
+        assert ("R", "C") not in executor._partitioned
+        paths = []
+
+        def spy(shard, interval, deadline=None):
+            reply = ShardedColumn.select_one(shard, interval, deadline)
+            paths.append(reply.meta["path"])
+            return reply
+
+        column.select_one = spy
+        repeat = b_and_c(30_000, 70_000, ("B", "D"))
+        # Readers share the table lock: holding it here cannot block a
+        # query that only ever reads it.
+        with executor.registry.lock_for("R").read():
+            second = executor.run(repeat, timeout=10)
+    assert first.path == second.path == "partition"
+    assert paths == ["probe"]
+    assert db._crackers == {}
+    assert second.digest() == _scan_digest(db, repeat)
+
+
+def test_explicit_partition_replaces_the_one_shard_key_source(db):
+    """An explicit ``partition`` after a query built a one-shard key source
+    replaces it with the requested shard count; rows deleted before either
+    column was built stay deleted."""
+    with ServerExecutor(db, workers=2, partitions=4) as executor:
+        doomed = np.flatnonzero(db.table("R").values("B") < 20_000)[:50]
+        executor.delete("R", doomed)
+        query = _span(0, 30_000, attr="B", projections=("B", "C"))
+        first = executor.run(query)
+        auto = executor._partitioned[("R", "B")]
+        assert len(auto.shards) == 1
+        column = executor.partition("R", "B")
+        assert column is not auto
+        assert len(column.shards) == 4
+        assert executor.partition("R", "B") is column
+        again = executor.run(_span(0, 30_000, attr="B", projections=("B",)))
+    assert first.digest() == _scan_digest(db, query)
+    assert again.row_count == first.row_count
+    assert again.path == "partition"
 
 
 def test_all_paths_agree_with_serial(small_arrays, rng):
@@ -152,7 +189,7 @@ def test_sql_and_served_query_entry_points(executor):
     served = ServedQuery.from_sql(
         "select A from R where A < 5000", executor.db
     )
-    assert executor.run(served).path in ("partition", "read", "engine")
+    assert executor.run(served).path == "partition"
 
 
 def test_timeout_raises_query_timeout(executor):
@@ -499,3 +536,70 @@ def test_run_batch_keeps_the_deadline_of_a_repeat_with_a_shorter_budget(db):
                 ])
         finally:
             t.join(timeout=10)
+
+
+# -- fault recovery: the same on every backend --------------------------------
+
+
+FAULT_SQL = "select A, B from R where A between 1000 and 29999"
+
+
+@pytest.mark.parametrize("spec", ["kernels.crack_three=error", "arena.alloc=oom"])
+@pytest.mark.parametrize("backend", ["serial", "thread"])
+def test_served_fault_recovers_by_scan(small_arrays, backend, spec):
+    """A recoverable fault in a shard crack answers by a base-column scan,
+    marked ``fault_recovered`` and kept out of the cache, on serial and
+    thread shards alike; the request frame stays ``ok``."""
+    db = Database(faults=spec)
+    db.create_table("R", dict(small_arrays))
+    shards = {} if backend == "serial" else dict(
+        partitions=2, partition_attrs=(("R", "A"),)
+    )
+    with ServerHandle(db, workers=2, **shards) as handle:
+        reply = handle.request({"sql": FAULT_SQL})
+        assert reply["ok"], reply
+        want = _scan_digest(db, ServedQuery.from_sql(FAULT_SQL, db).query)
+        assert reply["result"]["fault_recovered"]
+        assert reply["result"]["digest"] == want
+        assert handle.executor.stats()["cache"]["admissions"] == 0
+        again = handle.executor.run(FAULT_SQL)
+        later = handle.executor.run(_span(40_000, 60_000, projections=("A",)))
+    assert not again.cached and not again.fault_recovered
+    assert again.digest() == want
+    assert not later.fault_recovered
+    site, kind = spec.split("=")
+    assert db.fault_plan.injected == [f"{site}@1={kind}"]
+
+
+def test_served_fault_rebuilds_a_quarantined_shard(small_arrays, monkeypatch):
+    """A shard whose rollback cannot be validated is quarantined; the
+    executor rebuilds it from the base column's live rows in its range."""
+    db = Database(faults="kernels.crack_three=error")
+    db.create_table("R", dict(small_arrays))
+    query = _span(1_000, 30_000, projections=("A", "B"))
+    with ServerExecutor(db, workers=2, partitions=2) as executor:
+        column = executor.partition("R", "A")
+        values = db.table("R").values("A")
+        executor.delete("R", np.flatnonzero(values < 30_000)[:25])
+        before = [shard.cracker for shard in column.shards]
+        monkeypatch.setattr(guard, "_validate", lambda structure, kind: ["forced"])
+        got = executor.run(query)
+        monkeypatch.undo()
+        rebuilt = [
+            shard for shard, old in zip(column.shards, before)
+            if shard.cracker is not old
+        ]
+        after = executor.run(_span(1_000, 30_001, projections=("A", "B")))
+    assert got.fault_recovered
+    assert got.digest() == _scan_digest(db, query)
+    assert len(rebuilt) == 1
+    (shard,) = rebuilt
+    assert guard.is_quarantined(before[column.shards.index(shard)])
+    assert not guard.is_quarantined(shard.cracker)
+    live = ~db.tombstones("R")
+    in_range = (values >= shard.lo) & (values < shard.hi)
+    assert sorted(shard.cracker.keys) == list(np.flatnonzero(live & in_range))
+    assert not after.fault_recovered
+    assert after.row_count == got.row_count + int(
+        ((values == 30_000) & live).sum()
+    )

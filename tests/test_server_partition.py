@@ -67,6 +67,26 @@ def test_select_one_cracks_under_write_lock(values):
     assert shard.lock.write_acquires == before
 
 
+def test_a_late_request_cracks_under_a_trimmed_budget(values):
+    """Past ``BUDGET_TRIM_FRACTION`` of its deadline, a select cracks an
+    unbudgeted shard under the trimmed allowance, restored afterwards."""
+    import time
+
+    from repro.server.resilience import Deadline
+
+    column = _column(values, 1)
+    (shard,) = column.shards
+    fresh = Deadline(10.0)
+    column.select(Interval.half_open(10_000, 20_000), fresh)
+    assert column.budget_trims == 0
+    late = Deadline(10.0, started=time.perf_counter() - 9.0)
+    interval = Interval.half_open(40_000, 60_000)
+    keys = column.select(interval, late).keys
+    assert column.budget_trims == 1
+    assert shard.cracker.budget is None
+    assert sorted(keys) == list(np.flatnonzero(interval.mask(values)))
+
+
 def test_stats_report_one_lock_per_shard(values):
     column = _column(values, 4)
     stats = column.stats()

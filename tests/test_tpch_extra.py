@@ -140,6 +140,30 @@ class TestQueryContent:
         assert len(rows) <= 2
 
 
+class TestAbsentStrings:
+    def test_absent_strings_select_nothing_on_every_mode(self, data):
+        """``eq`` of a string the dictionary lacks matches no row, as SQL
+        ``=`` would; ``codes`` skips it."""
+        for mode in ("monetdb", "presorted", "selection_cracking", "sideways"):
+            db = Database()
+            data.load_into(db)
+            ex = ModeExecutor(db, mode)
+            for string in ("AAA", "MEDIUM", "ZZZ"):
+                preds = [Predicate("p_type", ex.eq("part", "p_type", string))]
+                out = ex.select("part", preds, ["p_partkey"])
+                assert len(out["p_partkey"]) == 0, (mode, string)
+            empty = [Predicate("p_name", ex.prefix("part", "p_name", "zzz"))]
+            assert len(ex.select("part", empty, ["p_partkey"])["p_partkey"]) == 0
+            present = ex.codes("part", "p_type", ["AAA", TYPES[0], "ZZZ"])
+            assert list(present) == [ex.eq("part", "p_type", TYPES[0]).lo]
+
+    def test_exp12_runs_below_scale_0_1(self):
+        from repro.bench import exp12_tpch
+
+        result = exp12_tpch.run(scale=0.05, variations=2)
+        assert set(result["series_ms"]) == set(QUERIES)
+
+
 class TestBenchDrivers:
     def test_exp12_driver_structure(self):
         from repro.bench import exp12_tpch
