@@ -1,4 +1,5 @@
-"""Kernel microbenchmarks: each crack kernel against its copy ceiling.
+"""Kernel microbenchmarks: each crack kernel and Ripple merge against its
+copy ceiling.
 
 The ``kernels`` experiment (``python -m repro.bench run ci/kernels.toml``)
 times each crack kernel against the copy ceiling of the same work —
@@ -6,7 +7,10 @@ times each crack kernel against the copy ceiling of the same work —
 kernel rewrites, on the same arrays with the same restore setup — checks
 every kernel's output against its specification (a stable partition gathers
 every array through ``np.argsort(group_id, kind="stable")``), and measures
-the multi-map gang-apply win and the ``min_piece`` sensitivity.
+the multi-map gang-apply win and the ``min_piece`` sensitivity.  The four
+``ripple_*`` cases time an in-place Ripple merge of a 10-row and of a
+1 %-of-the-rows batch against ``np.copyto`` of the suffix a whole-suffix
+merge moves, and check the merged pieces against a plain numpy merge.
 
 Each case's ``ratio`` is ``compare_ms / kernel_ms``: for the single-kernel
 cases the fraction of the copy ceiling the kernel reaches, for
@@ -26,6 +30,7 @@ import numpy as np
 
 from repro.bench.harness import default_scale, time_callable
 from repro.bench.report import format_table
+from repro.cracking import ripple
 from repro.cracking.arena import KernelArena
 from repro.cracking.bounds import Bound, Interval, Side
 from repro.cracking.column import CrackerColumn
@@ -235,6 +240,107 @@ def _bench_gang(rows: int, n_maps: int, seed: int) -> dict:
     return record
 
 
+def _cracked_columns(
+    rows: int, pieces: int, seed: int
+) -> tuple[list[np.ndarray], CrackerIndex]:
+    """A head and two tails cracked into ``pieces`` pieces, with its index."""
+    head, keys = _make_arrays(rows, seed)
+    rng = np.random.default_rng(seed + 3)
+    cuts = np.sort(rng.choice(10 * rows, size=pieces - 1, replace=False))
+    piece = np.searchsorted(cuts, head, side="right")
+    order = np.argsort(piece, kind="stable")
+    arrays = [head[order], keys[order], rng.integers(0, rows, size=rows)[order]]
+    index = CrackerIndex()
+    positions = np.searchsorted(piece[order], np.arange(1, pieces), side="left")
+    for cut, pos in zip(cuts.tolist(), positions.tolist()):
+        index.insert(Bound(float(cut), Side.LT), pos)
+    return arrays, index
+
+
+def _pieces_match(arrays: Sequence[np.ndarray], edges: np.ndarray, want) -> bool:
+    """Same rows per piece, each head with its tails: sorted by (piece, key)
+    the arrays equal ``want`` sorted the same way."""
+    piece = np.repeat(np.arange(len(edges) - 1), np.diff(edges))
+    got_order = np.lexsort((arrays[1], piece))
+    want_order = np.lexsort((want[1], piece))
+    return all(
+        np.array_equal(g[got_order], w[want_order]) for g, w in zip(arrays, want)
+    )
+
+
+def _bench_ripple(kind: str, rows: int, batch: int, name: str, seed: int) -> dict:
+    """One in-place Ripple merge of ``batch`` rows into ``rows`` rows cracked
+    into 800 pieces.
+
+    The ceiling copies the suffix a whole-suffix merge moves: from the end
+    of the first affected piece (inserts) or the first victim (deletes).
+    ``identical`` compares every piece, rows paired across the arrays,
+    with ``np.insert`` / ``np.delete`` of the same batch.
+    """
+    base, base_index = _cracked_columns(rows, 800, seed)
+    rng = np.random.default_rng(seed + 4)
+    edges = base_index.piece_edges(rows)
+    if kind == "insert":
+        ins = [rng.integers(0, 10 * rows, size=batch),
+               np.arange(rows, rows + batch), rng.integers(0, rows, size=batch)]
+        target = base_index.piece_ids(ins[0])
+        suffix = edges.item(target.min() + 1)
+        new_edges = edges + np.concatenate(([0], np.cumsum(np.bincount(
+            target, minlength=len(edges) - 1))))
+        order = np.argsort(target, kind="stable")
+        want = [np.insert(arr, edges[target[order] + 1], new[order])
+                for arr, new in zip(base, ins)]
+        out_rows = rows + batch
+
+        def merge(index, arrays):
+            return ripple.merge_insertions(index, arrays[0], arrays[1:], ins[0], ins[1:],
+                                           StatsRecorder())
+    else:
+        victims = np.sort(rng.choice(rows, size=batch, replace=False))
+        suffix = victims.item(0)
+        new_edges = edges - np.searchsorted(victims, edges)
+        want = [np.delete(arr, victims) for arr in base]
+        out_rows = rows - batch
+
+        def merge(index, arrays):
+            return ripple.delete_positions(index, arrays[0], arrays[1:], victims,
+                                           StatsRecorder())
+
+    # Owned buffers, handed out afresh before every repeat, so each timed
+    # merge takes the in-place path the engines take from their second
+    # merge on.
+    bufs = [np.empty(ripple._capacity(max(rows, out_rows)), arr.dtype) for arr in base]
+    state: dict = {}
+
+    def restore() -> None:
+        state["arrays"] = [ripple._hand_out(buf, rows) for buf in bufs]
+        for arr, src in zip(state["arrays"], base):
+            arr[:] = src
+        state["index"] = base_index.clone()
+
+    work = [arr.copy() for arr in base]
+
+    def restore_copy() -> None:
+        for dst, src in zip(work, base):
+            dst[:] = src
+
+    def copy_ceiling() -> None:
+        for dst, src in zip(work, base):
+            np.copyto(dst[suffix:], src[suffix:])
+
+    timed = time_callable(lambda: merge(state["index"], state["arrays"]), setup=restore)
+    ceiling = time_callable(copy_ceiling, setup=restore_copy)
+    restore()
+    head, tails = merge(state["index"], state["arrays"])
+    got_edges = state["index"].piece_edges(out_rows)
+    identical = np.array_equal(got_edges, new_edges) and _pieces_match(
+        [head, *tails], got_edges, want
+    )
+    record = _case_record(name, rows, timed, "copy", ceiling, identical)
+    record["batch"] = batch
+    return record
+
+
 def _bench_min_piece(rows: int, queries: int, seed: int) -> list[dict]:
     """Model-cost sensitivity of MDD1R to the ``min_piece`` knob."""
     rng = np.random.default_rng(seed)
@@ -297,6 +403,11 @@ def run(
         _bench_sort_piece(sort_rows, seed),
         _bench_crack_sequence(rows, cracks=256, seed=seed),
         _bench_gang(gang_rows, n_maps=4, seed=seed),
+        *(
+            _bench_ripple(kind, rows, batch, f"ripple_{kind}_{label}", seed)
+            for kind in ("insert", "delete")
+            for label, batch in (("x10", 10), ("lfhv", rows // 100))
+        ),
     ]
     result = {
         "bench": "kernels",

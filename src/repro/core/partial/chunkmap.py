@@ -8,7 +8,13 @@ into *areas*:
   exactly the value range a query needs before fetching it);
 * a **fetched** area is frozen in ``H_A`` — cracking it further would break
   the alignment of chunks already created from it — and carries its own
-  cracker tape plus the set of partial maps referencing it.
+  cracker tape plus the set of partial maps referencing it.  Frozen means
+  its rows keep their order too: a Ripple merge into an unfetched area may
+  permute the boundary rows of every later piece, so updates routed into
+  ``H_A`` name the fetched areas' pieces (:meth:`ChunkMap.fetched_pieces`)
+  as frozen, and those only shift whole.  A chunk created later from the
+  area's slice then starts from the same rows, in the same order, as the
+  chunks created before it.
 
 Area edges are crack boundaries of ``H_A``'s index, so area positions are
 always read from the index (they shift automatically when updates grow or
@@ -146,6 +152,14 @@ class ChunkMap:
         fault_hook("chunkmap.fetch", self.head[lo:hi])
         self._recorder.sequential(2 * (hi - lo))
         return self.head[lo:hi], self.keys[lo:hi]
+
+    def fetched_pieces(self) -> list[int]:
+        """The ``H_A`` piece of each fetched area (a fetched area holds no
+        interior boundary, so it is exactly one piece)."""
+        return [
+            0 if area.lo_bound is None else self.index.rank_of(area.lo_bound) + 1
+            for area in self.areas if area.fetched
+        ]
 
     def area_of_id(self, area_id: int) -> Area:
         for area in self.areas:

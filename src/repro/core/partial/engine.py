@@ -180,6 +180,7 @@ class PartialMapSet:
             cmap.head, tails = merge_insertions(
                 cmap.index, cmap.head, [cmap.keys],
                 values[unfetched_mask], [keys[unfetched_mask]], self._recorder,
+                frozen=cmap.fetched_pieces(),
             )
             cmap.keys = tails[0]
 
@@ -202,7 +203,8 @@ class PartialMapSet:
                 values[unfetched_mask], keys[unfetched_mask], self._recorder,
             )
             cmap.head, tails = delete_positions(
-                cmap.index, cmap.head, [cmap.keys], positions, self._recorder
+                cmap.index, cmap.head, [cmap.keys], positions, self._recorder,
+                frozen=cmap.fetched_pieces(),
             )
             cmap.keys = tails[0]
 

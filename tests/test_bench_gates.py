@@ -113,6 +113,18 @@ class TestGateCheckers:
         checks = GATES.get("kernels")(current, baseline, {"tolerance": 50.0})
         assert all(c.ok for c in checks)
 
+    def test_kernels_skips_cases_the_baseline_lacks(self):
+        """A case added after the baseline was taken (the ``ripple_*``
+        merges) is reported but not gated."""
+        current = {"all_identical": True, "cases": [
+            {"case": "crack_two", "rows": 1000, "compare": "copy", "ratio": 0.4},
+            {"case": "ripple_delete_lfhv", "rows": 1000, "compare": "copy",
+             "ratio": 0.001}]}
+        baseline = {"cases": [
+            {"case": "crack_two", "rows": 1000, "compare": "copy", "ratio": 0.4}]}
+        checks = GATES.get("kernels")(current, baseline, {"tolerance": 50.0})
+        assert all(c.ok for c in checks)
+
 
     def test_exp14_every_cell_and_headline_floor(self):
         gate = GATES.get("exp14")

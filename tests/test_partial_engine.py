@@ -187,6 +187,51 @@ class TestUpdatesPartial:
                     chunk.check_invariants()
 
 
+class TestFrozenAreas:
+    def test_updates_merged_into_h_a_leave_fetched_areas_in_order(self, rng):
+        """Fetched areas are frozen in ``H_A``: an insert and a delete merged
+        into an unfetched area in front of them shift them whole, so a chunk
+        created afterwards starts from the rows an older chunk started from."""
+        arrays, rel, pw = make(rng)
+        pw.select_project("A", Interval.open(20_000, 30_000), ["B"])
+        pw.select_project("A", Interval.open(22_000, 28_000), ["B"])  # crack the chunk
+        pw.select_project("A", Interval.open(35_000, 45_000), ["B"])
+        cmap = pw.sets["A"].chunkmap
+        fetched = [area for area in cmap.areas if area.fetched]
+        assert len(fetched) == 2
+
+        def slices():
+            return [tuple(a.tobytes() for a in cmap.area_slice(area)) for area in fetched]
+
+        before, starts = slices(), [cmap.area_positions(area)[0] for area in fetched]
+        live = {c: arrays[c].copy() for c in "ABCD"}
+        new = {c: rng.integers(1, 50_000, size=100).astype(np.int64) for c in "ABCD"}
+        new["A"] = rng.integers(1, 15_000, size=100).astype(np.int64)
+        keys = np.arange(len(rel), len(rel) + 100, dtype=np.int64)
+        rel.append_rows(new)
+        pw.notify_insertions(new, keys)
+        victims = np.flatnonzero(arrays["A"] < 15_000)[:50].astype(np.int64)
+        pw.notify_deletions({a: arrays[a][victims] for a in pw.sets}, victims)
+        live = {c: np.concatenate([live[c], new[c]]) for c in "ABCD"}
+        deleted = np.zeros(len(rel), dtype=bool)
+        deleted[victims] = True
+        # Merging these updates ripples through both fetched areas.
+        pw.select_project("A", Interval.open(1, 15_000), ["B"])
+        assert [cmap.area_positions(area)[0] for area in fetched] == [s + 50 for s in starts]
+        assert slices() == before
+
+        iv = Interval.open(22_000, 28_000)
+        res = pw.select_project("A", iv, ["B", "C"])  # a new C chunk beside B's
+        mask = iv.mask(live["A"]) & ~deleted
+        assert sorted(zip(res["B"].tolist(), res["C"].tolist())) == sorted(
+            zip(live["B"][mask].tolist(), live["C"][mask].tolist())
+        )
+        older = pw.sets["A"].maps["B"].get_chunk(fetched[0])
+        newer = pw.sets["A"].maps["C"].get_chunk(fetched[0])
+        assert older.cursor == newer.cursor
+        assert older.head.tobytes() == newer.head.tobytes()
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(0, 9_999),

@@ -135,13 +135,14 @@ def test_merge_then_select_matches_oracle(seed, batch):
     assert got == expected
 
 
-# -- equivalence with a per-element reference ---------------------------------
+# -- equivalence with a per-row reference of the paper's Ripple ---------------
 #
 # The bulk passes must return the arrays, leave the index positions and
-# charge the recorder exactly as moving one row at a time would.  The domain
-# is tiny on purpose: duplicates sit on LT/LE boundary pairs, neighbouring
-# boundaries leave empty pieces, and batches hit position 0, position n-1
-# and runs of adjacent rows.
+# charge the recorder exactly as the paper's Ripple moving one boundary row
+# per later piece per row would, with the batch applied in the order the
+# bulk merge defines.  The domain is tiny on purpose: duplicates sit on
+# LT/LE boundary pairs, neighbouring boundaries leave empty pieces, and
+# batches hit position 0, position n-1 and runs of adjacent rows.
 
 
 def _ref_piece(bounds: list[Bound], value: int) -> int:
@@ -174,19 +175,40 @@ def _index_of(bounds, positions) -> CrackerIndex:
     return index
 
 
-def _ref_merge(bounds, positions, head, tail, ins_head, ins_tail):
-    head, tail, positions = head.tolist(), tail.tolist(), list(positions)
-    n, starts, first = len(head), [0, *positions], len(head)
-    for value, payload in zip(ins_head.tolist(), ins_tail.tolist()):
-        piece = _ref_piece(bounds, value)
-        first = min(first, starts[piece])
-        at = positions[piece] if piece < len(positions) else len(head)
-        head.insert(at, value)  # the end of its piece, after earlier arrivals
-        tail.insert(at, payload)
-        for rank in range(piece, len(positions)):
-            positions[rank] += 1
-    moved = (n - first + len(ins_head)) * 2
-    return head, tail, positions, moved
+def _ref_merge(bounds, positions, arrays, new_arrays, frozen=()):
+    """The paper's Ripple insert, one new row at a time.
+
+    Rows go in ascending piece order, batch order within a piece.  For each
+    row, every later piece, back to front, moves one boundary row into the
+    free slot at its end: its first row not yet moved by this batch, or,
+    once all of them have moved (or when it is frozen), the whole piece
+    slides up by one, in order.  The new row then fills the slot at the end
+    of its own piece.  Returns ``(arrays, positions, charge)``.
+    """
+    arrays = [arr.tolist() for arr in arrays]
+    new_arrays = [new.tolist() for new in new_arrays]
+    n = len(arrays[0])
+    starts, ends = [0, *positions], [*positions, n]
+    moved = [0] * len(starts)
+    pieces = [_ref_piece(bounds, v) for v in new_arrays[0]]
+    charge = (n - min(starts[p] for p in pieces) + len(pieces)) * len(arrays)
+    for i in sorted(range(len(pieces)), key=pieces.__getitem__):
+        for arr in arrays:
+            arr.append(None)
+        for k in range(len(starts) - 1, pieces[i], -1):
+            lo, hi = starts[k], ends[k]
+            slide = k in frozen or moved[k] == hi - lo
+            for arr in arrays:
+                if slide:
+                    arr[lo + 1:hi + 1] = arr[lo:hi]
+                else:
+                    arr[hi] = arr[lo]
+            moved[k] += not slide
+            starts[k], ends[k] = lo + 1, hi + 1
+        for arr, new in zip(arrays, new_arrays):
+            arr[ends[pieces[i]]] = new[i]
+        ends[pieces[i]] += 1
+    return arrays, starts[1:], charge
 
 
 def _ref_locate(bounds, positions, head, keys, del_values, del_keys):
@@ -201,34 +223,83 @@ def _ref_locate(bounds, positions, head, keys, del_values, del_keys):
     return sorted(hits), sum(scanned.values())
 
 
-def _ref_delete(positions, head, tail, victims):
-    head, tail = head.tolist(), tail.tolist()
+def _ref_delete(positions, arrays, victims, frozen=()):
+    """The paper's Ripple delete, one victim at a time.
+
+    Pieces go back to front, and a piece's victims front to back.  While the
+    piece's last row is a victim, that row leaves; then the victim's slot
+    takes the piece's last row.  Every row leaving a piece frees the slot at
+    its end, and every later piece, front to back, moves one boundary row
+    into the free slot in front of it: its last row not yet moved by this
+    batch, or, once all of them have moved (or when it is frozen), the whole
+    piece slides down by one, in order.  Returns ``(arrays, positions,
+    charge)``.
+    """
+    arrays = [arr.tolist() for arr in arrays]
+    n = len(arrays[0])
+    starts, ends = [0, *positions], [*positions, n]
+    moved = [0] * len(starts)
     victims = sorted(set(victims))
-    moved = (len(head) - victims[0]) * 2
-    for p in reversed(victims):
-        del head[p], tail[p]
-    positions = [pos - sum(v < pos for v in victims) for pos in positions]
-    return head, tail, positions, moved
+
+    def piece_of(p):
+        return max(k for k, start in enumerate(starts) if start <= p)
+
+    def leave(j, p):
+        ends[j] -= 1
+        for arr in arrays:
+            arr[p] = arr[ends[j]]
+        for k in range(j + 1, len(starts)):
+            lo, hi = starts[k], ends[k]
+            slide = k in frozen or moved[k] == hi - lo
+            for arr in arrays:
+                if slide:
+                    arr[lo - 1:hi - 1] = arr[lo:hi]
+                else:
+                    arr[lo - 1] = arr[hi - 1]
+            moved[k] += not slide
+            starts[k], ends[k] = lo - 1, hi - 1
+        for arr in arrays:
+            del arr[-1]
+
+    charge = (n - starts[piece_of(victims[0])]) * len(arrays)
+    for j in reversed(range(len(starts))):
+        pending = {p for p in victims if piece_of(p) == j}
+        for p in sorted(pending):
+            if p not in pending:
+                continue  # it left from the end already
+            while ends[j] - 1 in pending and ends[j] - 1 != p:
+                pending.remove(ends[j] - 1)
+                leave(j, ends[j] - 1)
+            pending.remove(p)
+            leave(j, p)
+    return arrays, starts[1:], charge
 
 
 def _charges(recorder: StatsRecorder) -> tuple[int, int]:
     return recorder.root.sequential, recorder.root.writes
 
 
-@settings(max_examples=150, deadline=None)
+def _untouched(bits, count, touched):
+    """Pieces to freeze: the ones ``bits`` picks that the batch leaves alone."""
+    return [k for k in range(count) if bits[k] and k not in touched]
+
+
+@settings(max_examples=200, deadline=None)
 @given(state=cracked_states(),
-       batch=st.lists(st.integers(-1, 13), min_size=1, max_size=30))
-def test_merge_insertions_matches_per_row_reference(state, batch):
+       batch=st.lists(st.integers(-1, 13), min_size=1, max_size=30),
+       freeze=st.lists(st.booleans(), min_size=9, max_size=9))
+def test_merge_insertions_matches_per_row_reference(state, batch, freeze):
     head, keys, bounds, positions = state
     index = _index_of(bounds, positions)
     ins_head = np.array(batch, dtype=np.int64)
     ins_keys = np.arange(1000, 1000 + len(batch), dtype=np.int64)
+    frozen = _untouched(freeze, len(bounds) + 1, {_ref_piece(bounds, v) for v in batch})
     recorder = StatsRecorder()
     new_head, (new_keys,) = merge_insertions(
-        index, head, [keys], ins_head, [ins_keys], recorder
+        index, head, [keys], ins_head, [ins_keys], recorder, frozen=frozen
     )
-    want_head, want_keys, want_pos, moved = _ref_merge(
-        bounds, positions, head, keys, ins_head, ins_keys
+    (want_head, want_keys), want_pos, moved = _ref_merge(
+        bounds, positions, [head, keys], [ins_head, ins_keys], frozen
     )
     assert new_head.tolist() == want_head and new_head.dtype == head.dtype
     assert new_keys.tolist() == want_keys
@@ -236,11 +307,11 @@ def test_merge_insertions_matches_per_row_reference(state, batch):
     assert _charges(recorder) == (moved, moved)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(state=cracked_states(), picks=st.sets(st.integers(0, 39), min_size=1),
        edge_rows=st.sets(st.sampled_from(["first", "last"])),
-       rows_per_hole=st.sampled_from([0, ripple._ROWS_PER_HOLE, 10**9]))
-def test_deletions_match_per_row_reference(state, picks, edge_rows, rows_per_hole):
+       freeze=st.lists(st.booleans(), min_size=9, max_size=9))
+def test_deletions_match_per_row_reference(state, picks, edge_rows, freeze):
     head, keys, bounds, positions = state
     n = len(head)
     victims = {p % n for p in picks}
@@ -260,87 +331,83 @@ def test_deletions_match_per_row_reference(state, picks, edge_rows, rows_per_hol
     assert located.dtype == np.int64
     assert _charges(recorder) == (scanned, 0)
 
-    # 0 always closes holes by slice copies, 10**9 always by the mask: the
-    # two sides of the cut-over must be indistinguishable.
+    frozen = _untouched(
+        freeze, len(bounds) + 1, {_ref_piece(bounds, v) for v in head[victims].tolist()}
+    )
     recorder = StatsRecorder()
-    with mock.patch.object(ripple, "_ROWS_PER_HOLE", rows_per_hole):
-        new_head, (new_keys,) = delete_positions(
-            index, head, [keys], located[::-1], recorder
-        )
-    want_head, want_keys, want_pos, moved = _ref_delete(positions, head, keys, victims)
+    # Unsorted, with a repeat: positions are a set.
+    new_head, (new_keys,) = delete_positions(
+        index, head, [keys], np.concatenate((located[::-1], located[:1])), recorder,
+        frozen=frozen,
+    )
+    (want_head, want_keys), want_pos, moved = _ref_delete(
+        positions, [head, keys], victims.tolist(), frozen
+    )
     assert new_head.tolist() == want_head and new_head.dtype == head.dtype
     assert new_keys.tolist() == want_keys
     assert [pos for _, pos in index.inorder()] == want_pos
     assert _charges(recorder) == (moved, moved)
 
 
-@pytest.mark.parametrize("holes", [3, 2_000])
-def test_delete_positions_on_both_sides_of_the_cut_over(holes, rng):
-    """At the shipped cut-over: few holes in many rows (slice copies) and
-    more holes than any slice path would take (mask) agree with np.delete."""
+def _cracked_4000(rng):
     n = 4_000
-    assert (3 * ripple._ROWS_PER_HOLE <= n) and (2_000 * ripple._ROWS_PER_HOLE > n)
     head = rng.integers(0, 1000, size=n).astype(np.int64)
     keys = np.arange(n, dtype=np.int64)
     index = CrackerIndex()
-    crack_into(index, head, [keys], Interval.open(200, 700))
+    for lo in (100, 300, 500, 700, 850):
+        crack_into(index, head, [keys], Interval.open(lo, lo + 60))
+    return head, keys, index
+
+
+@pytest.mark.parametrize("rows", [3, 2_000])
+def test_merge_insertions_few_and_many_rows(rows, rng):
+    """A few new rows (boundary rows move) and a batch of half the rows
+    (whole pieces move as slices) both match the per-row reference."""
+    head, keys, index = _cracked_4000(rng)
+    bounds, before = index.bounds(), [pos for _, pos in index.inorder()]
+    ins_head = rng.integers(0, 1000, size=rows).astype(np.int64)
+    ins_keys = np.arange(10_000, 10_000 + rows, dtype=np.int64)
+    new_head, (new_keys,) = merge_insertions(index, head, [keys], ins_head, [ins_keys])
+    (want_head, want_keys), want_pos, _ = _ref_merge(
+        bounds, before, [head, keys], [ins_head, ins_keys]
+    )
+    assert new_head.tolist() == want_head and new_keys.tolist() == want_keys
+    assert [pos for _, pos in index.inorder()] == want_pos
+
+
+@pytest.mark.parametrize("holes", [3, 2_000])
+def test_delete_positions_few_and_many_holes(holes, rng):
+    """A few holes in many rows (boundary rows move) and holes in half the
+    rows (whole pieces move as slices) both match the per-row reference."""
+    head, keys, index = _cracked_4000(rng)
     before = [pos for _, pos in index.inorder()]
-    victims = np.sort(rng.choice(n, size=holes, replace=False)).astype(np.int64)
+    victims = np.sort(rng.choice(len(head), size=holes, replace=False)).astype(np.int64)
     new_head, (new_keys,) = delete_positions(index, head, [keys], victims)
-    assert np.array_equal(new_head, np.delete(head, victims))
-    assert np.array_equal(new_keys, np.delete(keys, victims))
-    assert [pos for _, pos in index.inorder()] == [
-        pos - int((victims < pos).sum()) for pos in before
-    ]
+    (want_head, want_keys), want_pos, _ = _ref_delete(
+        before, [head, keys], victims.tolist()
+    )
+    assert new_head.tolist() == want_head and new_keys.tolist() == want_keys
+    assert [pos for _, pos in index.inorder()] == want_pos
 
 
-# -- chained merges against the allocate-and-concatenate merge ----------------
+# -- chained merges against the per-row reference chain ------------------------
 #
-# The per-row references above hand every call a fresh array, so they never
-# reach the in-place branch.  Here cracks, insert batches and delete batches
-# chain on the arrays each merge returned, against the merge as it was before
-# it reused buffers: one fresh array per call.
+# The per-row tests above hand every call a fresh array, so they never reach
+# the in-place branch.  Here cracks, insert batches and delete batches chain
+# on the arrays each merge returned, against the per-row reference chained
+# on its own results.
 
 
-def _concatenating_merge(index, head, tails, ins_head, ins_tails, recorder):
-    n = len(head)
-    order, affected, offsets = ripple._group_by_piece(index, ins_head)
-    edges = index.piece_edges(n)
-    first_touched = edges.item(affected[0])
-    cuts = [0, *edges[affected + 1].tolist()]
-
-    def grown(old, new):
-        new = new[order]
-        parts = []
-        for j in range(len(affected)):
-            parts += (old[cuts[j]:cuts[j + 1]], new[offsets[j]:offsets[j + 1]])
-        parts.append(old[cuts[-1]:])
-        return np.concatenate(parts)
-
-    merged = grown(head, ins_head), [
-        grown(tail, ins) for tail, ins in zip(tails, ins_tails)
-    ]
-    moved = (n - first_touched + len(ins_head)) * (1 + len(tails))
-    recorder.sequential(moved)
-    recorder.write(moved)
-    index.apply_order_shifts(list(zip(affected.tolist(), np.diff(offsets).tolist())))
-    return merged
-
-
-def _concatenating_delete(index, head, tails, positions, recorder):
-    positions = np.unique(np.asarray(positions, dtype=np.int64))
-    n = len(head)
-    holes = positions.tolist()
-    kept = list(zip([0, *(p + 1 for p in holes)], [*holes, n]))
-
-    def shrunk(arr):
-        return np.concatenate([arr[lo:hi] for lo, hi in kept])
-
-    moved = (n - positions.item(0)) * (1 + len(tails))
-    recorder.sequential(moved)
-    recorder.write(moved)
-    index.apply_shifts([(p + 1, -1) for p in positions.tolist()])
-    return shrunk(head), [shrunk(t) for t in tails]
+def _ref_step(index, arrays, step, *args):
+    """One reference merge on ``arrays`` (same dtypes out); returns the
+    arrays, a fresh index at the merged positions, and the charge."""
+    positions = [pos for _, pos in index.inorder()]
+    if step == "insert":
+        out, positions, charge = _ref_merge(index.bounds(), positions, arrays, *args)
+    else:
+        out, positions, charge = _ref_delete(positions, arrays, *args)
+    out = [np.array(got, dtype=arr.dtype) for got, arr in zip(out, arrays)]
+    return out, _index_of(index.bounds(), positions), charge
 
 
 _chain_steps = st.lists(
@@ -361,11 +428,8 @@ _chain_steps = st.lists(
 @settings(max_examples=150, deadline=None)
 @given(values=st.lists(st.integers(0, 12), min_size=1, max_size=60),
        foreign=st.sampled_from(["fresh", "prefix view"]),
-       steps=_chain_steps,
-       rows_per_hole=st.sampled_from([0, ripple._ROWS_PER_HOLE, 10**9]))
-def test_chained_merges_match_the_concatenating_merge(
-    values, foreign, steps, rows_per_hole
-):
+       steps=_chain_steps)
+def test_chained_merges_match_the_per_row_reference(values, foreign, steps):
     n = len(values)
     head = np.array(values, dtype=np.int64)
     start = [head, np.arange(100, 100 + n, dtype=np.int64), head * 0.5]
@@ -378,45 +442,57 @@ def test_chained_merges_match_the_concatenating_merge(
     got_rec, want_rec = StatsRecorder(), StatsRecorder()
     next_key = 10_000
 
-    with mock.patch.object(ripple, "_ROWS_PER_HOLE", rows_per_hole):
-        for step in steps:
-            if step[0] == "crack":
-                interval = interval_from_bounds(Bound(step[1], step[2]), None)
-                crack_into(got_index, got[0], got[1:], interval, got_rec)
-                crack_into(want_index, want[0], want[1:], interval, want_rec)
-            elif step[0] == "insert":
-                ins_head = np.array(step[1] * step[2], dtype=np.int64)
-                ins_tails = [
-                    np.arange(next_key, next_key + len(ins_head), dtype=np.int64),
-                    ins_head * 0.5,
-                ]
-                next_key += len(ins_head)
-                head, tails = merge_insertions(
-                    got_index, got[0], got[1:], ins_head, ins_tails, got_rec
-                )
-                got = [head, *tails]
-                head, tails = _concatenating_merge(
-                    want_index, want[0], want[1:], ins_head, ins_tails, want_rec
-                )
-                want = [head, *tails]
-            elif len(want[0]):
-                size = len(want[0])
-                victims = {p % size for p in step[1]}
-                victims |= {0} if "first" in step[2] else set()
-                victims |= {size - 1} if "last" in step[2] else set()
-                positions = np.array(sorted(victims), dtype=np.int64)[::-1]
-                head, tails = delete_positions(
-                    got_index, got[0], got[1:], positions, got_rec
-                )
-                got = [head, *tails]
-                head, tails = _concatenating_delete(
-                    want_index, want[0], want[1:], positions, want_rec
-                )
-                want = [head, *tails]
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-            assert list(got_index.inorder()) == list(want_index.inorder())
-            assert _charges(got_rec) == _charges(want_rec)
+    for step in steps:
+        if step[0] == "crack":
+            interval = interval_from_bounds(Bound(step[1], step[2]), None)
+            crack_into(got_index, got[0], got[1:], interval, got_rec)
+            crack_into(want_index, want[0], want[1:], interval, want_rec)
+            charge = 0
+        elif step[0] == "insert":
+            ins_head = np.array(step[1] * step[2], dtype=np.int64)
+            ins_tails = [
+                np.arange(next_key, next_key + len(ins_head), dtype=np.int64),
+                ins_head * 0.5,
+            ]
+            next_key += len(ins_head)
+            head, tails = merge_insertions(
+                got_index, got[0], got[1:], ins_head, ins_tails, got_rec
+            )
+            got = [head, *tails]
+            want, want_index, charge = _ref_step(
+                want_index, want, "insert", [ins_head, *ins_tails]
+            )
+        elif len(want[0]):
+            size = len(want[0])
+            victims = {p % size for p in step[1]}
+            victims |= {0} if "first" in step[2] else set()
+            victims |= {size - 1} if "last" in step[2] else set()
+            positions = np.array(sorted(victims), dtype=np.int64)[::-1]
+            head, tails = delete_positions(
+                got_index, got[0], got[1:], positions, got_rec
+            )
+            got = [head, *tails]
+            want, want_index, charge = _ref_step(
+                want_index, want, "delete", sorted(victims)
+            )
+        else:
+            charge = 0
+        want_rec.sequential(charge)
+        want_rec.write(charge)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert list(got_index.inorder()) == list(want_index.inorder())
+        assert _charges(got_rec) == _charges(want_rec)
+
+
+def test_a_frozen_piece_takes_no_rows(rng):
+    head, keys, index = cracked_state(rng)
+    frozen = index.piece_ids(head[:1]).tolist()  # the piece holding row 0
+    with pytest.raises(ValueError, match="frozen"):
+        merge_insertions(index, head, [keys], head[:1], [np.array([9_999])],
+                         frozen=frozen)
+    with pytest.raises(ValueError, match="frozen"):
+        delete_positions(index, head, [keys], np.array([0]), frozen=frozen)
 
 
 # -- nothing but the view ripple handed out is ever written -------------------
