@@ -1,6 +1,8 @@
 """Static and runtime correctness tooling for the cracking structures.
 
-Four complementary layers live here:
+Four complementary layers live here, and one switchboard —
+:class:`repro.analysis.checks.Checks` — arms the runtime ones (CrackSan,
+RaceSan, and :mod:`repro.faults`' FaultSan) for a scope:
 
 * :mod:`repro.analysis.sanitizer` — **CrackSan**, a runtime sanitizer that
   registers every live cracking structure and validates the unified
@@ -30,6 +32,7 @@ here would close that cycle.
 """
 
 __all__ = [
+    "Checks",
     "LEVELS",
     "RaceSan",
     "Sanitizer",
@@ -40,6 +43,7 @@ __all__ = [
 ]
 
 _HOMES = {
+    "Checks": "repro.analysis.checks",
     "LEVELS": "repro.analysis.sanitizer",
     "RaceSan": "repro.analysis.racesan",
     "Sanitizer": "repro.analysis.sanitizer",

@@ -6,10 +6,11 @@ and the two AST passes (:mod:`repro.analysis.lint`,
 
 * structured violation records with a ``describe()`` method, raised inside
   a typed error (strict mode) or collected for a summary report;
-* best-effort JSON *repro artifacts* dropped next to a failing run when the
-  tool's ``*_ARTIFACTS`` environment variable is set (to a directory path,
-  or ``1`` for the working directory), so CI can attach reproduction
-  material without re-running anything.
+* best-effort JSON *repro artifacts* dropped next to a failing run when
+  ``$REPRO_CHECK_ARTIFACTS`` is set (to a directory path, or ``1`` for the
+  working directory), so CI can attach reproduction material without
+  re-running anything.  (Which checks run is :class:`~repro.analysis.checks.Checks`'
+  business, never the environment's.)
 
 This module owns the artifact half so the tools cannot drift apart on
 file naming or dump format.
@@ -21,27 +22,24 @@ import json
 import os
 import threading
 
+ARTIFACT_ENV_VAR = "REPRO_CHECK_ARTIFACTS"
+
 _COUNTER_LOCK = threading.Lock()
 _COUNTERS: dict[str, int] = {}
 
 
-def artifact_dir(env_var: str) -> str | None:
-    """The dump directory requested via ``env_var``, or ``None`` when off."""
-    target = os.environ.get(env_var)
-    if not target:
-        return None
-    return os.getcwd() if target in ("1", "true", "on") else target
-
-
-def dump_artifact(env_var: str, prefix: str, payload: dict) -> str | None:
+def dump_artifact(prefix: str, payload: dict) -> str | None:
     """Write ``payload`` as ``<prefix>-<pid>-<n>.json`` under the directory
-    named by ``env_var``; best-effort (returns the path, or ``None``).
+    ``$REPRO_CHECK_ARTIFACTS`` names (``1``: the working directory);
+    best-effort (returns the path, or ``None``).
 
     Never raises: the artifact must not mask the real error being reported.
     """
-    directory = artifact_dir(env_var)
-    if directory is None:
+    directory = os.environ.get(ARTIFACT_ENV_VAR)
+    if not directory:
         return None
+    if directory in ("1", "true", "on"):
+        directory = os.getcwd()
     with _COUNTER_LOCK:
         _COUNTERS[prefix] = _COUNTERS.get(prefix, 0) + 1
         counter = _COUNTERS[prefix]

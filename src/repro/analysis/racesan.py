@@ -31,9 +31,9 @@ deadlocks — reported with the acquisition stack of every edge on the
 cycle.  The serving layer's declared hierarchy (table → shard → leaf
 mutexes) keeps the graph acyclic; RaceSan is the machine check.
 
-Activation mirrors CrackSan: ``Database(racesan=...)``, the
-``$REPRO_RACESAN`` environment variable (the ``--racesan`` CLI flag sets
-it), the pytest ``--racesan`` option, or directly::
+``--racesan``, a config's ``[run] racesan`` and the pytest option arm one
+detector through a scoped :class:`repro.analysis.checks.Checks`, as for
+CrackSan; no ``Database`` owns one.  A test can activate its own::
 
     with RaceSan(strict=False).activated() as rs:
         ...  # serve concurrently
@@ -41,14 +41,13 @@ it), the pytest ``--racesan`` option, or directly::
 
 In strict mode a violation raises :class:`~repro.errors.RaceError` at the
 detecting access; with ``strict=False`` violations collect on
-:attr:`RaceSan.violations`.  When ``$REPRO_RACESAN_ARTIFACTS`` is set,
-every violation also drops a ``racesan-repro-*.json`` reproduction file
-(shared conventions: :mod:`repro.analysis.diagnostics`).
+:attr:`RaceSan.violations`.  When ``$REPRO_CHECK_ARTIFACTS`` is set, every
+violation also drops a ``racesan-repro-*.json`` reproduction file (shared
+conventions: :mod:`repro.analysis.diagnostics`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import traceback
 import weakref
@@ -57,12 +56,6 @@ from typing import Iterator
 
 from repro.analysis.diagnostics import dump_artifact, format_report
 from repro.errors import PlanError, RaceError, RaceViolation
-
-#: Environment variable consulted when no explicit mode is given.
-ENV_VAR = "REPRO_RACESAN"
-
-#: Directory (or ``1`` for cwd) to drop ``racesan-repro-*.json`` files in.
-ARTIFACT_ENV_VAR = "REPRO_RACESAN_ARTIFACTS"
 
 #: Frames kept per captured stack (innermost last).
 STACK_LIMIT = 16
@@ -74,21 +67,19 @@ SHARED_MODIFIED = "shared-modified"
 
 
 def resolve_mode(mode: "str | bool | None" = None) -> str:
-    """Normalize a racesan mode spec; ``None`` falls back to $REPRO_RACESAN."""
-    if mode is None:
-        mode = os.environ.get(ENV_VAR) or "off"
+    """Normalize a racesan spec to ``"on"``/``"off"``; strictness is the caller's."""
     if isinstance(mode, bool):
         return "on" if mode else "off"
-    name = str(mode).strip().lower().replace("_", "-")
+    name = str(mode).strip().lower()
     if name in ("", "none", "0", "false", "off"):
         return "off"
-    if name in ("1", "true", "on", "strict"):
+    if name in ("1", "true", "on"):
         return "on"
-    raise PlanError(f"unknown racesan mode {mode!r}; choose 'on' or 'off'")
+    raise PlanError(f"unknown racesan mode {mode!r}; choose on or off")
 
 
 #: Active detectors.  A weak set, like CrackSan's: a detector stays active
-#: exactly as long as something (a Database, a test fixture) holds it.
+#: only while something (an armed ``Checks`` scope, a test) holds it.
 _ACTIVE: "weakref.WeakSet[RaceSan]" = weakref.WeakSet()
 
 #: Per-thread lock bookkeeping + a re-entrancy guard: the hooks themselves
@@ -198,26 +189,22 @@ class RaceSan:
 
     Parameters
     ----------
-    mode:
-        ``"on"`` or ``"off"`` (``None`` falls back to ``$REPRO_RACESAN``).
-        An ``off`` detector never activates and all hooks stay no-ops.
     seed:
-        The owning database's ``crack_seed``, stamped onto violations so a
-        stochastic schedule can be replayed.
+        The run's ``crack_seed``, stamped onto lock-order violations (a data
+        race carries the seed its access reported) so a stochastic schedule
+        can be replayed.
     strict:
         Raise :class:`RaceError` at the detecting access (default).  With
         ``strict=False`` violations are collected on :attr:`violations` —
-        the pytest ``--racesan`` fixture's mode, which lets a whole test
+        the pytest ``--racesan`` option's mode, which lets a whole test
         finish and then fails it with the full report.
     """
 
     def __init__(
         self,
-        mode: "str | bool | None" = "on",
         seed: "int | None" = None,
         strict: bool = True,
     ) -> None:
-        self.mode = resolve_mode(mode)
         self.seed = seed
         self.strict = strict
         self.violations: list[RaceViolation] = []
@@ -233,8 +220,7 @@ class RaceSan:
     # -- lifecycle -----------------------------------------------------------
 
     def activate(self) -> "RaceSan":
-        if self.mode != "off":
-            _ACTIVE.add(self)
+        _ACTIVE.add(self)
         return self
 
     def deactivate(self) -> None:
@@ -379,7 +365,7 @@ class RaceSan:
 
     def _record(self, violation: RaceViolation) -> None:
         self.violations.append(violation)
-        dump_artifact(ARTIFACT_ENV_VAR, "racesan-repro", {
+        dump_artifact("racesan-repro", {
             "kind": violation.kind,
             "subject": violation.subject,
             "detail": violation.detail,
@@ -400,7 +386,7 @@ class RaceSan:
             edges = len(self._edges)
             variables = len(self._vars)
         title = (
-            f"RaceSan mode={self.mode} strict={self.strict}: "
+            f"RaceSan strict={self.strict}: "
             f"{self.accesses} accesses over {variables} variable(s), "
             f"{edges} lock-order edge(s), {len(self.violations)} violation(s)"
         )

@@ -26,11 +26,11 @@ name, piece/area context, repro seed — wrapped in an
 :class:`~repro.errors.InvariantError` (strict mode, the default) or collected
 on :attr:`Sanitizer.violations` (``strict=False``).
 
-A sanitizer is activated by :class:`~repro.engine.database.Database` via its
-``sanitize=`` argument, by the ``REPRO_SANITIZE`` environment variable (which
-the ``--sanitize`` CLI flag sets), or directly::
+``--sanitize``, a config's ``[run] sanitize`` and the pytest option arm one
+process-wide sanitizer through a scoped :class:`repro.analysis.checks.Checks`;
+no ``Database`` owns one.  A tool that needs its own instance activates it::
 
-    with Sanitizer("deep").activated() as san:
+    with Sanitizer("deep", strict=False).activated() as san:
         ...  # every structure built in here is watched
     print(san.report())
 
@@ -42,7 +42,6 @@ check.
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 from contextlib import contextmanager
@@ -56,23 +55,16 @@ LEVELS = ("off", "post-crack", "post-query", "deep")
 
 _LEVEL_RANK = {name: rank for rank, name in enumerate(LEVELS)}
 
-#: Environment variable consulted when no explicit level is given.
-ENV_VAR = "REPRO_SANITIZE"
-
 #: Deep replay checks are skipped for structures where
 #: ``tape_length * structure_size`` exceeds this many element operations,
 #: keeping ``deep`` usable on long benchmark workloads.
 DEFAULT_DEEP_REPLAY_BUDGET = 8_000_000
 
-#: When set (to a directory path, or ``1`` for the working directory), every
-#: strict-mode :class:`InvariantError` also drops a
-#: ``cracksan-repro-<pid>-<n>.json`` file with the structured violations and
-#: the crack seed, so CI can attach reproduction material to a failed run.
-ARTIFACT_ENV_VAR = "REPRO_SANITIZE_ARTIFACTS"
-
-
 def _dump_repro(violations: tuple[InvariantViolation, ...], level: str) -> None:
-    dump_artifact(ARTIFACT_ENV_VAR, "cracksan-repro", {
+    """With ``$REPRO_CHECK_ARTIFACTS`` set, every strict-mode
+    :class:`InvariantError` also drops a ``cracksan-repro-<pid>-<n>.json``
+    with the structured violations and the crack seed."""
+    dump_artifact("cracksan-repro", {
         "level": level,
         "violations": [
             {
@@ -88,13 +80,11 @@ def _dump_repro(violations: tuple[InvariantViolation, ...], level: str) -> None:
 
 
 def resolve_level(level: str | bool | None = None) -> str:
-    """Normalize a sanitize level spec; ``None`` falls back to $REPRO_SANITIZE.
+    """Normalize a sanitize level spec (``None`` means ``off``).
 
     Accepts the four level names (``_``/``-`` interchangeable), booleans
     (``True`` means ``post-query``), and a handful of off-synonyms.
     """
-    if level is None:
-        level = os.environ.get(ENV_VAR) or "off"
     if isinstance(level, bool):
         return "post-query" if level else "off"
     name = str(level).strip().lower().replace("_", "-")
@@ -110,7 +100,7 @@ def resolve_level(level: str | bool | None = None) -> str:
 
 
 #: The currently active sanitizers.  A weak set: a sanitizer stays active
-#: exactly as long as something (a Database, a test fixture) holds it.
+#: only while something (an armed ``Checks`` scope, a tool) holds it.
 _ACTIVE: "weakref.WeakSet[Sanitizer]" = weakref.WeakSet()
 
 #: Re-entrancy guard: validation itself builds scratch structures (e.g. the
@@ -177,8 +167,8 @@ class Sanitizer:
     level:
         Checkpoint level (see module docstring).
     seed:
-        The owning database's ``crack_seed``, stamped onto every violation
-        so stochastic runs can be replayed.
+        The run's ``crack_seed``, stamped onto every violation so stochastic
+        runs can be replayed.
     strict:
         Raise :class:`InvariantError` at the failing checkpoint (default).
         With ``strict=False`` violations are only collected on

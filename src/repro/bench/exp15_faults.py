@@ -23,6 +23,7 @@ import time
 
 import numpy as np
 
+from repro.analysis.checks import Checks
 from repro.bench.harness import default_scale
 from repro.bench.registry.components import make_engine, uniform_table
 from repro.bench.report import format_table
@@ -44,8 +45,8 @@ def _make_engine(name: str, db: Database):
     return make_engine(name, db)
 
 
-def _make_db(arrays: dict[str, np.ndarray], seed: int, faults: str | None = None):
-    db = Database(crack_seed=seed, faults=faults)
+def _make_db(arrays: dict[str, np.ndarray], seed: int):
+    db = Database(crack_seed=seed)
     db.create_table("R", {k: v.copy() for k, v in arrays.items()})
     return db
 
@@ -113,16 +114,17 @@ def run(
         clean_db = _make_db(arrays, seed)
         clean_ms = _timed_run(_make_engine(engine_name, clean_db), workload)
 
-        faulted_db = _make_db(arrays, seed, faults=f"{site}=error")
-        engine = _make_engine(engine_name, faulted_db)
+        engine = _make_engine(engine_name, _make_db(arrays, seed))
         result, recovered_ms, hit_index = None, None, None
-        for i, query in enumerate(workload):
-            start = time.perf_counter()
-            answer = engine.run(query)
-            elapsed_ms = (time.perf_counter() - start) * 1e3
-            if faulted_db.fault_plan.injected:
-                result, recovered_ms, hit_index = answer, elapsed_ms, i
-                break
+        # The site's plan is armed only around its faulted run.
+        with Checks(faults=f"{site}=error").armed(seed=seed) as armed:
+            for i, query in enumerate(workload):
+                start = time.perf_counter()
+                answer = engine.run(query)
+                elapsed_ms = (time.perf_counter() - start) * 1e3
+                if armed.plan.injected:
+                    result, recovered_ms, hit_index = answer, elapsed_ms, i
+                    break
         if result is None:  # the engine never visits this site
             recovery[site] = {"engine": engine_name, "injected": []}
             continue
@@ -147,7 +149,7 @@ def run(
             "clean_second_query_ms": clean_ms[hit_index + 1]
             if hit_index + 1 < len(clean_ms) else None,
             "rebuild_query_ms": rebuild_ms,
-            "injected": list(faulted_db.fault_plan.injected),
+            "injected": list(armed.plan.injected),
         }
 
     result = {

@@ -34,20 +34,19 @@ three promises:
 
 All phases run with the result cache off: caching is exp17's subject, and
 a cache hit would let a chaos query skip the dispatch under test.  The
-module suspends any ambient CLI-installed fault plan around its clean
-phases and reuses its spec (default: :data:`DEFAULT_CHAOS`) for the
-overload-chaos phase, so ``repro exp19 --faults ...`` arms chaos only
-where chaos is meant.
+module suspends any ambient fault plan around its clean phases and reuses
+its spec (default: :data:`DEFAULT_CHAOS`) for the overload-chaos phase, so
+chaos is armed only where chaos is meant.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
 import numpy as np
 
+from repro.analysis.checks import Checks, current
 from repro.bench.exp17_concurrency import build_templates
 from repro.bench.harness import default_scale
 from repro.bench.registry.components import uniform_table
@@ -57,7 +56,6 @@ from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
 from repro.engine.selection_cracking import SelectionCrackingEngine
 from repro.errors import QueryTimeout, ReproError, ServerOverloaded
-from repro.faults.plan import ENV_VAR, FaultPlan, install_plan, uninstall_plan
 from repro.server.executor import ServerExecutor, canonicalize, digest_columns
 from repro.server.resilience import ResilienceConfig
 
@@ -80,10 +78,7 @@ P99_SLACK = 1.2
 
 
 def _fresh_database(arrays: dict[str, np.ndarray]) -> Database:
-    # faults="" opts out of $REPRO_FAULTS: a Database armed by the CLI's
-    # --faults flag would re-install the ambient plan mid-phase and fire
-    # during the clean calibration runs.  exp19 arms its own plans.
-    db = Database(faults="")
+    db = Database()
     db.create_table("R", {k: v.copy() for k, v in arrays.items()})
     return db
 
@@ -96,7 +91,7 @@ def _serial_digests(
     arrays: dict[str, np.ndarray], queries: list[Query]
 ) -> list[str]:
     """Ground truth: one fault-free engine, one query at a time (exp17's
-    baseline, but over a Database that ignores ``$REPRO_FAULTS``)."""
+    baseline; :func:`run` calls it with the ambient plan suspended)."""
     db = _fresh_database(arrays)
     engine = SelectionCrackingEngine(db)
     return [
@@ -178,9 +173,7 @@ def run_overloaded(
                     elif result.digest() != serial_digests[t]:
                         out["mismatches"] += 1
 
-        plan = FaultPlan.parse(chaos, seed=seed) if chaos else None
-        install_plan(plan)
-        try:
+        with Checks(faults=chaos or "").armed(seed=seed) as armed:
             threads = [
                 threading.Thread(
                     target=client, args=(i, outs[i]), name=f"exp19-client-{i}"
@@ -193,8 +186,6 @@ def run_overloaded(
             for thread in threads:
                 thread.join()
             elapsed = time.perf_counter() - started
-        finally:
-            uninstall_plan()
         stats = executor.stats()
 
     latencies = sorted(x for out in outs for x in out["latencies"])
@@ -212,7 +203,7 @@ def run_overloaded(
         "p99_admitted": _percentile(latencies, 99),
         "throughput_qps": completed / elapsed if elapsed > 0 else 0.0,
         "chaos": chaos,
-        "injected": list(plan.injected) if plan else [],
+        "injected": list(armed.plan.injected) if armed.plan else [],
         "executor": {
             key: stats[key]
             for key in ("shed", "abandoned", "degraded", "budget_trims",
@@ -258,9 +249,7 @@ def run_breaker_lifecycle(arrays: dict[str, np.ndarray], seed: int) -> dict:
         serial = _serial_digest(arrays, query)
 
         warm = executor.run(query)  # clean dispatch; puts a crack on the tape
-        plan = FaultPlan.parse(BREAKER_CHAOS, seed=seed)
-        install_plan(plan)
-        try:
+        with Checks(faults=BREAKER_CHAOS).armed(seed=seed) as armed:
             def step(label: str, sleep: float = 0.0) -> None:
                 if sleep:
                     time.sleep(sleep)
@@ -279,8 +268,7 @@ def run_breaker_lifecycle(arrays: dict[str, np.ndarray], seed: int) -> dict:
             for i in range(4):          # each half-open probe burns 2 shots
                 step(f"probe-fails-{i + 1}", sleep=pause)
             step("probe-recloses", sleep=pause)  # shots spent: succeeds
-        finally:
-            uninstall_plan()
+        plan = armed.plan
         after = executor.run(query)  # plan gone: plain clean dispatch
         stats = executor.stats()
 
@@ -342,17 +330,10 @@ def run(
         for r in order_rng.zipf(1.3, size=queries)
     ]
 
-    # Any plan the CLI armed process-wide would fire during the clean
-    # calibration phases too; suspend it and reuse its spec for chaos.
-    # (The CLI arms via $REPRO_FAULTS, which every plain Database install
-    # re-applies — hence _fresh_database's faults="" opt-out.)
-    ambient = install_plan(None)
-    ambient_spec = (
-        ambient.describe() if ambient is not None and ambient.specs
-        else os.environ.get(ENV_VAR, "").strip()
-    )
-    chaos_spec = ambient_spec or DEFAULT_CHAOS
-    try:
+    # An ambient plan would fire during the clean calibration phases too;
+    # suspend it and reuse its spec for chaos.
+    chaos_spec = current().checks.faults or DEFAULT_CHAOS
+    with Checks(faults="").armed():
         serial_digests = _serial_digests(arrays, template_list)
         unloaded = run_unloaded(arrays, template_list, order, serial_digests)
         request_timeout = max(3.0 * unloaded["p99"], MIN_TIMEOUT)
@@ -365,8 +346,6 @@ def run(
             requests_per_client, request_timeout, seed, chaos=chaos_spec,
         )
         breaker = run_breaker_lifecycle(arrays, seed)
-    finally:
-        install_plan(ambient)
 
     p99_limit = request_timeout * P99_SLACK + 0.01
     clean_p99 = overload_clean["p99_admitted"]

@@ -10,9 +10,9 @@ Artifact IDs are a SHA-256 prefix over the *canonical* JSON encoding of
 the payload (sorted keys, no whitespace), so identical results — any
 machine, any time — share one object and IDs are stable across re-puts.
 Run records carry provenance: git SHA, host, platform, scale (and the
-``REPRO_SCALE`` env echo), seed, params, and the sanitizer/fault plan the
-run executed under.  Named refs (``baseline/exp16``, ``current/exp16``)
-are what CI's single gate command resolves.
+``REPRO_SCALE`` env echo), seed, params, and the checks (sanitize level,
+fault plan, racesan) the run executed under.  Named refs (``baseline/exp16``,
+``current/exp16``) are what CI's single gate command resolves.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ import subprocess
 import time
 from dataclasses import dataclass
 from pathlib import Path
+
+from repro.analysis.checks import current
 
 DEFAULT_ROOT = "benchmarks/artifacts"
 
@@ -55,6 +57,7 @@ def run_metadata(
     **extra,
 ) -> dict:
     """Provenance captured alongside every stored result."""
+    checks = current().checks
     meta = {
         "experiment": experiment,
         "created": time.time(),
@@ -66,8 +69,10 @@ def run_metadata(
         "repro_scale_env": os.environ.get("REPRO_SCALE"),
         "seed": seed,
         "params": dict(params or {}),
-        "sanitize": os.environ.get("REPRO_SANITIZE"),
-        "faults": os.environ.get("REPRO_FAULTS"),
+        # Flat keys, None when off, as artifacts have always stored them.
+        "sanitize": None if checks.sanitize == "off" else checks.sanitize,
+        "faults": checks.faults or None,
+        "racesan": checks.racesan,
     }
     meta.update(extra)
     return meta

@@ -8,10 +8,10 @@ parameter sweep::
     scale = 0.1           # default: $REPRO_SCALE (via default_scale())
     seed = 42             # default: the driver's own default
 
-    [run]                 # optional execution environment
-    sanitize = "deep"     # $REPRO_SANITIZE for this run
-    faults = "procpool.worker@1..12=error"   # $REPRO_FAULTS
-    racesan = "on"        # $REPRO_RACESAN
+    [run]                 # optional checks, armed around every cell
+    sanitize = "deep"     # CrackSan level
+    faults = "procpool.worker@1..12=error"   # FaultSan plan
+    racesan = "on"        # RaceSan on/off
 
     [params]              # run() kwargs; validated against the spec
     queries = 400
@@ -23,7 +23,9 @@ parameter sweep::
     ref = "current/exp16"  # named ref; "baseline/exp16" refreshes the baseline
 
 Unknown sections and unknown keys are rejected outright — a typo must
-fail the run, not silently fall back to a default.
+fail the run, not silently fall back to a default.  The ``[run]`` table
+becomes :attr:`ExperimentConfig.checks`, a :class:`~repro.analysis.checks.Checks`
+(so a malformed plan fails at load time).
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ import json
 import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.analysis.checks import Checks
+from repro.errors import ReproError
 
 
 class ConfigError(Exception):
@@ -55,7 +60,7 @@ class ExperimentConfig:
     seed: int | None = None
     params: dict = field(default_factory=dict)
     sweep: dict = field(default_factory=dict)
-    env: dict = field(default_factory=dict)  # sanitize / faults / racesan
+    checks: Checks = field(default_factory=Checks)  # the [run] table
     ref: str | None = None
     path: str | None = None
 
@@ -137,13 +142,18 @@ def parse_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(
             f"{source}: {sorted(overlap)} appear in both [params] and [sweep]")
 
+    try:
+        checks = Checks(**raw.get("run", {}))
+    except ReproError as exc:
+        raise ConfigError(f"{source}: [run] {exc}") from exc
+
     return ExperimentConfig(
         name=name,
         scale=float(scale) if scale is not None else None,
         seed=seed,
         params=params,
         sweep=sweep,
-        env={k: v for k, v in raw.get("run", {}).items() if v is not None},
+        checks=checks,
         ref=raw.get("artifact", {}).get("ref"),
         path=source,
     )

@@ -4,12 +4,12 @@
 experiment registry, expands its sweep, executes every cell with seeded
 determinism, and lands each result in the artifact store with full
 provenance (git SHA, host, scale + ``REPRO_SCALE`` echo, seed, params,
-fault/sanitizer environment).  The store is the only place a run writes.
+the armed checks).  The config's ``[run]`` checks are armed around every
+cell.  The store is the only place a run writes.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.bench.harness import default_scale
@@ -20,11 +20,6 @@ from repro.bench.registry.artifacts import (
 )
 from repro.bench.registry.config import ConfigError, ExperimentConfig
 from repro.bench.registry.core import EXPERIMENTS, ExperimentSpec
-
-#: Environment knobs a config's [run] table may arm, in the same way the
-#: ``python -m repro`` flags do (every Database reads these at construction).
-_ENV_KNOBS = {"sanitize": "REPRO_SANITIZE", "faults": "REPRO_FAULTS",
-              "racesan": "REPRO_RACESAN"}
 
 
 @dataclass(frozen=True)
@@ -42,30 +37,6 @@ def _validate_params(spec: ExperimentSpec, params: dict, source: str) -> None:
         raise ConfigError(
             f"{source}: experiment {spec.name!r} does not accept "
             f"param(s) {sorted(unknown)}; allowed: {sorted(spec.params)}")
-
-
-def _armed_env(env: dict) -> dict[str, str | None]:
-    """Arm [run] env knobs; returns the previous values for restoration."""
-    previous: dict[str, str | None] = {}
-    for key, var in _ENV_KNOBS.items():
-        if key not in env:
-            continue
-        value = str(env[key])
-        if key == "faults":
-            from repro.faults.plan import FaultPlan
-
-            FaultPlan.parse(value)  # fail fast on a malformed plan
-        previous[var] = os.environ.get(var)
-        os.environ[var] = value
-    return previous
-
-
-def _restore_env(previous: dict[str, str | None]) -> None:
-    for var, value in previous.items():
-        if value is None:
-            os.environ.pop(var, None)
-        else:
-            os.environ[var] = value
 
 
 def run_config(
@@ -95,8 +66,7 @@ def run_config(
                       else default_scale())
     base_ref = config.ref or f"current/{spec.name}"
     outcomes: list[RunOutcome] = []
-    previous = _armed_env(config.env)
-    try:
+    with config.checks.armed(seed=config.seed):
         for index, cell in enumerate(cells):
             kwargs = dict(cell)
             kwargs["scale"] = resolved_scale
@@ -122,8 +92,6 @@ def run_config(
                 echo(f"{label} -> {record.artifact_id} ({ref}) ==")
                 echo(spec.describe(result))
                 echo("")
-    finally:
-        _restore_env(previous)
     return outcomes
 
 

@@ -7,12 +7,15 @@ Usage::
     python -m repro run ablations             # the five ablation studies
     python -m repro run all --scale 0.5
     python -m repro verify                    # TPC-H cross-system agreement
+    python -m repro run exp17 --racesan --sanitize post-query  # checked
+
+:func:`main` arms ``--sanitize`` / ``--faults`` / ``--racesan`` as one
+:class:`repro.analysis.checks.Checks` scope around the command.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -158,9 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="progressive per-query crack budget for experiments "
                           "that support one: a fraction of the column "
                           "(e.g. 0.05) or an element count (e.g. 50000)")
-    _add_sanitize_flag(run)
-    _add_faults_flag(run)
-    _add_racesan_flag(run)
+    _add_checks_flags(run)
     run.set_defaults(func=cmd_run)
 
     verify = sub.add_parser(
@@ -168,9 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--scale", type=float, default=1.0)
     verify.add_argument("--variations", type=int, default=2)
-    _add_sanitize_flag(verify)
-    _add_faults_flag(verify)
-    _add_racesan_flag(verify)
+    _add_checks_flags(verify)
     verify.set_defaults(func=cmd_verify)
 
     serve = sub.add_parser(
@@ -208,57 +207,38 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--rows", type=int, default=1_000_000,
                        help="rows of the synthetic table (no --snapshot)")
     serve.add_argument("--seed", type=int, default=42)
-    _add_sanitize_flag(serve)
-    _add_faults_flag(serve)
-    _add_racesan_flag(serve)
+    _add_checks_flags(serve)
     serve.set_defaults(func=cmd_serve)
     return parser
 
 
-def _add_sanitize_flag(parser: argparse.ArgumentParser) -> None:
+def _add_checks_flags(parser: argparse.ArgumentParser) -> None:
     from repro.analysis.sanitizer import LEVELS
 
     parser.add_argument(
         "--sanitize", choices=LEVELS, default=None, metavar="LEVEL",
         help="run under the CrackSan invariant sanitizer "
-             f"({', '.join(LEVELS)}); sets $REPRO_SANITIZE so every Database "
-             "the experiment creates is watched",
+             f"({', '.join(LEVELS)})",
     )
-
-
-def _add_racesan_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--racesan", nargs="?", const="on", choices=("on", "strict"),
-        default=None, metavar="MODE",
-        help="run under the RaceSan lockset race detector (on|strict, "
-             "default on); sets $REPRO_RACESAN so every Database the "
-             "experiment creates is instrumented",
-    )
-
-
-def _add_faults_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--faults", default=None, metavar="PLAN",
         help="run under a FaultSan fault-injection plan, e.g. "
-             "'mapset.align@3=error' or 'arena.alloc=oom,chunkmap.fetch=corrupt'; "
-             "sets $REPRO_FAULTS so every Database the experiment creates "
-             "arms the plan",
+             "'mapset.align@3=error' or 'arena.alloc=oom,chunkmap.fetch=corrupt'",
+    )
+    parser.add_argument(
+        "--racesan", action="store_true", default=None,
+        help="run under the RaceSan lockset race detector",
     )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sanitize", None) is not None:
-        os.environ["REPRO_SANITIZE"] = args.sanitize
-    if getattr(args, "faults", None) is not None:
-        from repro.faults.plan import FaultPlan
+    from repro.analysis.checks import Checks
 
-        FaultPlan.parse(args.faults)  # fail fast on a malformed plan
-        os.environ["REPRO_FAULTS"] = args.faults
-    if getattr(args, "racesan", None) is not None:
-        os.environ["REPRO_RACESAN"] = args.racesan
-    return args.func(args)
+    flags = (getattr(args, name, None) for name in ("sanitize", "faults", "racesan"))
+    with Checks(*flags).armed():
+        return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,6 +10,9 @@ every auxiliary structure consistently:
   and merge them on demand;
 * presorted copies are invalidated — the paper's point is precisely that
   there is no efficient way to maintain them under updates.
+
+A database owns no checker: CrackSan, FaultSan and RaceSan watch whatever
+runs inside an armed :class:`repro.analysis.checks.Checks` scope.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.racesan import RaceSan
-from repro.analysis.sanitizer import Sanitizer
 from repro.core.mapset import FullMapStorage
 from repro.core.partial.engine import PartialConfig, PartialSidewaysCracker
 from repro.core.partial.storage import ChunkStorage
@@ -29,7 +30,6 @@ from repro.cracking.progressive import parse_budget
 from repro.cracking.stochastic import CrackPolicy, policy_rng, resolve_policy
 from repro.errors import CatalogError, UpdateError
 from repro.faults.guard import is_quarantined
-from repro.faults.plan import FaultPlan, install_plan, resolve_plan
 from repro.server.locks import Mutex
 from repro.stats.counters import StatsRecorder, global_recorder
 from repro.storage.catalog import Catalog
@@ -61,26 +61,11 @@ class Database:
         crack_policy: "CrackPolicy | str | None" = None,
         crack_budget: "object | None" = None,
         crack_seed: int = 42,
-        sanitize: "str | bool | None" = None,
-        faults: "str | FaultPlan | None" = None,
-        racesan: "str | bool | None" = None,
     ) -> None:
         self.recorder = recorder or global_recorder()
         self.crack_policy = resolve_policy(crack_policy)
         self.crack_budget = parse_budget(crack_budget)
         self.crack_seed = crack_seed
-        # CrackSan: None falls back to $REPRO_SANITIZE (default "off").
-        # Activated before any structure exists so everything is watched.
-        self.sanitizer = Sanitizer(sanitize, seed=crack_seed).activate()
-        # RaceSan: None falls back to $REPRO_RACESAN (default "off").  Same
-        # lifetime story as CrackSan: active while this database is alive.
-        self.racesan = RaceSan(racesan, seed=crack_seed).activate()
-        # FaultSan: None falls back to $REPRO_FAULTS (default: no plan).
-        # The plan is process-global, mirroring the sanitizer's checkpoint
-        # hooks; installing from here keeps the CLI/env plumbing symmetric.
-        self.fault_plan = resolve_plan(faults, seed=crack_seed)
-        if self.fault_plan is not None:
-            install_plan(self.fault_plan)
         self.catalog = Catalog()
         self._tables: dict[str, _TableState] = {}
         self._crackers: dict[tuple[str, str], CrackerColumn] = {}

@@ -20,7 +20,6 @@ from repro.faults.guard import (
     quarantine_reason,
 )
 from repro.faults.plan import (
-    ENV_VAR,
     KINDS,
     PAYLOAD_SITES,
     SITES,
@@ -31,11 +30,9 @@ from repro.faults.plan import (
     fault_hook,
     install_plan,
     resolve_plan,
-    uninstall_plan,
 )
 
 __all__ = [
-    "ENV_VAR",
     "KINDS",
     "PAYLOAD_SITES",
     "RECOVERABLE",
@@ -51,5 +48,4 @@ __all__ = [
     "quarantine",
     "quarantine_reason",
     "resolve_plan",
-    "uninstall_plan",
 ]

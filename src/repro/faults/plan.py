@@ -29,11 +29,14 @@ once all shots are spent).  ``kind`` is one of:
 Hit counting is per-site and deterministic: the same workload under the same
 plan injects at exactly the same operation every run.  Corruption uses an RNG
 seeded from ``(seed, site)`` so the flipped positions replay too.
+
+``--faults``, a config's ``[run] faults`` and the pytest option arm a plan
+through one scoped :class:`repro.analysis.checks.Checks` (``@N`` counts hits
+across the block); no ``Database`` installs one.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import dataclass, field
 
@@ -41,8 +44,6 @@ import numpy as np
 
 from repro.errors import ArenaPressure, InjectedFault, ReproError
 from repro.server.locks import Mutex
-
-ENV_VAR = "REPRO_FAULTS"
 
 #: Every registered failpoint site.  Docs and the chaos CI job iterate this;
 #: ``fault_hook`` refuses unknown names so the catalog can never drift from
@@ -242,16 +243,10 @@ def active_plan() -> FaultPlan | None:
     return _ACTIVE_PLAN
 
 
-def install_plan(plan: FaultPlan | None) -> FaultPlan | None:
-    """Install ``plan`` as the process-wide active plan; returns the old one."""
+def install_plan(plan: FaultPlan | None) -> None:
+    """Install ``plan`` as the process-wide active plan (``None`` disarms)."""
     global _ACTIVE_PLAN
-    prev = _ACTIVE_PLAN
     _ACTIVE_PLAN = plan
-    return prev
-
-
-def uninstall_plan() -> None:
-    install_plan(None)
 
 
 def fault_hook(site: str, payload: np.ndarray | None = None) -> None:
@@ -284,17 +279,10 @@ _SITE_SET = frozenset(SITES)
 def resolve_plan(
     explicit: "FaultPlan | str | None" = None, seed: int = 42
 ) -> FaultPlan | None:
-    """Resolve a plan from an explicit value or the ``$REPRO_FAULTS`` env var.
-
-    Mirrors ``repro.analysis.sanitizer.resolve_level``: an explicit argument
-    wins; otherwise the environment variable is consulted; empty/absent means
-    no faults.
-    """
+    """A plan from a spec string (parsed with ``seed``) or a ready plan;
+    ``None`` or a blank spec means no faults."""
     if isinstance(explicit, FaultPlan):
         return explicit
-    if isinstance(explicit, str):
-        return FaultPlan.parse(explicit, seed=seed) if explicit.strip() else None
-    env = os.environ.get(ENV_VAR, "").strip()
-    if env:
-        return FaultPlan.parse(env, seed=seed)
+    if explicit and explicit.strip():
+        return FaultPlan.parse(explicit, seed=seed)
     return None

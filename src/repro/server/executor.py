@@ -455,8 +455,8 @@ class ServerExecutor:
         self.latencies: "deque[float]" = deque(maxlen=LATENCY_WINDOW)
         # Deep sweeps must skip structures busy under another worker's
         # write lock (that worker validates them at its own checkpoint).
-        # Every active sanitizer sweeps at every query checkpoint — the
-        # database's own and, under ``pytest --sanitize``, the suite-wide one.
+        # Every active sanitizer (an armed Checks scope's, a tool's own)
+        # sweeps at every query checkpoint.
         self._guarded_sanitizers = [
             (sanitizer, sanitizer.structure_guard)
             for sanitizer in active_sanitizers()

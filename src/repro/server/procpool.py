@@ -144,9 +144,9 @@ def _reset_inherited_state() -> None:
     """
     from repro.analysis.racesan import active_detectors
     from repro.analysis.sanitizer import active_sanitizers
-    from repro.faults.plan import uninstall_plan
+    from repro.faults.plan import install_plan
 
-    uninstall_plan()
+    install_plan(None)
     for sanitizer in active_sanitizers():
         sanitizer.deactivate()
     for detector in active_detectors():

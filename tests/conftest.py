@@ -5,10 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.racesan import RaceSan, active_detectors
-from repro.analysis.sanitizer import Sanitizer, active_sanitizers, resolve_level
+from repro.analysis.checks import Checks
 from repro.engine.database import Database
-from repro.faults.plan import FaultPlan, install_plan, uninstall_plan
 from repro.storage.relation import Relation
 
 
@@ -34,67 +32,23 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 
 
 @pytest.fixture(autouse=True)
-def _cracksan(request: pytest.FixtureRequest):
-    """Suite-wide CrackSan: watch every structure each test builds.
+def _checks(request: pytest.FixtureRequest):
+    """Suite-wide checks: ``--sanitize`` / ``--faults`` / ``--racesan``.
 
-    At ``--sanitize off`` (the default) this is a no-op.  Otherwise every
-    structure constructed during the test registers with this sanitizer and
-    any invariant violation fails the test with structured diagnostics.
+    Every test runs inside one ``Checks(...).armed()`` scope built from the
+    options, so each test gets a fresh fault plan and leaves nothing armed
+    behind.  RaceSan runs in collect mode: a violation fails the test at
+    teardown with the full report rather than raising at an arbitrary depth
+    inside a worker thread.
     """
-    level = resolve_level(request.config.getoption("--sanitize"))
-    if level == "off":
-        yield None
-    else:
-        with Sanitizer(level).activated() as sanitizer:
-            yield sanitizer
-    # Isolation: a test that built a ``Database(sanitize=...)`` leaves that
-    # sanitizer active for as long as the garbage collector keeps the
-    # database alive.  Deactivate stragglers so they cannot watch (and fail
-    # on) structures a later test builds — e.g. one that tampers with a map
-    # on purpose.
-    for stray in active_sanitizers():
-        stray.deactivate()
-
-
-@pytest.fixture(autouse=True)
-def _racesan(request: pytest.FixtureRequest):
-    """Suite-wide RaceSan (``--racesan``): fail tests on observed races.
-
-    Collect-mode (non-strict) so a violation surfaces as a test failure
-    with the full report at teardown rather than an exception at an
-    arbitrary depth inside a worker thread.  Without the option this only
-    provides isolation: detectors left active by a test's
-    ``Database(racesan=...)`` are deactivated so they cannot observe (and
-    fail on) a later test's accesses.
-    """
-    enabled = request.config.getoption("--racesan")
-    detector = RaceSan("on", strict=False).activate() if enabled else None
-    try:
-        yield detector
-    finally:
-        if detector is not None:
-            detector.deactivate()
-        for stray in active_detectors():
-            stray.deactivate()
-    if detector is not None and detector.violations:
-        pytest.fail(detector.report(), pytrace=False)
-
-
-@pytest.fixture(autouse=True)
-def _faultsan(request: pytest.FixtureRequest):
-    """Suite-wide FaultSan: arm a fault plan for every test (``--faults``).
-
-    With no ``--faults`` option this only provides isolation: any plan a
-    test installed (directly or via ``Database(faults=...)``) is uninstalled
-    afterwards so it cannot fire in a later test.
-    """
-    spec = request.config.getoption("--faults")
-    if spec:
-        install_plan(FaultPlan.parse(spec))
-    try:
-        yield
-    finally:
-        uninstall_plan()
+    option = request.config.getoption
+    checks = Checks(option("--sanitize"), option("--faults"), option("--racesan"))
+    with checks.armed() as armed:
+        if armed.racesan is not None:
+            armed.racesan.strict = False
+        yield armed
+    if armed.racesan is not None and armed.racesan.violations:
+        pytest.fail(armed.racesan.report(), pytrace=False)
 
 
 @pytest.fixture(autouse=True)

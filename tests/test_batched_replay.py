@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.checks import Checks
 from repro.analysis.invariants import boundary_signature, pending_signature
 from repro.core import replay
 from repro.core.map import KEY_TAIL, CrackedPair, CrackerMap, tail_fetcher
@@ -119,25 +120,26 @@ def test_engine_results_unchanged_by_batched_replay(partial, rng):
     arrays = {
         c: rng.integers(0, 20_000, size=3_000).astype(np.int64) for c in "ABCD"
     }
-    db = Database(sanitize="post-query")
-    db.create_table("R", arrays)
-    engine = SidewaysEngine(db, partial=partial)
-    baseline = PlainEngine(db)
-    for _ in range(10):
-        lo = int(rng.integers(0, 15_000))
-        query = Query(
-            "R",
-            (Predicate("A", Interval.half_open(lo, lo + 2_500)),),
-            projections=("B", "C"),
-        )
-        got = engine.run(query)
-        want = baseline.run(query)
-        assert got.row_count == want.row_count
-        for attr in ("B", "C"):
-            assert np.array_equal(
-                np.sort(got.columns[attr]), np.sort(want.columns[attr])
+    with Checks(sanitize="post-query").armed():
+        db = Database()
+        db.create_table("R", arrays)
+        engine = SidewaysEngine(db, partial=partial)
+        baseline = PlainEngine(db)
+        for _ in range(10):
+            lo = int(rng.integers(0, 15_000))
+            query = Query(
+                "R",
+                (Predicate("A", Interval.half_open(lo, lo + 2_500)),),
+                projections=("B", "C"),
             )
-    assert db.recorder.root.alignment_replays > 0
+            got = engine.run(query)
+            want = baseline.run(query)
+            assert got.row_count == want.row_count
+            for attr in ("B", "C"):
+                assert np.array_equal(
+                    np.sort(got.columns[attr]), np.sort(want.columns[attr])
+                )
+        assert db.recorder.root.alignment_replays > 0
 
 
 # ---------------------------------------------------------------------------

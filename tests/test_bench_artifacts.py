@@ -67,7 +67,7 @@ class TestStoreRoundTrip:
     def test_metadata_provenance_fields(self, store):
         meta = run_metadata("exp99", params={"queries": 10})
         for key in ("created", "git_sha", "host", "platform", "python",
-                    "sanitize", "faults"):
+                    "sanitize", "faults", "racesan"):
             assert key in meta
         assert meta["params"] == {"queries": 10}
 

@@ -1,23 +1,27 @@
 """Config runner, smoke runner, trend report, and the repro.bench CLI."""
 
-import os
-
 import pytest
 
+from repro.analysis.checks import Checks, current
+from repro.analysis.racesan import active_detectors
+from repro.analysis.sanitizer import active_sanitizers
 from repro.bench.harness import time_callable
 from repro.bench.registry.artifacts import ArtifactStore
-from repro.bench.registry.config import ConfigError, ExperimentConfig
+from repro.bench.registry.config import ConfigError, ExperimentConfig, parse_config
 from repro.bench.registry.core import EXPERIMENTS, ExperimentSpec
 from repro.bench.registry.runner import run_config, run_smoke
 from repro.bench.registry.trend import build_report, mann_whitney_u
+from repro.faults.plan import active_plan
 
 
 def _toy_driver(scale=1.0, queries=10, seed=42):
+    armed = current()
     return {
         "scale": scale,
         "queries": queries,
         "seed": seed,
-        "env_faults": os.environ.get("REPRO_FAULTS"),
+        "armed_faults": armed.plan.describe() if armed.plan else None,
+        "armed_sanitize": armed.sanitizer.level if armed.sanitizer else None,
         "summary": {"speedup": 2.0 * scale, "all_ok": True},
     }
 
@@ -96,19 +100,33 @@ class TestRunConfig:
         assert [o.result["queries"] for o in outcomes] == [1, 2, 3]
         assert store.resolve("ref:current/toyexp/2")["queries"] == 3
 
-    def test_env_knobs_armed_and_restored(self, toy_spec, store, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)
-        config = ExperimentConfig(name="toyexp",
-                                  env={"faults": "mapset.align=error"})
-        (outcome,) = run_config(config, store, quiet=True)
-        assert outcome.result["env_faults"] == "mapset.align=error"
-        assert "REPRO_FAULTS" not in os.environ
+    def test_env_knobs_armed_and_restored(self, toy_spec, store):
+        checks = Checks(sanitize="deep", faults="mapset.align=error")
+        config = ExperimentConfig(name="toyexp", checks=checks)
+        with Checks(sanitize="off", faults="", racesan=False).armed():
+            (outcome,) = run_config(config, store, quiet=True)
+            assert active_plan() is None
+            assert active_sanitizers() == []
+            assert active_detectors() == []
+        assert outcome.result["armed_faults"] == "mapset.align@1=error"
+        assert outcome.result["armed_sanitize"] == "deep"
+        meta = outcome.record.meta
+        assert (meta["sanitize"], meta["faults"]) == ("deep", "mapset.align=error")
 
     def test_malformed_fault_plan_fails_fast(self, toy_spec, store):
-        config = ExperimentConfig(name="toyexp",
-                                  env={"faults": "not a fault plan !!"})
-        with pytest.raises(Exception):
-            run_config(config, store, quiet=True)
+        raw = {"experiment": {"name": "toyexp"},
+               "run": {"faults": "not a fault plan !!"}}
+        with pytest.raises(ConfigError, match=r"\[run\]"):
+            parse_config(raw)
+
+    def test_run_table_racesan_is_stored(self, toy_spec, store):
+        raw = {"experiment": {"name": "toyexp"}, "run": {"racesan": "on"}}
+        (outcome,) = run_config(parse_config(raw), store, quiet=True)
+        assert outcome.record.meta["racesan"] is True
+        plain = ExperimentConfig(name="toyexp")
+        with Checks(racesan=False).armed():
+            (outcome,) = run_config(plain, store, quiet=True)
+        assert outcome.record.meta["racesan"] is False
 
     def test_run_writes_only_into_store(self, toy_spec, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

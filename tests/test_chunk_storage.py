@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.checks import Checks
 from repro.analysis.sanitizer import checkpoint_query
 from repro.core.partial import PartialConfig
 from repro.core.partial.chunk import Chunk
@@ -464,33 +465,34 @@ def test_evictions_after_a_mid_query_rollback_match_the_scan(rng):
     arrays = {
         c: rng.integers(1, domain, size=rows).astype(np.int64) for c in "ABC"
     }
-    db = Database(chunk_budget=rows // 2, faults="partial.align@12=error")
-    db.create_table("R", arrays)
-    engine, baseline = SidewaysEngine(db, partial=True), PlainEngine(db)
-    storage = db.chunk_storage
-    recovered_at = None
-    after_rollback = 0
-    with checked_against_scan(storage) as evictions:
-        for i in range(40):
-            lo = int(rng.integers(1, domain * 0.8))
-            query = Query(
-                "R", (Predicate("A", Interval.open(lo, lo + domain // 8)),),
-                projections=("B", "C"),
-            )
-            before = len(evictions)
-            got, want = engine.run(query), baseline.run(query)
-            assert np.array_equal(
-                np.sort(got.columns["B"]), np.sort(want.columns["B"])
-            )
-            assert storage.used_cells == recount_cells(storage)
-            if got.fault_recovered:
-                assert recovered_at is None
-                recovered_at = i
-            elif recovered_at is not None:
-                after_rollback += len(evictions) - before
-    assert recovered_at is not None, "the fault plan never fired"
-    assert after_rollback > 0, "no eviction followed the rollback"
-    assert db.heal_faults() == []
+    with Checks(faults="partial.align@12=error").armed():
+        db = Database(chunk_budget=rows // 2)
+        db.create_table("R", arrays)
+        engine, baseline = SidewaysEngine(db, partial=True), PlainEngine(db)
+        storage = db.chunk_storage
+        recovered_at = None
+        after_rollback = 0
+        with checked_against_scan(storage) as evictions:
+            for i in range(40):
+                lo = int(rng.integers(1, domain * 0.8))
+                query = Query(
+                    "R", (Predicate("A", Interval.open(lo, lo + domain // 8)),),
+                    projections=("B", "C"),
+                )
+                before = len(evictions)
+                got, want = engine.run(query), baseline.run(query)
+                assert np.array_equal(
+                    np.sort(got.columns["B"]), np.sort(want.columns["B"])
+                )
+                assert storage.used_cells == recount_cells(storage)
+                if got.fault_recovered:
+                    assert recovered_at is None
+                    recovered_at = i
+                elif recovered_at is not None:
+                    after_rollback += len(evictions) - before
+        assert recovered_at is not None, "the fault plan never fired"
+        assert after_rollback > 0, "no eviction followed the rollback"
+        assert db.heal_faults() == []
 
 
 def _budgeted_partial_db(rng, **kwargs):

@@ -7,9 +7,12 @@ created (not query predicates), under CrackSan deep sweeps, and stay sound
 when a fault is injected at the ripple-merge site itself.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
 from repro.cracking.stochastic import DD1R, MDD1R
 from repro.engine.database import Database
@@ -26,7 +29,10 @@ POLICIES = ("dd1r", "mdd1r")
 ENGINES = ("selection_cracking", "sideways", "partial_sideways")
 
 
-def make_db(policy, faults=None):
+@contextmanager
+def deep_db(policy, faults=None):
+    """A database built and queried inside one CrackSan-deep scope; yields
+    it with the scope's sanitizer."""
     rng = np.random.default_rng(13)
     arrays = {
         attr: rng.integers(1, DOMAIN + 1, size=ROWS).astype(np.int64)
@@ -36,11 +42,10 @@ def make_db(policy, faults=None):
     # auxiliary cut at this test scale; shrink it so random cuts actually
     # create the stochastic pieces the ripple has to route through.
     policy = {"dd1r": DD1R, "mdd1r": MDD1R}[policy](min_piece=64)
-    db = Database(
-        sanitize="deep", crack_policy=policy, crack_seed=23, faults=faults
-    )
-    db.create_table("R", arrays)
-    return db
+    with Checks(sanitize="deep", faults=faults).armed(seed=23) as armed:
+        db = Database(crack_policy=policy, crack_seed=23)
+        db.create_table("R", arrays)
+        yield db, armed.sanitizer
 
 
 def make_engine(name, db):
@@ -95,41 +100,45 @@ def run_insert_workload(db, engine, n_rounds=6):
 @pytest.mark.parametrize("policy", POLICIES)
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_ripple_through_stochastic_pieces(engine_name, policy):
-    db = make_db(policy)
-    engine = make_engine(engine_name, db)
-    run_insert_workload(db, engine)
+    with deep_db(policy) as (db, sanitizer):
+        engine = make_engine(engine_name, db)
+        run_insert_workload(db, engine)
     # The scenario is only meaningful if random cuts actually created
     # pieces for the ripple to route through.
     assert stochastic_cuts(db) > 0, "no stochastic pieces were created"
-    assert db.sanitizer.checks_run > 0
-    assert db.sanitizer.violations == []
+    assert sanitizer.checks_run > 0
+    assert sanitizer.violations == []
 
 
 @pytest.mark.parametrize("kind", ("error", "corrupt"))
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_ripple_merge_fault_stays_sound(engine_name, kind):
     """A fault at the ripple-merge site itself: recover, never answer wrong."""
-    db = make_db("dd1r", faults=f"ripple.merge_insertions@2={kind}")
-    engine = make_engine(engine_name, db)
-    run_insert_workload(db, engine)
-    assert db.heal_faults() == []
-    assert db.sanitizer.violations == []
+    with deep_db("dd1r", faults=f"ripple.merge_insertions@2={kind}") as (
+        db, sanitizer
+    ):
+        engine = make_engine(engine_name, db)
+        run_insert_workload(db, engine)
+        assert db.heal_faults() == []
+    assert sanitizer.violations == []
 
 
 def test_dd1r_deletions_ripple_through_stochastic_pieces():
     """Deletes (and the delete-position fault site) under DD1R pieces."""
-    db = make_db("dd1r", faults="ripple.delete_positions@2=error")
-    engine = make_engine("selection_cracking", db)
-    baseline = PlainEngine(db)
-    rng = np.random.default_rng(31)
-    for i in range(5):
-        live = np.flatnonzero(~db.tombstones("R"))
-        db.delete("R", rng.choice(live, size=15, replace=False))
-        query = query_for(int(rng.integers(1, DOMAIN - 600)))
-        got = engine.run(query)
-        want = baseline.run(query)
-        assert np.array_equal(
-            np.sort(got.columns["B"]), np.sort(want.columns["B"])
-        ), f"round {i}: diverged from scan"
-    assert db.heal_faults() == []
-    assert db.sanitizer.violations == []
+    with deep_db("dd1r", faults="ripple.delete_positions@2=error") as (
+        db, sanitizer
+    ):
+        engine = make_engine("selection_cracking", db)
+        baseline = PlainEngine(db)
+        rng = np.random.default_rng(31)
+        for i in range(5):
+            live = np.flatnonzero(~db.tombstones("R"))
+            db.delete("R", rng.choice(live, size=15, replace=False))
+            query = query_for(int(rng.integers(1, DOMAIN - 600)))
+            got = engine.run(query)
+            want = baseline.run(query)
+            assert np.array_equal(
+                np.sort(got.columns["B"]), np.sort(want.columns["B"])
+            ), f"round {i}: diverged from scan"
+        assert db.heal_faults() == []
+    assert sanitizer.violations == []

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import invariants
+from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
@@ -20,7 +21,6 @@ from repro.errors import ArenaPressure, InjectedFault, InvariantError
 from repro.faults import guard
 from repro.faults.guard import is_quarantined, quarantine
 from repro.faults.plan import (
-    ENV_VAR,
     PAYLOAD_SITES,
     SITES,
     FaultPlan,
@@ -39,15 +39,16 @@ SELECTIVITY = 0.05
 ENGINES = ("selection_cracking", "sideways", "partial_sideways")
 
 
-def make_db(faults=None, sanitize=None, policy="mdd1r"):
+SEED = 17
+
+
+def make_db(policy="mdd1r"):
     rng = np.random.default_rng(7)
     arrays = {
         attr: rng.integers(1, DOMAIN + 1, size=ROWS).astype(np.int64)
         for attr in "ABC"
     }
-    db = Database(
-        faults=faults, sanitize=sanitize, crack_policy=policy, crack_seed=17
-    )
+    db = Database(crack_policy=policy, crack_seed=SEED)
     db.create_table("R", arrays)
     return db
 
@@ -202,41 +203,49 @@ class TestResolvePlan:
         assert resolve_plan("   ") is None
 
     def test_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "arena.alloc=oom")
-        assert resolve_plan().specs[0].kind == "oom"
-        monkeypatch.delenv(ENV_VAR)
+        # Plans come from Checks alone; the old variable is ignored.
+        monkeypatch.setenv("REPRO_FAULTS", "arena.alloc=oom")
         assert resolve_plan() is None
 
 
 class TestDatabasePlumbing:
-    def test_database_installs_plan(self):
-        db = make_db(faults="tape.append=error")
-        assert db.fault_plan is not None
-        assert active_plan() is db.fault_plan
+    def test_armed_scope_installs_plan(self):
+        with Checks(faults="tape.append=error").armed() as armed:
+            make_db()
+            assert armed.plan is not None
+            assert active_plan() is armed.plan
+        assert active_plan() is not armed.plan
 
     def test_database_env_var(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "tape.append@5=error")
-        db = make_db()
-        assert db.fault_plan.specs[0].hit == 5
+        monkeypatch.setenv("REPRO_FAULTS", "tape.append@5=error")
+        with Checks(faults="").armed():
+            make_db()
+            assert active_plan() is None
 
     def test_database_defaults_to_no_plan(self):
-        db = make_db()
-        assert db.fault_plan is None
-        assert active_plan() is None
+        with Checks(faults="").armed():
+            make_db()
+            assert active_plan() is None
 
     def test_cli_faults_flag(self, monkeypatch, capsys):
-        import os
+        from repro.cli import cmd_run, main
 
-        from repro.cli import main
-
-        monkeypatch.setenv(ENV_VAR, "")  # recorded, so teardown restores it
         # A malformed plan fails fast, before any experiment runs.
         with pytest.raises(FaultPlanError):
             main(["run", "exp99", "--faults", "bogus.site=error"])
-        # A valid plan is exported for every Database the run creates
+        # A valid plan is armed around the command and disarmed after it
         # ("exp99" keeps the invocation cheap: it exits before running).
+        seen = []
+
+        def spy(args):
+            seen.append(active_plan().describe())
+            return cmd_run(args)
+
+        monkeypatch.setattr("repro.cli.cmd_run", spy)
+        before = active_plan()
         assert main(["run", "exp99", "--faults", "tape.append=error"]) == 2
-        assert os.environ[ENV_VAR] == "tape.append=error"
+        assert seen == ["tape.append@1=error"]
+        assert active_plan() is before
         capsys.readouterr()
 
 
@@ -304,39 +313,42 @@ class TestForceJournal:
 
 class TestEngineRecovery:
     def test_recovers_and_matches_scan(self):
-        db = make_db(faults="kernels.crack_two=error")
-        engine = make_engine("selection_cracking", db)
-        baseline = PlainEngine(db)
-        query = query_for(3_000)
-        got = engine.run(query)
-        assert got.fault_recovered
-        want = baseline.run(query)
-        assert np.array_equal(
-            np.sort(got.columns["B"]), np.sort(want.columns["B"])
-        )
-        # The next query runs on rebuilt structures, without recovery.
-        again = engine.run(query_for(5_000))
-        assert not again.fault_recovered
-        assert db.fault_plan.injected == ["kernels.crack_two@1=error"]
+        with Checks(faults="kernels.crack_two=error").armed(seed=SEED) as armed:
+            db = make_db()
+            engine = make_engine("selection_cracking", db)
+            baseline = PlainEngine(db)
+            query = query_for(3_000)
+            got = engine.run(query)
+            assert got.fault_recovered
+            want = baseline.run(query)
+            assert np.array_equal(
+                np.sort(got.columns["B"]), np.sort(want.columns["B"])
+            )
+            # The next query runs on rebuilt structures, without recovery.
+            again = engine.run(query_for(5_000))
+            assert not again.fault_recovered
+        assert armed.plan.injected == ["kernels.crack_two@1=error"]
 
     def test_arena_oom_recovers_like_any_fault(self):
-        db = make_db(faults="arena.alloc=oom")
-        engine = make_engine("selection_cracking", db)
-        baseline = PlainEngine(db)
-        query = query_for(3_000)
-        got = engine.run(query)
-        want = baseline.run(query)
-        assert np.array_equal(
-            np.sort(got.columns["B"]), np.sort(want.columns["B"])
-        )
-        # ArenaPressure is a MemoryError: it leaves the kernel, the journal
-        # rolls back, and the engine heals and answers through a scan.
-        assert got.fault_recovered
-        assert db.fault_plan.injected == ["arena.alloc@1=oom"]
-        # The spec is spent: the next query cracks without recovery.
-        again = engine.run(query_for(5_000))
-        assert not again.fault_recovered
-        assert db.fault_plan.injected == ["arena.alloc@1=oom"]
+        with Checks(faults="arena.alloc=oom").armed(seed=SEED) as armed:
+            db = make_db()
+            engine = make_engine("selection_cracking", db)
+            baseline = PlainEngine(db)
+            query = query_for(3_000)
+            got = engine.run(query)
+            want = baseline.run(query)
+            assert np.array_equal(
+                np.sort(got.columns["B"]), np.sort(want.columns["B"])
+            )
+            # ArenaPressure is a MemoryError: it leaves the kernel, the
+            # journal rolls back, and the engine heals and answers through
+            # a scan.
+            assert got.fault_recovered
+            assert armed.plan.injected == ["arena.alloc@1=oom"]
+            # The spec is spent: the next query cracks without recovery.
+            again = engine.run(query_for(5_000))
+            assert not again.fault_recovered
+        assert armed.plan.injected == ["arena.alloc@1=oom"]
 
     def test_faults_off_exceptions_propagate(self, db):
         engine = make_engine("sideways", db)
@@ -394,12 +406,13 @@ SMOKE_CELLS = (
 
 
 def _soundness_cell(site, kind, engine_name):
-    db = make_db(faults=f"{site}={kind}")
-    engine = make_engine(engine_name, db)
-    baseline = PlainEngine(db)
-    run_workload(engine, baseline, db)
-    # Whatever happened, no live structure may remain broken.
-    assert db.heal_faults() == []
+    with Checks(faults=f"{site}={kind}").armed(seed=SEED):
+        db = make_db()
+        engine = make_engine(engine_name, db)
+        baseline = PlainEngine(db)
+        run_workload(engine, baseline, db)
+        # Whatever happened, no live structure may remain broken.
+        assert db.heal_faults() == []
 
 
 @pytest.mark.parametrize("site,kind,engine_name", SMOKE_CELLS)
@@ -425,9 +438,11 @@ def test_single_fault_soundness_corrupt(site, engine_name):
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_single_fault_soundness_under_deep_sanitize(engine_name):
     """Recovery and CrackSan deep sweeps coexist (quarantine is skipped)."""
-    db = make_db(faults="kernels.crack_two=corrupt", sanitize="deep")
-    engine = make_engine(engine_name, db)
-    baseline = PlainEngine(db)
-    run_workload(engine, baseline, db)
-    assert db.heal_faults() == []
-    assert db.sanitizer.violations == []
+    checks = Checks(faults="kernels.crack_two=corrupt", sanitize="deep")
+    with checks.armed(seed=SEED) as armed:
+        db = make_db()
+        engine = make_engine(engine_name, db)
+        baseline = PlainEngine(db)
+        run_workload(engine, baseline, db)
+        assert db.heal_faults() == []
+    assert armed.sanitizer.violations == []

@@ -194,33 +194,35 @@ class TestFullMapStorage:
         dropping it while deletions wait on ``S_A`` must not fail a query on
         another attribute (a recreated ``M_Akey`` replays the retained tape,
         cached delete positions included)."""
+        from repro.analysis.checks import Checks
         from repro.engine.database import Database
         from repro.engine.query import Predicate, Query
         from repro.engine.scan import PlainEngine
         from repro.engine.sideways_engine import SidewaysEngine
 
-        db = Database(full_map_budget=3_000, sanitize="deep")
-        db.create_table("R", {
-            c: rng.integers(0, 1_000, size=1_000).astype(np.int64) for c in "ABCDE"
-        })
-        engine, scan = SidewaysEngine(db), PlainEngine(db)
+        with Checks(sanitize="deep").armed():
+            db = Database(full_map_budget=3_000)
+            db.create_table("R", {
+                c: rng.integers(0, 1_000, size=1_000).astype(np.int64) for c in "ABCDE"
+            })
+            engine, scan = SidewaysEngine(db), PlainEngine(db)
 
-        def ask(attr, lo, hi, *proj):
-            query = Query(
-                "R", (Predicate(attr, Interval.open(lo, hi)),), projections=proj
-            )
-            got, want = engine.run(query), scan.run(query)
-            rows = lambda res: sorted(zip(*(res.columns[p].tolist() for p in proj)))
-            assert rows(got) == rows(want)
+            def ask(attr, lo, hi, *proj):
+                query = Query(
+                    "R", (Predicate(attr, Interval.open(lo, hi)),), projections=proj
+                )
+                got, want = engine.run(query), scan.run(query)
+                rows = lambda res: sorted(zip(*(res.columns[p].tolist() for p in proj)))
+                assert rows(got) == rows(want)
 
-        ask("A", 100, 300, "C")
-        db.delete("R", np.array([1, 2, 3]))
-        ask("A", 0, 1_000, "C")  # merges the deletes, creates M_Akey
-        db.delete("R", np.array([10, 11]))  # stay pending on S_A
-        ask("B", 100, 300, "C", "D")  # needs room: evicts M_Akey
-        assert not db.sideways("R").sets["A"].has_map(KEY_TAIL)
-        ask("A", 50, 400, "C")
-        ask("A", 0, 1_000, "C", "D")
+            ask("A", 100, 300, "C")
+            db.delete("R", np.array([1, 2, 3]))
+            ask("A", 0, 1_000, "C")  # merges the deletes, creates M_Akey
+            db.delete("R", np.array([10, 11]))  # stay pending on S_A
+            ask("B", 100, 300, "C", "D")  # needs room: evicts M_Akey
+            assert not db.sideways("R").sets["A"].has_map(KEY_TAIL)
+            ask("A", 50, 400, "C")
+            ask("A", 0, 1_000, "C", "D")
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,11 +9,12 @@ workload must run clean — a query failing past that bound is a real bug.
 import numpy as np
 import pytest
 
+from repro.analysis.checks import Checks
 from repro.engine.scan import PlainEngine
 from repro.errors import InjectedFault
 from repro.faults.plan import FaultPlan, FaultPlanError, fault_hook, install_plan
 
-from tests.test_faults import ENGINES, make_db, make_engine, run_workload
+from tests.test_faults import ENGINES, SEED, make_db, make_engine, run_workload
 
 
 class TestMultiShotParsing:
@@ -59,52 +60,59 @@ class TestMultiShotParsing:
 class TestMultiShotRecovery:
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_workload_survives_multi_shot_plan(self, engine_name):
-        db = make_db(faults="kernels.crack_two@1..4=error")
-        engine = make_engine(engine_name, db)
-        baseline = PlainEngine(db)
-        recovered = run_workload(engine, baseline, db)
+        with Checks(faults="kernels.crack_two@1..4=error").armed(seed=SEED) as armed:
+            db = make_db()
+            engine = make_engine(engine_name, db)
+            baseline = PlainEngine(db)
+            recovered = run_workload(engine, baseline, db)
         assert recovered >= 1
-        assert len(db.fault_plan.injected) >= 1
+        assert len(armed.plan.injected) >= 1
 
     def test_recovery_rerun_survives_repeat_fire(self):
         # Arm a wide range so faults fire *during* the recovery rerun too:
         # the bounded retry loop must chew through every shot and converge.
-        db = make_db(faults="kernels.crack_two@1..6=error,tape.append@1..2=error")
-        engine = make_engine("selection_cracking", db)
-        baseline = PlainEngine(db)
-        recovered = run_workload(engine, baseline, db)
+        checks = Checks(faults="kernels.crack_two@1..6=error,tape.append@1..2=error")
+        with checks.armed(seed=SEED):
+            db = make_db()
+            engine = make_engine("selection_cracking", db)
+            baseline = PlainEngine(db)
+            recovered = run_workload(engine, baseline, db)
         assert recovered >= 1
 
     def test_clean_after_all_shots_spent(self):
-        db = make_db(faults="kernels.crack_two@1..3=error")
-        engine = make_engine("selection_cracking", db)
-        baseline = PlainEngine(db)
-        run_workload(engine, baseline, db)
-        spent = list(db.fault_plan.injected)
-        # Every further query runs clean: no recovery, no new injections.
-        extra = run_workload(engine, baseline, db, with_updates=False)
-        assert extra == 0
-        assert db.fault_plan.injected == spent
-        assert db.heal_faults() == []
+        with Checks(faults="kernels.crack_two@1..3=error").armed(seed=SEED) as armed:
+            db = make_db()
+            engine = make_engine("selection_cracking", db)
+            baseline = PlainEngine(db)
+            run_workload(engine, baseline, db)
+            spent = list(armed.plan.injected)
+            # Every further query runs clean: no recovery, no new injections.
+            extra = run_workload(engine, baseline, db, with_updates=False)
+            assert extra == 0
+            assert armed.plan.injected == spent
+            assert db.heal_faults() == []
 
     def test_multi_site_plan_under_deep_sanitize(self):
-        db = make_db(
+        checks = Checks(
             faults="mapset.align@1..2=error,kernels.crack_three@2=error",
             sanitize="deep",
         )
-        engine = make_engine("sideways", db)
-        baseline = PlainEngine(db)
-        run_workload(engine, baseline, db, with_updates=False)
-        assert db.fault_plan.hits  # the sites were actually visited
+        with checks.armed(seed=SEED) as armed:
+            db = make_db()
+            engine = make_engine("sideways", db)
+            baseline = PlainEngine(db)
+            run_workload(engine, baseline, db, with_updates=False)
+        assert armed.plan.hits  # the sites were actually visited
 
     def test_deterministic_injection_points(self):
         logs = []
         for _ in range(2):
-            db = make_db(faults="kernels.crack_two@2..3=error")
-            engine = make_engine("selection_cracking", db)
-            baseline = PlainEngine(db)
-            run_workload(engine, baseline, db, with_updates=False)
-            logs.append(list(db.fault_plan.injected))
+            with Checks(faults="kernels.crack_two@2..3=error").armed(seed=SEED) as armed:
+                db = make_db()
+                engine = make_engine("selection_cracking", db)
+                baseline = PlainEngine(db)
+                run_workload(engine, baseline, db, with_updates=False)
+            logs.append(list(armed.plan.injected))
         assert logs[0] == logs[1]
 
 

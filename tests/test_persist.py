@@ -13,7 +13,6 @@ from repro.faults.plan import (
     SITES,
     FaultPlan,
     install_plan,
-    uninstall_plan,
 )
 from repro.storage.persist import (
     _MANIFEST_KEY,
@@ -227,7 +226,7 @@ class TestFailpoints:
         install_plan(FaultPlan.parse(spec))
 
     def teardown_method(self):
-        uninstall_plan()
+        install_plan(None)
 
     def test_sites_are_registered(self):
         assert {"persist.save", "persist.load"} <= set(SITES)
@@ -248,7 +247,7 @@ class TestFailpoints:
         pristine = populated.table("R").values("A").copy()
         self._armed("persist.save=corrupt")
         save_database(populated, path)
-        uninstall_plan()
+        install_plan(None)
         assert np.array_equal(populated.table("R").values("A"), pristine)
         with pytest.raises(PersistError, match="checksum mismatch") as exc:
             load_database(path)

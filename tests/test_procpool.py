@@ -8,11 +8,11 @@ pruning, update routing, shared stats) is covered once for both in
 import numpy as np
 import pytest
 
+from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
 from repro.errors import QueryTimeout, ServerError
-from repro.faults.plan import FaultPlan, install_plan, uninstall_plan
 from repro.server.executor import ServerExecutor
 from repro.server.procpool import ProcessShardPool
 from repro.storage.bat import BAT
@@ -102,11 +102,8 @@ def test_worker_crash_respawns_and_replays(pool, base_bat):
 
 def test_failpoint_kills_worker_mid_command(pool, base_bat):
     interval = Interval(1_000, 9_000)
-    install_plan(FaultPlan.parse("procpool.worker@1=error", seed=7))
-    try:
+    with Checks(faults="procpool.worker@1=error").armed(seed=7):
         got = pool.select(interval)
-    finally:
-        uninstall_plan()
     assert got.recovered and not got.degraded
     assert np.array_equal(np.sort(got.keys), _expected(base_bat.values, interval))
     assert sum(w.respawns for w in pool.shards) == 1
@@ -195,11 +192,8 @@ def test_executor_marks_fault_recovered_and_skips_cache(db):
         clean = executor.run(query)
         assert clean.path == "process" and not clean.fault_recovered
         executor.insert("R", {c: [1] for c in "ABCD"})  # invalidate cache
-        install_plan(FaultPlan.parse("procpool.worker@1=error", seed=3))
-        try:
+        with Checks(faults="procpool.worker@1=error").armed(seed=3):
             recovered = executor.run(query)
-        finally:
-            uninstall_plan()
         assert recovered.fault_recovered
         # A recovered result must not be admitted to the result cache.
         replay = executor.run(query)
@@ -351,11 +345,8 @@ def test_spawn_start_method_respawn_replays(monkeypatch, base_bat):
         interval = Interval(1_000, 9_000)
         warm = pool.select(interval, deadline=60.0)
         assert not warm.recovered
-        install_plan(FaultPlan.parse("procpool.worker@1=error", seed=11))
-        try:
+        with Checks(faults="procpool.worker@1=error").armed(seed=11):
             got = pool.select(interval, deadline=60.0)
-        finally:
-            uninstall_plan()
         assert got.recovered and not got.degraded
         assert np.array_equal(
             np.sort(got.keys), _expected(base_bat.values, interval)
@@ -391,11 +382,8 @@ def test_breaker_opens_and_scan_fallback_is_exact(base_bat):
         ]))
         # One failed resilient dispatch burns two shots: the initial kill
         # plus the kill of the respawn-and-replay retry.
-        install_plan(FaultPlan.parse("procpool.worker@1..2=error", seed=5))
-        try:
+        with Checks(faults="procpool.worker@1..2=error").armed(seed=5):
             got = pool.select(interval, deadline=60.0)
-        finally:
-            uninstall_plan()
         assert got.degraded
         assert np.array_equal(np.sort(got.keys), expected)
         stats = pool.stats()
@@ -429,11 +417,8 @@ def test_executor_degraded_result_is_honest_and_never_cached(db, query):
         executor.partition("R", "A")
         assert not executor.run(query).degraded
         executor.insert("R", {c: [1] for c in "ABCD"})  # invalidate cache
-        install_plan(FaultPlan.parse("procpool.worker@1..2=error", seed=9))
-        try:
+        with Checks(faults="procpool.worker@1..2=error").armed(seed=9):
             degraded = executor.run(query)
-        finally:
-            uninstall_plan()
         assert degraded.degraded
         assert degraded.as_payload()["degraded"] is True
         assert executor.health()["degraded"] is True

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import racesan
-from repro.analysis.racesan import RaceSan, active_detectors, resolve_mode
+from repro.analysis.checks import Checks
+from repro.analysis.racesan import RaceSan, resolve_mode
 from repro.engine.database import Database
 from repro.errors import PlanError, RaceError
 from repro.server.executor import ServerExecutor
@@ -15,17 +16,11 @@ from repro.server.locks import Mutex, RWLock
 
 
 @pytest.fixture(autouse=True)
-def _isolate(_racesan):
+def _isolate(_checks):
     """These tests seed deliberate races and cycles; pause the suite-wide
     ``--racesan`` detector so it does not fail them at teardown."""
-    if _racesan is None:
+    with Checks(racesan=False).armed():
         yield
-        return
-    _racesan.deactivate()
-    try:
-        yield
-    finally:
-        _racesan.activate()
 
 
 def _on_thread(fn):
@@ -183,30 +178,15 @@ def test_consistent_acquisition_order_is_acyclic():
 def test_resolve_mode_spellings():
     assert resolve_mode("on") == "on"
     assert resolve_mode(True) == "on"
-    assert resolve_mode("strict") == "on"
     assert resolve_mode(False) == "off"
     assert resolve_mode("") == "off"
-    with pytest.raises(PlanError, match="racesan mode"):
-        resolve_mode("loud")
-
-
-def test_database_activates_and_env_fallback(monkeypatch):
-    quiet = Database()
-    assert quiet.racesan.mode == "off"
-    assert quiet.racesan not in active_detectors()
-
-    loud = Database(racesan="on")
-    assert loud.racesan in active_detectors()
-    loud.racesan.deactivate()
-
-    monkeypatch.setenv("REPRO_RACESAN", "on")
-    from_env = Database()
-    assert from_env.racesan in active_detectors()
-    from_env.racesan.deactivate()
+    for retired in ("strict", "loud"):
+        with pytest.raises(PlanError, match="racesan mode"):
+            resolve_mode(retired)
 
 
 def test_artifact_dump_on_violation(monkeypatch, tmp_path):
-    monkeypatch.setenv("REPRO_RACESAN_ARTIFACTS", str(tmp_path))
+    monkeypatch.setenv("REPRO_CHECK_ARTIFACTS", str(tmp_path))
     with RaceSan(strict=False, seed=99).activated():
         _on_thread(lambda: racesan.note_access("x", "write"))
         racesan.note_access("x", "write")

@@ -1,16 +1,19 @@
 """Fuzz the engines under CrackSan deep: zero violations, scan-identical results.
 
 Every (engine, crack policy, workload pattern) cell runs a fresh database
-with ``sanitize="deep"`` — so after every query the sanitizer sweeps every
-live cracking structure, including base-permutation and tape-replay
+inside a ``Checks(sanitize="deep")`` scope — so after every query the
+sanitizer sweeps every live cracking structure, including base-permutation and tape-replay
 consistency checks — and every result set must match a plain scan.
 The adversarial patterns are the exp14 stochastic-cracking workloads that
 historically stress the auxiliary-cut replay machinery hardest.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
+from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
@@ -29,15 +32,19 @@ POLICIES = (None, "mdd1r", "ddr")
 PATTERNS = ("uniform", "sequential", "zoom_in")
 
 
-def make_db(policy):
+@contextmanager
+def deep_db(policy):
+    """A database built and queried inside one CrackSan-deep scope; yields
+    it with the scope's sanitizer."""
     rng = np.random.default_rng(31)
     arrays = {
         attr: rng.integers(1, DOMAIN + 1, size=ROWS).astype(np.int64)
         for attr in "ABC"
     }
-    db = Database(sanitize="deep", crack_policy=policy, crack_seed=17)
-    db.create_table("R", arrays)
-    return db
+    with Checks(sanitize="deep").armed(seed=17) as armed:
+        db = Database(crack_policy=policy, crack_seed=17)
+        db.create_table("R", arrays)
+        yield db, armed.sanitizer
 
 
 def make_engine(name, db):
@@ -62,54 +69,54 @@ def workload(pattern):
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p or "query_driven")
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_engine_fuzz_zero_violations(engine_name, policy, pattern):
-    db = make_db(policy)
-    engine = make_engine(engine_name, db)
-    baseline = PlainEngine(db)  # scans only; never cracks
-    for interval in workload(pattern):
-        query = Query(
-            table="R",
-            predicates=(Predicate("A", interval),),
-            projections=("B", "C"),
-        )
-        got = engine.run(query)
-        want = baseline.run(query)
-        assert got.row_count == want.row_count
-        for attr in ("B", "C"):
-            assert np.array_equal(
-                np.sort(got.columns[attr]), np.sort(want.columns[attr])
-            ), f"{engine_name}/{policy}/{pattern}: {attr} diverged from scan"
-    assert db.sanitizer.checks_run > 0, "deep sweeps must actually run"
-    assert db.sanitizer.violations == []
+    with deep_db(policy) as (db, sanitizer):
+        engine = make_engine(engine_name, db)
+        baseline = PlainEngine(db)  # scans only; never cracks
+        for interval in workload(pattern):
+            query = Query(
+                table="R",
+                predicates=(Predicate("A", interval),),
+                projections=("B", "C"),
+            )
+            got = engine.run(query)
+            want = baseline.run(query)
+            assert got.row_count == want.row_count
+            for attr in ("B", "C"):
+                assert np.array_equal(
+                    np.sort(got.columns[attr]), np.sort(want.columns[attr])
+                ), f"{engine_name}/{policy}/{pattern}: {attr} diverged from scan"
+    assert sanitizer.checks_run > 0, "deep sweeps must actually run"
+    assert sanitizer.violations == []
 
 
 @pytest.mark.slow
 def test_fuzz_with_updates_under_deep_sanitize():
     """Interleave inserts/deletes with adversarial queries; still clean."""
-    db = make_db("mdd1r")
-    engine = make_engine("sideways", db)
-    baseline = PlainEngine(db)
-    rng = np.random.default_rng(41)
-    intervals = adversarial_intervals(
-        "sequential", DOMAIN, N_QUERIES, SELECTIVITY, seed=29
-    )
-    for i, interval in enumerate(intervals):
-        if i % 3 == 1:
-            db.insert("R", {
-                attr: rng.integers(1, DOMAIN + 1, size=20).astype(np.int64)
-                for attr in "ABC"
-            })
-        if i % 3 == 2:
-            live = np.flatnonzero(~db.tombstones("R"))
-            db.delete("R", rng.choice(live, size=10, replace=False))
-        query = Query(
-            table="R",
-            predicates=(Predicate("A", interval),),
-            projections=("B",),
+    with deep_db("mdd1r") as (db, sanitizer):
+        engine = make_engine("sideways", db)
+        baseline = PlainEngine(db)
+        rng = np.random.default_rng(41)
+        intervals = adversarial_intervals(
+            "sequential", DOMAIN, N_QUERIES, SELECTIVITY, seed=29
         )
-        got = engine.run(query)
-        want = baseline.run(query)
-        assert np.array_equal(
-            np.sort(got.columns["B"]), np.sort(want.columns["B"])
-        )
-    assert db.sanitizer.checks_run > 0
-    assert db.sanitizer.violations == []
+        for i, interval in enumerate(intervals):
+            if i % 3 == 1:
+                db.insert("R", {
+                    attr: rng.integers(1, DOMAIN + 1, size=20).astype(np.int64)
+                    for attr in "ABC"
+                })
+            if i % 3 == 2:
+                live = np.flatnonzero(~db.tombstones("R"))
+                db.delete("R", rng.choice(live, size=10, replace=False))
+            query = Query(
+                table="R",
+                predicates=(Predicate("A", interval),),
+                projections=("B",),
+            )
+            got = engine.run(query)
+            want = baseline.run(query)
+            assert np.array_equal(
+                np.sort(got.columns["B"]), np.sort(want.columns["B"])
+            )
+    assert sanitizer.checks_run > 0
+    assert sanitizer.violations == []

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import invariants
+from repro.analysis.checks import Checks
 from repro.analysis.sanitizer import (
-    ENV_VAR,
     LEVELS,
     Sanitizer,
     active_sanitizers,
@@ -35,8 +35,7 @@ def make_column(rows=500, seed=7, cracks=6):
 # -- level resolution -----------------------------------------------------------
 
 
-def test_resolve_level_names_and_synonyms(monkeypatch):
-    monkeypatch.delenv(ENV_VAR, raising=False)
+def test_resolve_level_names_and_synonyms():
     assert resolve_level(None) == "off"
     for name in LEVELS:
         assert resolve_level(name) == name
@@ -53,11 +52,10 @@ def test_resolve_level_names_and_synonyms(monkeypatch):
 
 
 def test_resolve_level_env_fallback(monkeypatch):
-    monkeypatch.setenv(ENV_VAR, "deep")
-    assert resolve_level(None) == "deep"
-    assert resolve_level("off") == "off"  # explicit beats the env
-    monkeypatch.delenv(ENV_VAR)
+    # The level comes from Checks alone; the old variable is ignored.
+    monkeypatch.setenv("REPRO_SANITIZE", "deep")
     assert resolve_level(None) == "off"
+    assert resolve_level("deep") == "deep"
 
 
 def test_level_ordering():
@@ -220,40 +218,28 @@ def test_post_query_sweep_catches_corruption():
     assert any(v.invariant == "piece-bounds" for v in sanitizer.violations)
 
 
-def test_database_wires_sanitizer(monkeypatch):
-    from repro.engine.database import Database
-
-    monkeypatch.delenv(ENV_VAR, raising=False)
-    assert Database().sanitizer.level == "off"
-    db = Database(sanitize="post-query", crack_seed=99)
-    assert db.sanitizer.level == "post-query"
-    assert db.sanitizer.seed == 99
-    monkeypatch.setenv(ENV_VAR, "post-crack")
-    assert Database().sanitizer.level == "post-crack"
-
-
-def test_engine_queries_run_clean_under_deep(monkeypatch):
+def test_engine_queries_run_clean_under_deep():
     from repro.engine.database import Database
     from repro.engine.query import Predicate, Query
     from repro.engine.sideways_engine import SidewaysEngine
 
-    monkeypatch.delenv(ENV_VAR, raising=False)
     rng = np.random.default_rng(5)
-    db = Database(sanitize="deep")
-    db.create_table("R", {
-        "A": rng.integers(1, 8_000, 1_200).astype(np.int64),
-        "B": rng.integers(1, 8_000, 1_200).astype(np.int64),
-    })
-    engine = SidewaysEngine(db, partial=False)
-    for lo in (500, 3_000, 6_000):
-        engine.run(Query(
-            table="R",
-            predicates=(Predicate("A", Interval.half_open(lo, lo + 700)),),
-            projections=("B",),
-        ))
-    assert db.sanitizer.checks_run > 0
-    assert db.sanitizer.violations == []
-    assert "0 violation(s)" in db.sanitizer.report()
+    with Checks(sanitize="deep").armed() as armed:
+        db = Database()
+        db.create_table("R", {
+            "A": rng.integers(1, 8_000, 1_200).astype(np.int64),
+            "B": rng.integers(1, 8_000, 1_200).astype(np.int64),
+        })
+        engine = SidewaysEngine(db, partial=False)
+        for lo in (500, 3_000, 6_000):
+            engine.run(Query(
+                table="R",
+                predicates=(Predicate("A", Interval.half_open(lo, lo + 700)),),
+                projections=("B",),
+            ))
+    assert armed.sanitizer.checks_run > 0
+    assert armed.sanitizer.violations == []
+    assert "0 violation(s)" in armed.sanitizer.report()
 
 
 # -- content checksums (skip-cache blind spot) ----------------------------------

@@ -12,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
 from repro.engine import SelectionCrackingEngine, SidewaysEngine
 from repro.engine.database import Database
@@ -76,10 +77,13 @@ def test_concurrent_clients_bit_identical_to_serial(make_engine, policy):
         for q in workload
     ]
 
-    served_db = _fresh(arrays, crack_policy=policy, sanitize="deep")
+    served_db = _fresh(arrays, crack_policy=policy)
     failures: list[str] = []
     # Every engine's serial answers are the one served path's answers.
-    with ServerExecutor(served_db, workers=CLIENTS, partitions=4) as executor:
+    with (
+        Checks(sanitize="deep").armed(),
+        ServerExecutor(served_db, workers=CLIENTS, partitions=4) as executor,
+    ):
         executor.partition("R", "A")
 
         def client(ident: int) -> None:
@@ -115,9 +119,12 @@ def test_concurrent_clients_with_progressive_budget():
         for q in workload
     ]
 
-    served_db = _fresh(arrays, crack_budget=0.1, sanitize="deep")
+    served_db = _fresh(arrays, crack_budget=0.1)
     failures: list[str] = []
-    with ServerExecutor(served_db, workers=CLIENTS, partitions=4) as executor:
+    with (
+        Checks(sanitize="deep").armed(),
+        ServerExecutor(served_db, workers=CLIENTS, partitions=4) as executor,
+    ):
         executor.partition("R", "A")
 
         def client(ident: int) -> None:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
@@ -550,12 +551,15 @@ def test_served_fault_recovers_by_scan(small_arrays, backend, spec):
     """A recoverable fault in a shard crack answers by a base-column scan,
     marked ``fault_recovered`` and kept out of the cache, on serial and
     thread shards alike; the request frame stays ``ok``."""
-    db = Database(faults=spec)
+    db = Database()
     db.create_table("R", dict(small_arrays))
     shards = {} if backend == "serial" else dict(
         partitions=2, partition_attrs=(("R", "A"),)
     )
-    with ServerHandle(db, workers=2, **shards) as handle:
+    with (
+        Checks(faults=spec).armed() as armed,
+        ServerHandle(db, workers=2, **shards) as handle,
+    ):
         reply = handle.request({"sql": FAULT_SQL})
         assert reply["ok"], reply
         want = _scan_digest(db, ServedQuery.from_sql(FAULT_SQL, db).query)
@@ -568,16 +572,19 @@ def test_served_fault_recovers_by_scan(small_arrays, backend, spec):
     assert again.digest() == want
     assert not later.fault_recovered
     site, kind = spec.split("=")
-    assert db.fault_plan.injected == [f"{site}@1={kind}"]
+    assert armed.plan.injected == [f"{site}@1={kind}"]
 
 
 def test_served_fault_rebuilds_a_quarantined_shard(small_arrays, monkeypatch):
     """A shard whose rollback cannot be validated is quarantined; the
     executor rebuilds it from the base column's live rows in its range."""
-    db = Database(faults="kernels.crack_three=error")
+    db = Database()
     db.create_table("R", dict(small_arrays))
     query = _span(1_000, 30_000, projections=("A", "B"))
-    with ServerExecutor(db, workers=2, partitions=2) as executor:
+    with (
+        Checks(faults="kernels.crack_three=error").armed(),
+        ServerExecutor(db, workers=2, partitions=2) as executor,
+    ):
         column = executor.partition("R", "A")
         values = db.table("R").values("A")
         executor.delete("R", np.flatnonzero(values < 30_000)[:25])

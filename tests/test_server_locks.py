@@ -254,17 +254,18 @@ def test_writer_preference_bounds_starvation():
     assert lock.write_acquires == 1
 
 
-def test_racesan_reports_rwlock_order_cycle(_racesan):
+def test_racesan_reports_rwlock_order_cycle():
     """Opposite table-lock acquisition orders across threads show up in
     RaceSan's lock-order graph as a cycle with both acquisition stacks."""
+    from repro.analysis.checks import Checks
     from repro.analysis.racesan import RaceSan
 
-    if _racesan is not None:  # don't feed the deliberate cycle to the
-        _racesan.deactivate()  # suite-wide --racesan detector
     registry = LockRegistry()
     r_lock = registry.lock_for("R")
     s_lock = registry.lock_for("S")
-    with RaceSan(strict=False).activated() as rs:
+    # racesan=False pauses the suite-wide --racesan detector, which must
+    # not be fed the deliberate cycle.
+    with Checks(racesan=False).armed(), RaceSan(strict=False).activated() as rs:
         with r_lock.read():
             with s_lock.read():
                 pass
