@@ -54,13 +54,43 @@ def time_callable(
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
+    return _timing(samples)
+
+
+def time_alternating(
+    first: Callable[[], object],
+    second: Callable[[], object],
+    repeats: int = 7,
+    warmup: int = 2,
+) -> tuple[dict[str, float], dict[str, float]]:
+    """:func:`time_callable` of two callables, their repeats interleaved.
+
+    The order alternates (first, second, second, first, ...), so a host
+    that speeds up or slows down during the measurement moves both sides
+    alike; comparing two blocks timed one after the other would credit the
+    drift to whichever side ran in the faster stretch.
+    """
+    for _ in range(warmup):
+        first()
+        second()
+    samples: tuple[list[float], list[float]] = ([], [])
+    for i in range(repeats):
+        for side in ((0, 1), (1, 0))[i % 2]:
+            fn = (first, second)[side]
+            start = time.perf_counter()
+            fn()
+            samples[side].append(time.perf_counter() - start)
+    return _timing(samples[0]), _timing(samples[1])
+
+
+def _timing(samples: list[float]) -> dict[str, float]:
     ordered = sorted(samples)
     return {
         "median_s": float(np.median(ordered)),
         "min_s": float(ordered[0]),
         "max_s": float(ordered[-1]),
         "iqr_s": float(np.percentile(ordered, 75) - np.percentile(ordered, 25)),
-        "repeats": float(repeats),
+        "repeats": float(len(samples)),
         "samples_s": [float(s) for s in samples],
     }
 

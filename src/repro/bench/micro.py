@@ -10,7 +10,11 @@ every array through ``np.argsort(group_id, kind="stable")``), and measures
 the multi-map gang-apply win and the ``min_piece`` sensitivity.  The four
 ``ripple_*`` cases time an in-place Ripple merge of a 10-row and of a
 1 %-of-the-rows batch against ``np.copyto`` of the suffix a whole-suffix
-merge moves, and check the merged pieces against a plain numpy merge.
+merge moves, and check the merged pieces against a plain numpy merge.  The two
+``encode_reply_*`` cases time served reply lines of a 10k-row and a
+150-row two-column result as ``ServedResult.as_payload`` writes them,
+against ``json.dumps`` of the same result with ``tolist()`` columns, and
+check the two lines are byte-equal.
 
 Each case's ``ratio`` is ``compare_ms / kernel_ms``: for the single-kernel
 cases the fraction of the copy ceiling the kernel reaches, for
@@ -23,12 +27,13 @@ to a same-machine copy (see :func:`ratio_failures`).
 
 from __future__ import annotations
 
+import json
 import time
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.bench.harness import default_scale, time_callable
+from repro.bench.harness import default_scale, time_alternating, time_callable
 from repro.bench.report import format_table
 from repro.cracking import ripple
 from repro.cracking.arena import KernelArena
@@ -341,6 +346,46 @@ def _bench_ripple(kind: str, rows: int, batch: int, name: str, seed: int) -> dic
     return record
 
 
+def _bench_encode_reply(name: str, rows: int, replies: int, seed: int) -> dict:
+    """``replies`` served reply lines of one ``rows``-row, two-column result:
+    the vectorized encoder against ``tolist()`` + ``json.dumps``."""
+    from repro.server.executor import ServedResult, canonicalize
+    from repro.server.serve import _result_frame
+
+    rng = np.random.default_rng(seed)
+    columns = canonicalize({c: rng.integers(1, 10**7 + 1, rows) for c in "BC"})
+    result = ServedResult(
+        columns=columns, aggregates={"max(C)": float(columns["C"].max())},
+        row_count=rows, path="process", elapsed_seconds=0.0042,
+    )
+    result.digest()  # memoized: neither side times the sha1
+
+    def encoder() -> bytes:
+        return _result_frame(result.as_payload())
+
+    def dumps() -> bytes:
+        payload = {
+            "columns": {k: v.tolist() for k, v in result.columns.items()},
+            "aggregates": result.aggregates,
+            "row_count": result.row_count,
+            "path": result.path,
+            "cached": result.cached,
+            "elapsed_seconds": result.elapsed_seconds,
+            "fault_recovered": result.fault_recovered,
+            "degraded": result.degraded,
+            "digest": result.digest(),
+        }
+        return json.dumps({"ok": True, "result": payload}).encode() + b"\n"
+
+    def repeat(encode: Callable[[], bytes]) -> Callable[[], None]:
+        return lambda: [encode() for _ in range(replies)]
+
+    timed, compare = time_alternating(repeat(encoder), repeat(dumps), repeats=15)
+    record = _case_record(name, rows, timed, "json.dumps", compare, encoder() == dumps())
+    record["replies"] = replies
+    return record
+
+
 def _bench_min_piece(rows: int, queries: int, seed: int) -> list[dict]:
     """Model-cost sensitivity of MDD1R to the ``min_piece`` knob."""
     rng = np.random.default_rng(seed)
@@ -408,6 +453,8 @@ def run(
             for kind in ("insert", "delete")
             for label, batch in (("x10", 10), ("lfhv", rows // 100))
         ),
+        _bench_encode_reply("encode_reply_10k", 10_000, replies=10, seed=seed),
+        _bench_encode_reply("encode_reply_150", 150, replies=400, seed=seed),
     ]
     result = {
         "bench": "kernels",

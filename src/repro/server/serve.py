@@ -24,8 +24,17 @@ different connections are served concurrently by the executor's worker
 pool (the asyncio loop never blocks on query work — futures from the
 thread pool are awaited with :func:`asyncio.wrap_future`).
 
-:class:`ServerHandle` is the in-process twin: the same request/response
-dictionaries without sockets, used by tests and embedders.
+A query reply is the bytes ``{"ok": true, "result": `` +
+``ServedResult.as_payload()`` + ``}``: exactly what ``json.dumps`` writes for the result dict with
+``tolist()`` columns, but integer columns of
+:data:`~repro.server.executor.JSON_ARRAY_CUTOVER` rows or more are written
+by the vectorized :func:`~repro.server.executor.encode_json_array`.  The
+loop thread encodes each reply once its query has finished.  Control and
+error replies are ``json.dumps`` of their dicts.
+
+:class:`ServerHandle` is the in-process twin: the same requests without
+sockets, used by tests and embedders; a query's answer is decoded from the
+reply bytes the TCP front would send.
 """
 
 from __future__ import annotations
@@ -45,6 +54,20 @@ MAX_FRAME_BYTES = 4 * 1024 * 1024
 
 def _error_payload(exc: BaseException) -> dict[str, object]:
     return {"ok": False, "error": str(exc), "kind": type(exc).__name__}
+
+
+def _frame(response: dict[str, object]) -> bytes:
+    """One control or error reply line."""
+    return json.dumps(response).encode() + b"\n"
+
+
+def _error_frame(exc: BaseException) -> bytes:
+    return _frame(_error_payload(exc))
+
+
+def _result_frame(payload: bytes) -> bytes:
+    """One query reply line around :meth:`ServedResult.as_payload` bytes."""
+    return b'{"ok": true, "result": %s}\n' % payload
 
 
 def _open_frame(
@@ -114,12 +137,16 @@ class ServerHandle:
         return self.executor.run(sql, timeout=timeout)
 
     def request(self, message: dict[str, object]) -> dict[str, object]:
-        """Answer one protocol request dictionary (never raises)."""
+        """Answer one protocol request dictionary (never raises).
+
+        A query's answer is decoded from the reply line the TCP front would
+        send, so both endpoints run the same encoder.
+        """
         try:
             served = _open_frame(self.executor, message)
             if not isinstance(served, ServedQuery):
                 return served
-            return {"ok": True, "result": self.executor.run(served).as_payload()}
+            return json.loads(_result_frame(self.executor.run(served).as_payload()))
         except ReproError as exc:
             return _error_payload(exc)
 
@@ -178,10 +205,9 @@ class CrackServer:
                     # swallows LimitOverrunError internally); catch both so
                     # an oversized frame gets an error response, not an
                     # unhandled-task crash.
-                    response = _error_payload(
+                    writer.write(_error_frame(
                         ServerError(f"frame too large or connection broken: {exc}")
-                    )
-                    writer.write(json.dumps(response).encode() + b"\n")
+                    ))
                     break
                 if not line:
                     break
@@ -193,12 +219,12 @@ class CrackServer:
                     if not isinstance(message, dict):
                         raise ServerError("each frame must be a JSON object")
                 except json.JSONDecodeError as exc:
-                    response = _error_payload(ServerError(f"malformed frame: {exc}"))
+                    reply = _error_frame(ServerError(f"malformed frame: {exc}"))
                 except ServerError as exc:
-                    response = _error_payload(exc)
+                    reply = _error_frame(exc)
                 else:
-                    response = await self._dispatch(message)
-                writer.write(json.dumps(response).encode() + b"\n")
+                    reply = await self._dispatch(message)
+                writer.write(reply)
                 await writer.drain()
         finally:
             writer.close()
@@ -209,18 +235,19 @@ class CrackServer:
                 # either way this connection is finished.
                 pass
 
-    async def _dispatch(self, message: dict[str, object]) -> dict[str, object]:
-        """Answer one frame without ever blocking the event loop.
+    async def _dispatch(self, message: dict[str, object]) -> bytes:
+        """Answer one frame with its reply line, never blocking on query work.
 
         Query work is submitted to the executor's worker pool and *awaited*
         (never nested: a pool worker waiting on another pool task would
         deadlock a saturated pool), so many connections share the workers.
+        The reply is encoded here, on the loop thread, after the await.
         """
         executor = self.handle.executor
         try:
             served = _open_frame(executor, message)
             if not isinstance(served, ServedQuery):
-                return served
+                return _frame(served)
             deadline = (
                 served.timeout if served.timeout is not None
                 else executor.default_timeout
@@ -243,23 +270,32 @@ class CrackServer:
                         "queued", policy=executor.shed_policy,
                     ) from None
                 raise
-            return {"ok": True, "result": result.as_payload()}
+            return _result_frame(result.as_payload())
         except ReproError as exc:
-            return _error_payload(exc)
+            return _error_frame(exc)
 
 
 async def client_request(
     host: str, port: int, message: dict[str, object]
 ) -> dict[str, object]:
-    """One-shot protocol client (used by tests and simple tooling)."""
-    reader, writer = await asyncio.open_connection(host, port, limit=MAX_FRAME_BYTES)
+    """One-shot protocol client (used by tests and simple tooling).
+
+    The reply is read whole, however long: :data:`MAX_FRAME_BYTES` bounds
+    the requests a server buffers, not the replies it sends.
+    """
+    reader, writer = await asyncio.open_connection(host, port)
     try:
         writer.write(json.dumps(message).encode() + b"\n")
         await writer.drain()
-        line = await reader.readline()
+        line = bytearray()
+        while not line.endswith(b"\n"):
+            chunk = await reader.read(1 << 16)
+            if not chunk:
+                break
+            line += chunk
         if not line:
             raise ServerError("server closed the connection without a response")
-        return json.loads(line.decode())
+        return json.loads(line)
     finally:
         writer.close()
         try:

@@ -5,6 +5,8 @@ pruning, update routing, shared stats) is covered once for both in
 ``test_shard_backends.py``.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -420,7 +422,7 @@ def test_executor_degraded_result_is_honest_and_never_cached(db, query):
         with Checks(faults="procpool.worker@1..2=error").armed(seed=9):
             degraded = executor.run(query)
         assert degraded.degraded
-        assert degraded.as_payload()["degraded"] is True
+        assert json.loads(degraded.as_payload())["degraded"] is True
         assert executor.health()["degraded"] is True
         # Still inside the cooldown: the fallback serves again, and the
         # earlier degraded answer was never admitted to the cache (a hit

@@ -4,8 +4,10 @@ import asyncio
 import contextlib
 import json
 
+import numpy as np
 import pytest
 
+from repro.engine.database import Database
 from repro.server.serve import (
     MAX_FRAME_BYTES,
     CrackServer,
@@ -135,6 +137,26 @@ def test_tcp_oversized_frame_gets_error(db):
             await writer.wait_closed()
 
     _with_server(db, scenario)
+
+
+def test_client_request_reads_replies_over_the_request_limit():
+    # MAX_FRAME_BYTES caps the requests a server buffers; a reply larger
+    # than it is valid and must reach the client whole.
+    rng = np.random.default_rng(7)
+    rows = 400_000
+    big = Database()
+    big.create_table("R", {c: rng.integers(1, 1_000_001, rows) for c in "AB"})
+
+    async def scenario(host, port):
+        reply = await client_request(
+            host, port, {"sql": "select A, B from R where A > 0"}
+        )
+        assert reply["ok"], reply
+        assert reply["result"]["row_count"] == rows
+        assert len(reply["result"]["columns"]["B"]) == rows
+        assert len(json.dumps(reply)) > MAX_FRAME_BYTES
+
+    _with_server(big, scenario)
 
 
 def test_tcp_concurrent_clients_agree(db):
