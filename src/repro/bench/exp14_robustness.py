@@ -23,7 +23,6 @@ import numpy as np
 from repro.bench.harness import default_scale
 from repro.bench.registry.components import make_engine, uniform_table
 from repro.bench.report import format_table
-from repro.cracking import stochastic
 from repro.cracking.stochastic import POLICY_NAMES, resolve_policy
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
@@ -78,55 +77,50 @@ def run(
     arrays = uniform_table(rows, domain, seed)
 
     grid: dict[str, dict[str, dict]] = {}
-    checks_flag = stochastic.REPLAY_BOUNDARY_CHECKS
-    stochastic.REPLAY_BOUNDARY_CHECKS = False  # O(pieces) per align; grid is big
-    try:
-        for pattern in ADVERSARIAL_PATTERNS:
-            intervals = adversarial_intervals(
-                pattern, domain, queries, selectivity, seed=seed
+    for pattern in ADVERSARIAL_PATTERNS:
+        intervals = adversarial_intervals(
+            pattern, domain, queries, selectivity, seed=seed
+        )
+        baseline, _ = _run_sequence("monetdb", arrays, intervals, None, seed)
+        grid[pattern] = {}
+        for policy_name in policies:
+            digests, recorder = _run_sequence(
+                "selection_cracking", arrays, intervals, policy_name, seed
             )
-            baseline, _ = _run_sequence("monetdb", arrays, intervals, None, seed)
-            grid[pattern] = {}
-            for policy_name in policies:
-                digests, recorder = _run_sequence(
-                    "selection_cracking", arrays, intervals, policy_name, seed
-                )
-                stats = recorder.root
-                grid[pattern][policy_name] = {
-                    "touched_elements": stats.total_touches,
-                    "touched_bytes": stats.total_touches * DEFAULT_MODEL.element_bytes,
-                    "model_seconds": DEFAULT_MODEL.cost_seconds(stats),
-                    "cracks": stats.cracks,
-                    "dd_cuts": stats.dd_cuts,
-                    "random_cracks": stats.random_cracks,
-                    "matches_scan": digests == baseline,
-                }
+            stats = recorder.root
+            grid[pattern][policy_name] = {
+                "touched_elements": stats.total_touches,
+                "touched_bytes": stats.total_touches * DEFAULT_MODEL.element_bytes,
+                "model_seconds": DEFAULT_MODEL.cost_seconds(stats),
+                "cracks": stats.cracks,
+                "dd_cuts": stats.dd_cuts,
+                "random_cracks": stats.random_cracks,
+                "matches_scan": digests == baseline,
+            }
 
-        # Cross-engine correctness on a reduced grid: every engine must
-        # return scan-identical results under every policy and pattern.
-        small_rows = min(rows, 20_000)
-        small_queries = min(queries, 60)
-        small_domain = 10 * small_rows
-        small_arrays = uniform_table(small_rows, small_domain, seed + 1)
-        engines_ok = True
-        engine_failures: list[str] = []
-        for pattern in ADVERSARIAL_PATTERNS:
-            intervals = adversarial_intervals(
-                pattern, small_domain, small_queries, selectivity, seed=seed
-            )
-            baseline, _ = _run_sequence("monetdb", small_arrays, intervals, None, seed)
-            for engine_name in ENGINE_GRID:
-                for policy_name in policies:
-                    digests, _ = _run_sequence(
-                        engine_name, small_arrays, intervals, policy_name, seed
+    # Cross-engine correctness on a reduced grid: every engine must
+    # return scan-identical results under every policy and pattern.
+    small_rows = min(rows, 20_000)
+    small_queries = min(queries, 60)
+    small_domain = 10 * small_rows
+    small_arrays = uniform_table(small_rows, small_domain, seed + 1)
+    engines_ok = True
+    engine_failures: list[str] = []
+    for pattern in ADVERSARIAL_PATTERNS:
+        intervals = adversarial_intervals(
+            pattern, small_domain, small_queries, selectivity, seed=seed
+        )
+        baseline, _ = _run_sequence("monetdb", small_arrays, intervals, None, seed)
+        for engine_name in ENGINE_GRID:
+            for policy_name in policies:
+                digests, _ = _run_sequence(
+                    engine_name, small_arrays, intervals, policy_name, seed
+                )
+                if digests != baseline:
+                    engines_ok = False
+                    engine_failures.append(
+                        f"{engine_name}/{policy_name}/{pattern}"
                     )
-                    if digests != baseline:
-                        engines_ok = False
-                        engine_failures.append(
-                            f"{engine_name}/{policy_name}/{pattern}"
-                        )
-    finally:
-        stochastic.REPLAY_BOUNDARY_CHECKS = checks_flag
 
     headline = None
     seq = grid.get(HEADLINE_PATTERN, {})

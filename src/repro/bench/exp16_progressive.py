@@ -36,7 +36,6 @@ import numpy as np
 from repro.bench.harness import default_scale
 from repro.bench.registry.components import uniform_table
 from repro.bench.report import format_table
-from repro.cracking import stochastic
 from repro.cracking.progressive import parse_budget
 from repro.cracking.stochastic import resolve_policy
 from repro.engine.database import Database
@@ -169,30 +168,25 @@ def run(
 
     grid: dict[str, dict[str, dict]] = {}
     mismatches: list[str] = []
-    checks_flag = stochastic.REPLAY_BOUNDARY_CHECKS
-    stochastic.REPLAY_BOUNDARY_CHECKS = False  # O(pieces) per align; grid is big
-    try:
-        for pattern in PATTERNS:
-            intervals = _intervals(pattern, domain, queries, selectivity, seed)
-            baseline, _, _ = _run_sequence(
-                arrays, intervals, None, None, seed, PlainEngine
+    for pattern in PATTERNS:
+        intervals = _intervals(pattern, domain, queries, selectivity, seed)
+        baseline, _, _ = _run_sequence(
+            arrays, intervals, None, None, seed, PlainEngine
+        )
+        grid[pattern] = {}
+        for name, policy_name, budgeted in CONFIGS:
+            digests, per_query, _ = _run_sequence(
+                arrays, intervals, policy_name,
+                budget if budgeted else None, seed,
+                SelectionCrackingEngine,
             )
-            grid[pattern] = {}
-            for name, policy_name, budgeted in CONFIGS:
-                digests, per_query, _ = _run_sequence(
-                    arrays, intervals, policy_name,
-                    budget if budgeted else None, seed,
-                    SelectionCrackingEngine,
-                )
-                ok = digests == baseline
-                if not ok:
-                    mismatches.append(f"{name}/{pattern}")
-                cell = _cell(per_query, baseline if ok else None,
-                             budget_elements if budgeted else None)
-                cell["matches_scan"] = ok
-                grid[pattern][name] = cell
-    finally:
-        stochastic.REPLAY_BOUNDARY_CHECKS = checks_flag
+            ok = digests == baseline
+            if not ok:
+                mismatches.append(f"{name}/{pattern}")
+            cell = _cell(per_query, baseline if ok else None,
+                         budget_elements if budgeted else None)
+            cell["matches_scan"] = ok
+            grid[pattern][name] = cell
 
     # -- acceptance summary ---------------------------------------------------
     within_budget = all(

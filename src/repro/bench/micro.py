@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.bench.harness import default_scale, time_alternating, time_callable
+from repro.bench.harness import default_scale, time_alternating
 from repro.bench.report import format_table
 from repro.cracking import ripple
 from repro.cracking.arena import KernelArena
@@ -99,8 +99,8 @@ def _kernel_case(
     """Time ``op(*arrays)`` against the copy ceiling of ``segments``.
 
     Both sides run on the same work arrays, restored from ``base`` before
-    every repeat; ``identical`` says ``op`` rearranged the arrays (and
-    returned) exactly what ``spec`` does.
+    every repeat, their repeats interleaved; ``identical`` says ``op``
+    rearranged the arrays (and returned) exactly what ``spec`` does.
     """
     work = [arr.copy() for arr in base]
 
@@ -113,8 +113,9 @@ def _kernel_case(
             for dst, src in zip(work, base):
                 np.copyto(dst[lo:hi], src[lo:hi])
 
-    kernel = time_callable(lambda: op(*work), setup=restore, **timing)
-    ceiling = time_callable(copy_ceiling, setup=restore, **timing)
+    kernel, ceiling = time_alternating(
+        lambda: op(*work), copy_ceiling, setup=(restore, restore), **timing
+    )
     got = [arr.copy() for arr in base]
     want = [arr.copy() for arr in base]
     identical = op(*got) == spec(*want) and all(
@@ -224,8 +225,9 @@ def _bench_gang(rows: int, n_maps: int, seed: int) -> dict:
         extra = [arr for pair in zip(heads[1:], tails[1:]) for arr in pair]
         crack_two(heads[0], [tails[0], *extra], 0, rows, bound)
 
-    t_individual = time_callable(individual, setup=restore)
-    t_gang = time_callable(gang, setup=restore)
+    t_gang, t_individual = time_alternating(
+        gang, individual, setup=(restore, restore)
+    )
     spec = [base_head.copy(), base_keys.copy()]
     _spec_partition(spec, 0, rows, ~bound.below_mask(base_head))
 
@@ -333,8 +335,10 @@ def _bench_ripple(kind: str, rows: int, batch: int, name: str, seed: int) -> dic
         for dst, src in zip(work, base):
             np.copyto(dst[suffix:], src[suffix:])
 
-    timed = time_callable(lambda: merge(state["index"], state["arrays"]), setup=restore)
-    ceiling = time_callable(copy_ceiling, setup=restore_copy)
+    timed, ceiling = time_alternating(
+        lambda: merge(state["index"], state["arrays"]), copy_ceiling,
+        setup=(restore, restore_copy),
+    )
     restore()
     head, tails = merge(state["index"], state["arrays"])
     got_edges = state["index"].piece_edges(out_rows)

@@ -3,7 +3,7 @@
 Built from the artifact store alone — every row is a stored run record,
 resolved to its payload and flattened through the experiment's registered
 metric extractor.  Where payloads carry raw timing samples
-(``time_callable`` records them since this refactor), the report runs a
+(``time_alternating`` records them per side), the report runs a
 Mann-Whitney U test between the newest run and the baseline instead of
 eyeballing medians, so "got slower" claims come with a significance
 verdict rather than a point estimate.

@@ -155,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="scale factor for rows/thresholds (default 1.0)")
     run.add_argument("--crack-policy", default=None,
                      help="crack policy for experiments that support one "
-                          "(query_driven, ddc, ddr, dd1c, dd1r, mdd1r, or "
-                          "auto for the workload-adaptive selector)")
+                          "(query_driven, ddc, mdd1r, or auto for the "
+                          "workload-adaptive selector)")
     run.add_argument("--crack-budget", default=None,
                      help="progressive per-query crack budget for experiments "
                           "that support one: a fraction of the column "

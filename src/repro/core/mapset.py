@@ -32,7 +32,6 @@ from repro.core.tape import (
     InsertEntry,
     ProgressiveCrackEntry,
 )
-from repro.cracking import stochastic
 from repro.cracking.bounds import Bound, Interval
 from repro.cracking.pending import PendingUpdates
 from repro.cracking.progressive import (
@@ -215,11 +214,7 @@ class MapSet:
         sibling maps.  Compares an (boundary, position) signature across maps
         aligned to the same tape position.
         """
-        if not (
-            stochastic.REPLAY_BOUNDARY_CHECKS
-            and is_stochastic(self.policy)
-            and end == len(self.tape)
-        ):
+        if not is_stochastic(self.policy) or end != len(self.tape):
             return
         sig = (
             boundary_signature(cmap.index),

@@ -101,19 +101,6 @@ class AdaptivePolicy(CrackPolicy):
         #: Exposed selection counters (read by benchmarks and tests).
         self.decisions = {"mdd1r": 0, "query_driven": 0}
 
-    @property
-    def min_piece(self) -> int:
-        return self._min_piece
-
-    @min_piece.setter
-    def min_piece(self, value: int) -> None:
-        # Keep the stochastic arm in lockstep with post-construction
-        # assignments (tests shrink min_piece to exercise small arrays).
-        self._min_piece = value
-        mdd1r = getattr(self, "_mdd1r", None)
-        if mdd1r is not None:
-            mdd1r.min_piece = value
-
     # -- monitoring (primary crack sites only) --------------------------------
 
     def observe(

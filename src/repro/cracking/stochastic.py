@@ -5,19 +5,22 @@ so adversarial sequences — sequential sweeps, zoom-ins — keep cracking one
 huge leftover piece and degenerate to a near-full scan per query.  The fix is
 to inject *auxiliary* cuts that depend on the data rather than the query:
 
-``DDC`` / ``DDR``
-    Data-Driven Center / Random: before cracking at the query bound,
-    recursively cut the enclosing piece (at its value-range center, or at a
-    randomly picked element) until the piece holding the bound is at most
-    ``min_piece`` tuples.  Heavy first queries, strong convergence.
-``DD1C`` / ``DD1R``
-    The non-recursive variants: at most one auxiliary cut per crack.
+``DDC``
+    Data-Driven Center: before cracking at the query bound, recursively cut
+    the enclosing piece at its value-range center until the piece holding
+    the bound is at most ``min_piece`` tuples.  Heavy first queries, strong
+    convergence, and the fastest median wall clock of the family on most
+    exp14 patterns.
 ``MDD1R``
-    Materialized DD1R: the random cut and the query-bound crack are *fused
+    Materialized DD1R: one random cut and the query-bound crack are *fused
     into a single partition pass* (``crack_three``), so robustness costs no
-    extra scan at all.  This is the paper's best-behaved policy.
+    extra scan at all.  It touches the fewest bytes of the family.
 ``QueryDriven``
     The original behavior, kept as an explicit (default) policy.
+
+Halim et al. reach MDD1R through DDR, DD1C and DD1R.  Each of those touches
+more bytes than DDC on every exp14 pattern and is no faster beyond the
+spread of the runs (``docs/stochastic.md``), so none of them is kept.
 
 Determinism and tape replay
 ---------------------------
@@ -72,11 +75,6 @@ def default_min_piece(model: MemoryModel | None = None) -> int:
 #: :func:`default_min_piece`); kept as a module constant so tests and docs
 #: have a stable name for "the default".
 DEFAULT_MIN_PIECE = default_min_piece()
-
-#: Global switch for the replay-boundary assertion in map-set alignment.
-#: On by default (it is a cheap tripwire at test scale); large benchmark
-#: drivers may disable it around hot loops.
-REPLAY_BOUNDARY_CHECKS = True
 
 
 def account_partition(recorder: StatsRecorder, width: int, n_arrays: int) -> None:
@@ -150,49 +148,6 @@ class CrackPolicy(abc.ABC):
         recorder.event("cracks")
         return split
 
-    def _cut(
-        self,
-        index: CrackerIndex,
-        head: np.ndarray,
-        tails: Sequence[np.ndarray],
-        lo: int,
-        hi: int,
-        pivot: Bound,
-        recorder: StatsRecorder,
-        cut_sink: list[Bound] | None,
-        random_cut: bool,
-    ) -> int | None:
-        """One auxiliary cut at ``pivot``; ``None`` if it made no progress.
-
-        Degenerate pivots (everything on one side) are not registered — the
-        pass is still charged, but no boundary, tape entry, or event is
-        produced, so replays stay exact.
-        """
-        split = crack_two(head, tails, lo, hi, pivot)
-        account_partition(recorder, hi - lo, 1 + len(tails))
-        if split <= lo or split >= hi:
-            return None
-        index.insert(pivot, split)
-        if cut_sink is not None:
-            cut_sink.append(pivot)
-        recorder.event("dd_cuts")
-        if random_cut:
-            recorder.event("random_cracks")
-        recorder.policy_cut(self.name)
-        return split
-
-    def _center_pivot(
-        self, head: np.ndarray, lo: int, hi: int, recorder: StatsRecorder
-    ) -> Bound | None:
-        """The value-range midpoint of the piece (one extra scan to find it)."""
-        seg = head[lo:hi]
-        recorder.sequential(hi - lo)
-        mn = seg.min()
-        mx = seg.max()
-        if mn == mx:
-            return None
-        return Bound(float(mn + (mx - mn) / 2), Side.LE)
-
     def _random_pivot(
         self,
         head: np.ndarray,
@@ -228,22 +183,17 @@ class QueryDriven(CrackPolicy):
         return self.name
 
 
-class _RecursiveCuts(CrackPolicy):
-    """DDC/DDR skeleton: keep cutting the piece holding the bound."""
+class DDC(CrackPolicy):
+    """Data-Driven Center: recursive midpoint cuts down to ``min_piece``."""
 
-    random_cut = False
-
-    def _pivot(self, head, lo, hi, rng, recorder) -> Bound | None:
-        raise NotImplementedError
+    name = "ddc"
 
     def crack_piece(self, index, head, tails, lo, hi, bound, rng, recorder, cut_sink):
         while hi - lo > self.min_piece:
-            pivot = self._pivot(head, lo, hi, rng, recorder)
+            pivot = self._center_pivot(head, lo, hi, recorder)
             if not self._usable(index, pivot, bound):
                 break
-            split = self._cut(
-                index, head, tails, lo, hi, pivot, recorder, cut_sink, self.random_cut
-            )
+            split = self._cut(index, head, tails, lo, hi, pivot, recorder, cut_sink)
             if split is None:
                 break
             if bound < pivot:
@@ -252,67 +202,45 @@ class _RecursiveCuts(CrackPolicy):
                 lo = split
         return self._final(head, tails, lo, hi, bound, recorder)
 
+    def _center_pivot(
+        self, head: np.ndarray, lo: int, hi: int, recorder: StatsRecorder
+    ) -> Bound | None:
+        """The value-range midpoint of the piece (one extra scan to find it)."""
+        seg = head[lo:hi]
+        recorder.sequential(hi - lo)
+        mn = seg.min()
+        mx = seg.max()
+        if mn == mx:
+            return None
+        return Bound(float(mn + (mx - mn) / 2), Side.LE)
 
-class DDC(_RecursiveCuts):
-    """Data-Driven Center: recursive midpoint cuts down to ``min_piece``."""
+    def _cut(
+        self,
+        index: CrackerIndex,
+        head: np.ndarray,
+        tails: Sequence[np.ndarray],
+        lo: int,
+        hi: int,
+        pivot: Bound,
+        recorder: StatsRecorder,
+        cut_sink: list[Bound] | None,
+    ) -> int | None:
+        """One auxiliary cut at ``pivot``; ``None`` if it made no progress.
 
-    name = "ddc"
-
-    def _pivot(self, head, lo, hi, rng, recorder):
-        return self._center_pivot(head, lo, hi, recorder)
-
-
-class DDR(_RecursiveCuts):
-    """Data-Driven Random: recursive random-element cuts down to ``min_piece``."""
-
-    name = "ddr"
-    random_cut = True
-
-    def _pivot(self, head, lo, hi, rng, recorder):
-        return self._random_pivot(head, lo, hi, rng, recorder)
-
-
-class _SingleCut(CrackPolicy):
-    """DD1C/DD1R skeleton: at most one auxiliary cut per fresh crack."""
-
-    random_cut = False
-
-    def _pivot(self, head, lo, hi, rng, recorder) -> Bound | None:
-        raise NotImplementedError
-
-    def crack_piece(self, index, head, tails, lo, hi, bound, rng, recorder, cut_sink):
-        if hi - lo > self.min_piece:
-            pivot = self._pivot(head, lo, hi, rng, recorder)
-            if self._usable(index, pivot, bound):
-                split = self._cut(
-                    index, head, tails, lo, hi, pivot, recorder, cut_sink,
-                    self.random_cut,
-                )
-                if split is not None:
-                    if bound < pivot:
-                        hi = split
-                    else:
-                        lo = split
-        return self._final(head, tails, lo, hi, bound, recorder)
-
-
-class DD1C(_SingleCut):
-    """One center cut, then the query crack."""
-
-    name = "dd1c"
-
-    def _pivot(self, head, lo, hi, rng, recorder):
-        return self._center_pivot(head, lo, hi, recorder)
-
-
-class DD1R(_SingleCut):
-    """One random cut, then the query crack."""
-
-    name = "dd1r"
-    random_cut = True
-
-    def _pivot(self, head, lo, hi, rng, recorder):
-        return self._random_pivot(head, lo, hi, rng, recorder)
+        Degenerate pivots (everything on one side) are not registered — the
+        pass is still charged, but no boundary, tape entry, or event is
+        produced, so replays stay exact.
+        """
+        split = crack_two(head, tails, lo, hi, pivot)
+        account_partition(recorder, hi - lo, 1 + len(tails))
+        if split <= lo or split >= hi:
+            return None
+        index.insert(pivot, split)
+        if cut_sink is not None:
+            cut_sink.append(pivot)
+        recorder.event("dd_cuts")
+        recorder.policy_cut(self.name)
+        return split
 
 
 class MDD1R(CrackPolicy):
@@ -349,7 +277,7 @@ class MDD1R(CrackPolicy):
 
 
 POLICIES: dict[str, type[CrackPolicy]] = {
-    cls.name: cls for cls in (QueryDriven, DDC, DDR, DD1C, DD1R, MDD1R)
+    cls.name: cls for cls in (QueryDriven, DDC, MDD1R)
 }
 
 POLICY_NAMES = tuple(POLICIES) + ("auto",)
@@ -362,6 +290,8 @@ def resolve_policy(
 
     ``min_piece`` overrides the cache-derived default when the policy is
     constructed from a name; an already-built instance keeps its own value.
+    Each policy has one spelling (case-insensitive, ``-`` read as ``_``);
+    any other name raises :class:`PlanError` listing :data:`POLICY_NAMES`.
     ``"auto"`` resolves to the workload-adaptive selector from
     :mod:`repro.cracking.adaptive` (imported lazily — that module depends
     on this one).
@@ -370,14 +300,15 @@ def resolve_policy(
         return policy
     if isinstance(policy, str):
         name = policy.strip().lower().replace("-", "_")
-        if name in ("auto", "adaptive"):
+        if name == "auto":
             from repro.cracking.adaptive import AdaptivePolicy
 
             return AdaptivePolicy(min_piece=min_piece)
-        cls = POLICIES.get(name) or POLICIES.get(name.replace("_", ""))
+        cls = POLICIES.get(name)
         if cls is None:
             raise PlanError(
-                f"unknown crack policy {policy!r}; choose one of {POLICY_NAMES}"
+                f"unknown crack policy {policy!r}; choose one of "
+                f"{', '.join(POLICY_NAMES)}"
             )
         return cls(min_piece=min_piece)
     raise PlanError(f"cannot interpret {policy!r} as a crack policy")

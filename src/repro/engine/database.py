@@ -134,27 +134,6 @@ class Database:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def set_crack_policy(self, policy: "CrackPolicy | str | None") -> None:
-        """Select the crack policy for every current and future structure.
-
-        Existing structures keep their physical state; only future cracks
-        change behavior.
-        """
-        resolved = resolve_policy(policy)
-        self.crack_policy = resolved
-        for cracker in self._crackers.values():
-            cracker.policy = resolved
-        for sideways in self._sideways.values():
-            sideways.policy = resolved
-            for mapset in sideways.sets.values():
-                mapset.policy = resolved
-        for partial in self._partial.values():
-            partial.policy = resolved
-            for pset in partial.sets.values():
-                pset.policy = resolved
-                if pset.chunkmap is not None:
-                    pset.chunkmap.policy = resolved
-
     def set_crack_budget(self, budget: "object | None") -> None:
         """Select the progressive per-query budget for every structure.
 

@@ -22,11 +22,6 @@ class SelectionCrackingEngine(Engine):
 
     name = "selection_cracking"
 
-    def __init__(self, db, crack_policy=None) -> None:
-        super().__init__(db)
-        if crack_policy is not None:
-            db.set_crack_policy(crack_policy)
-
     def _estimate(self, table: str, pred) -> float:
         """Prefer the cracker index histogram, else a sample estimate."""
         cracker = self.db._crackers.get((table, pred.attr))

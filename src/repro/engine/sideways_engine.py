@@ -19,12 +19,10 @@ from repro.stats.timing import PhaseTimer
 class SidewaysEngine(Engine):
     """Sideways cracking engine; ``partial=True`` uses partial maps."""
 
-    def __init__(self, db, partial: bool = False, crack_policy=None) -> None:
+    def __init__(self, db, partial: bool = False) -> None:
         super().__init__(db)
         self.partial = partial
         self.name = "partial_sideways" if partial else "sideways"
-        if crack_policy is not None:
-            db.set_crack_policy(crack_policy)
 
     def _facade(self, table: str):
         if self.partial:

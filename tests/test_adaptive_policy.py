@@ -18,7 +18,7 @@ class TestResolution:
     def test_auto_is_a_registered_policy_name(self):
         assert "auto" in POLICY_NAMES
 
-    @pytest.mark.parametrize("name", ["auto", "adaptive"])
+    @pytest.mark.parametrize("name", ["auto", "AUTO"])
     def test_resolve_returns_adaptive(self, name):
         policy = resolve_policy(name)
         assert isinstance(policy, AdaptivePolicy)

@@ -59,8 +59,9 @@ def _arrays():
 
 
 def _run(engine_name, policy_name, intervals, arrays):
+    # A tiny min_piece, so cuts actually happen at this scale.
     db = Database(recorder=StatsRecorder(),
-                  crack_policy=_small_policy(policy_name))
+                  crack_policy=resolve_policy(policy_name, min_piece=24))
     db.create_table("R", {k: v.copy() for k, v in arrays.items()})
     engine = {
         "monetdb": lambda: PlainEngine(db),
@@ -75,13 +76,6 @@ def _run(engine_name, policy_name, intervals, arrays):
         )
         out.append(np.sort(result.columns["B"]))
     return out
-
-
-def _small_policy(policy_name):
-    policy = resolve_policy(policy_name)
-    if policy is not None:
-        policy.min_piece = 24  # actually exercise cuts at this tiny scale
-    return policy
 
 
 @pytest.mark.parametrize("policy_name", list(POLICY_NAMES))

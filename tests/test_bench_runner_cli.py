@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.checks import Checks, current
 from repro.analysis.racesan import active_detectors
 from repro.analysis.sanitizer import active_sanitizers
-from repro.bench.harness import time_callable
+from repro.bench.harness import time_alternating
 from repro.bench.registry.artifacts import ArtifactStore
 from repro.bench.registry.config import ConfigError, ExperimentConfig, parse_config
 from repro.bench.registry.core import EXPERIMENTS, ExperimentSpec
@@ -187,11 +187,23 @@ class TestTrendReport:
 
 class TestTimeCallableSamples:
     def test_raw_samples_recorded(self):
-        timing = time_callable(lambda: sum(range(100)), repeats=5)
-        assert len(timing["samples_s"]) == 5
-        assert timing["min_s"] <= timing["median_s"] <= timing["max_s"]
-        assert min(timing["samples_s"]) == timing["min_s"]
-        assert max(timing["samples_s"]) == timing["max_s"]
+        calls = []
+        timings = time_alternating(
+            lambda: calls.append("first"), lambda: calls.append("second"),
+            repeats=5, setup=(lambda: calls.append("setup"), None),
+        )
+        for timing in timings:
+            assert len(timing["samples_s"]) == 5
+            assert timing["min_s"] <= timing["median_s"] <= timing["max_s"]
+            assert min(timing["samples_s"]) == timing["min_s"]
+            assert max(timing["samples_s"]) == timing["max_s"]
+        # Two warmups, then five repeats in alternating order; the setup
+        # runs before every call of its side and never before the other.
+        first, second = ["setup", "first"], ["second"]
+        assert calls == (
+            (first + second) * 2
+            + (first + second + second + first) * 2 + first + second
+        )
 
 
 class TestCli:

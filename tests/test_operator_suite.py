@@ -106,7 +106,7 @@ def plans(draw):
 @st.composite
 def histories(draw):
     config = {
-        "crack_policy": draw(st.sampled_from([None, "dd1r", "mdd1r"])),
+        "crack_policy": draw(st.sampled_from([None, "ddc", "mdd1r"])),
         "crack_budget": draw(st.sampled_from([None, "0.05", 40])),
         "crack_seed": draw(st.integers(0, 3)),
     }

@@ -28,7 +28,7 @@ N_QUERIES = 12
 SELECTIVITY = 0.04
 
 ENGINES = ("selection_cracking", "sideways", "partial_sideways")
-POLICIES = (None, "mdd1r", "ddr")
+POLICIES = (None, "ddc", "mdd1r")
 PATTERNS = ("uniform", "sequential", "zoom_in")
 
 

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cracking import stochastic
 from repro.cracking.bounds import Bound, Interval, Side
 from repro.cracking.column import CrackerColumn
 from repro.cracking.stochastic import (
@@ -27,12 +26,10 @@ STOCHASTIC_NAMES = [n for n in POLICY_NAMES if n != "query_driven"]
 def make_column(policy_name=None, rows=3000, seed=5, min_piece=32):
     rng = np.random.default_rng(seed)
     values = rng.integers(1, 30_000, size=rows).astype(np.int64)
-    policy = resolve_policy(policy_name)
-    if policy is not None:
-        policy.min_piece = min_piece
     column = CrackerColumn(
         BAT.from_values(values), StatsRecorder(),
-        policy=policy, rng=policy_rng(7, "test-column"),
+        policy=resolve_policy(policy_name, min_piece=min_piece),
+        rng=policy_rng(7, "test-column"),
     )
     return column, values
 
@@ -44,13 +41,20 @@ def test_resolve_policy_names():
     assert resolve_policy(None) is None
     assert resolve_policy("query_driven").name == "query_driven"
     assert resolve_policy("MDD1R").name == "mdd1r"
-    assert resolve_policy("dd-1c").name == "dd1c"
+    assert resolve_policy("query-driven").name == "query_driven"
     mdd1r = resolve_policy("mdd1r")
     assert resolve_policy(mdd1r) is mdd1r
     assert set(POLICY_NAMES) == set(POLICIES) | {"auto"}
     assert resolve_policy("auto").name == "auto"
     with pytest.raises(PlanError):
         resolve_policy("no_such_policy")
+
+
+@pytest.mark.parametrize("name", ["ddr", "dd1c", "dd1r", "dd-1c", "adaptive"])
+def test_dropped_policy_names_are_refused(name):
+    with pytest.raises(PlanError) as excinfo:
+        resolve_policy(name)
+    assert "query_driven, ddc, mdd1r, auto" in str(excinfo.value)
 
 
 def test_is_stochastic():
@@ -99,11 +103,10 @@ def test_same_seed_same_permutation(policy_name):
 def test_seed_to_permutation_regression():
     """Pin one seed's exact physical arrangement (replay compatibility)."""
     values = np.array([70, 10, 50, 30, 90, 20, 80, 40, 60, 35], dtype=np.int64)
-    policy = resolve_policy("mdd1r")
-    policy.min_piece = 2
     column = CrackerColumn(
         BAT.from_values(values), StatsRecorder(),
-        policy=policy, rng=policy_rng(123, "regression"),
+        policy=resolve_policy("mdd1r", min_piece=2),
+        rng=policy_rng(123, "regression"),
     )
     column.select(Interval.half_open(30, 60))
     assert column.head.tolist() == [10, 20, 50, 30, 40, 35, 70, 60, 90, 80]
@@ -120,12 +123,10 @@ def make_mapset(policy_name="mdd1r", rows=4000, min_piece=32):
         "B": rng.integers(1, 40_000, size=rows).astype(np.int64),
         "C": rng.integers(1, 40_000, size=rows).astype(np.int64),
     })
-    policy = resolve_policy(policy_name)
-    if policy is not None:
-        policy.min_piece = min_piece
     return MapSet(
         relation, "A", StatsRecorder(),
-        policy=policy, rng=policy_rng(9, "test-mapset"),
+        policy=resolve_policy(policy_name, min_piece=min_piece),
+        rng=policy_rng(9, "test-mapset"),
     )
 
 
@@ -176,20 +177,6 @@ def test_replay_boundary_mismatch_raises():
     assert len(context["actual"]) == len(context["expected"]) + 1
 
 
-def test_boundary_checks_can_be_disabled():
-    flag = stochastic.REPLAY_BOUNDARY_CHECKS
-    try:
-        stochastic.REPLAY_BOUNDARY_CHECKS = False
-        mapset = make_mapset()
-        mapset.select("B", Interval.half_open(15_000, 15_600))
-        mapset.get_map("C", align=True)
-        map_b = mapset.maps["B"]
-        map_b.index.insert(Bound(1.5, Side.LE), 0)
-        mapset.align(map_b)  # skew goes unnoticed by design
-    finally:
-        stochastic.REPLAY_BOUNDARY_CHECKS = flag
-
-
 # -- counters -------------------------------------------------------------------
 
 
@@ -208,10 +195,10 @@ def test_policy_cut_counters():
 
 def test_access_stats_dict_add_and_snapshot():
     a = AccessStats(dd_cuts=1, policy_cuts={"ddc": 2})
-    b = AccessStats(dd_cuts=4, policy_cuts={"ddc": 1, "ddr": 5})
+    b = AccessStats(dd_cuts=4, policy_cuts={"ddc": 1, "mdd1r": 5})
     merged = a + b
     assert merged.dd_cuts == 5
-    assert merged.policy_cuts == {"ddc": 3, "ddr": 5}
+    assert merged.policy_cuts == {"ddc": 3, "mdd1r": 5}
     snap = a.snapshot()
     snap.policy_cuts["ddc"] += 10
     assert a.policy_cuts == {"ddc": 2}  # snapshot copies the dict

@@ -1,10 +1,10 @@
-"""DD1R over updates: ripple inserts merged through stochastic pieces.
+"""Stochastic pieces over updates: ripple merges through auxiliary cuts.
 
-The paper's DD1R variant adds one random cut per crack; this suite closes
-the ROADMAP item that its interaction with *updates* was untested: pending
-inserts must ripple-merge through piece boundaries that stochastic cuts
-created (not query predicates), under CrackSan deep sweeps, and stay sound
-when a fault is injected at the ripple-merge site itself.
+DDC cuts each cracked piece recursively at value-range centers; MDD1R adds
+one random cut per crack.  Pending inserts and deletes must ripple-merge
+through piece boundaries those cuts created (not query predicates), under
+CrackSan deep sweeps, and stay sound when a fault is injected at the
+ripple-merge site itself.
 """
 
 from contextlib import contextmanager
@@ -14,7 +14,7 @@ import pytest
 
 from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
-from repro.cracking.stochastic import DD1R, MDD1R
+from repro.cracking.stochastic import resolve_policy
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
 from repro.engine.scan import PlainEngine
@@ -25,7 +25,7 @@ ROWS = 1_500
 DOMAIN = 12_000
 BATCH = 40
 
-POLICIES = ("dd1r", "mdd1r")
+POLICIES = ("ddc", "mdd1r")
 ENGINES = ("selection_cracking", "sideways", "partial_sideways")
 
 
@@ -39,11 +39,11 @@ def deep_db(policy, faults=None):
         for attr in "ABC"
     }
     # The default min_piece (cache-derived, ~4k tuples) would suppress every
-    # auxiliary cut at this test scale; shrink it so random cuts actually
+    # auxiliary cut at this test scale; shrink it so the cuts actually
     # create the stochastic pieces the ripple has to route through.
-    policy = {"dd1r": DD1R, "mdd1r": MDD1R}[policy](min_piece=64)
     with Checks(sanitize="deep", faults=faults).armed(seed=23) as armed:
-        db = Database(crack_policy=policy, crack_seed=23)
+        db = Database(crack_policy=resolve_policy(policy, min_piece=64),
+                      crack_seed=23)
         db.create_table("R", arrays)
         yield db, armed.sanitizer
 
@@ -103,7 +103,7 @@ def test_ripple_through_stochastic_pieces(engine_name, policy):
     with deep_db(policy) as (db, sanitizer):
         engine = make_engine(engine_name, db)
         run_insert_workload(db, engine)
-    # The scenario is only meaningful if random cuts actually created
+    # The scenario is only meaningful if auxiliary cuts actually created
     # pieces for the ripple to route through.
     assert stochastic_cuts(db) > 0, "no stochastic pieces were created"
     assert sanitizer.checks_run > 0
@@ -114,7 +114,7 @@ def test_ripple_through_stochastic_pieces(engine_name, policy):
 @pytest.mark.parametrize("engine_name", ENGINES)
 def test_ripple_merge_fault_stays_sound(engine_name, kind):
     """A fault at the ripple-merge site itself: recover, never answer wrong."""
-    with deep_db("dd1r", faults=f"ripple.merge_insertions@2={kind}") as (
+    with deep_db("ddc", faults=f"ripple.merge_insertions@2={kind}") as (
         db, sanitizer
     ):
         engine = make_engine(engine_name, db)
@@ -123,9 +123,9 @@ def test_ripple_merge_fault_stays_sound(engine_name, kind):
     assert sanitizer.violations == []
 
 
-def test_dd1r_deletions_ripple_through_stochastic_pieces():
-    """Deletes (and the delete-position fault site) under DD1R pieces."""
-    with deep_db("dd1r", faults="ripple.delete_positions@2=error") as (
+def test_deletions_ripple_through_stochastic_pieces():
+    """Deletes (and the delete-position fault site) under DDC pieces."""
+    with deep_db("ddc", faults="ripple.delete_positions@2=error") as (
         db, sanitizer
     ):
         engine = make_engine("selection_cracking", db)
