@@ -45,7 +45,7 @@ def main() -> None:
             for mode in MODES[1:]:
                 assert results_equal(results[mode], results[MODES[0]]), mode
             print(f"{variation:>9}  " + "  ".join(cells))
-        presort = executors["presorted"].presort_seconds
+        presort = executors["presorted"].engine.presort_seconds
         print(f"(presorted system paid {presort * 1e3:.0f} ms of up-front sorting)")
 
 

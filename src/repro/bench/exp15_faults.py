@@ -41,10 +41,6 @@ RECOVERY_CELLS = (
 )
 
 
-def _make_engine(name: str, db: Database):
-    return make_engine(name, db)
-
-
 def _make_db(arrays: dict[str, np.ndarray], seed: int):
     db = Database(crack_seed=seed)
     db.create_table("R", {k: v.copy() for k, v in arrays.items()})
@@ -93,12 +89,12 @@ def run(
 
     # 1+2: the same workload disarmed vs journal-forced.
     disarmed = _timed_run(
-        _make_engine("selection_cracking", _make_db(arrays, seed)), workload
+        make_engine("selection_cracking", _make_db(arrays, seed)), workload
     )
     guard.FORCE_JOURNAL = True
     try:
         journaled = _timed_run(
-            _make_engine("selection_cracking", _make_db(arrays, seed)), workload
+            make_engine("selection_cracking", _make_db(arrays, seed)), workload
         )
     finally:
         guard.FORCE_JOURNAL = False
@@ -112,9 +108,9 @@ def run(
     recovery = {}
     for site, engine_name in RECOVERY_CELLS:
         clean_db = _make_db(arrays, seed)
-        clean_ms = _timed_run(_make_engine(engine_name, clean_db), workload)
+        clean_ms = _timed_run(make_engine(engine_name, clean_db), workload)
 
-        engine = _make_engine(engine_name, _make_db(arrays, seed))
+        engine = make_engine(engine_name, _make_db(arrays, seed))
         result, recovered_ms, hit_index = None, None, None
         # The site's plan is armed only around its faulted run.
         with Checks(faults=f"{site}=error").armed(seed=seed) as armed:

@@ -10,14 +10,10 @@ from typing import Callable
 import numpy as np
 
 from repro.core.partial.engine import PartialConfig
+from repro.engine import ENGINE_FACTORIES
 from repro.engine.base import Engine
 from repro.engine.database import Database
-from repro.engine.presorted import PresortedEngine
 from repro.engine.query import JoinQuery, Query, QueryResult
-from repro.engine.rowstore import RowStoreEngine
-from repro.engine.scan import PlainEngine
-from repro.engine.selection_cracking import SelectionCrackingEngine
-from repro.engine.sideways_engine import SidewaysEngine
 from repro.stats.counters import StatsRecorder
 from repro.stats.memory_model import DEFAULT_MODEL, MemoryModel
 
@@ -80,17 +76,6 @@ def _timing(samples: list[float]) -> dict[str, float]:
         "repeats": float(len(samples)),
         "samples_s": [float(s) for s in samples],
     }
-
-
-ENGINE_FACTORIES = {
-    "monetdb": PlainEngine,
-    "presorted": PresortedEngine,
-    "selection_cracking": SelectionCrackingEngine,
-    "sideways": lambda db: SidewaysEngine(db, partial=False),
-    "partial_sideways": lambda db: SidewaysEngine(db, partial=True),
-    "rowstore": RowStoreEngine,
-    "rowstore_presorted": lambda db: RowStoreEngine(db, presorted=True),
-}
 
 
 @dataclass

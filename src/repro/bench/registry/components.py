@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.harness import ENGINE_FACTORIES
 from repro.bench.registry.core import DATASETS, ENGINES, METRICS, WORKLOADS
+from repro.engine import ENGINE_FACTORIES
 
 # -- engines -------------------------------------------------------------------
-# One namespace for every engine factory: the harness table (which already
-# names the paper's systems) plus the names bespoke drivers resolved by hand.
+# One namespace for every engine factory: the engine table, which names the
+# paper's systems and the reference row stores.
 
 for _name, _factory in ENGINE_FACTORIES.items():
     ENGINES.add(_name, _factory)

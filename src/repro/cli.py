@@ -68,12 +68,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from repro.engine import ENGINE_FACTORIES
     from repro.workloads.tpch.datagen import generate
     from repro.workloads.tpch.runner import verify_modes_agree
 
     data = generate(scale_factor=0.005 * (args.scale or 1.0), seed=17)
-    modes = ["monetdb", "presorted", "selection_cracking", "sideways",
-             "partial_sideways"]
+    modes = list(ENGINE_FACTORIES)
     verify_modes_agree(data, modes, variations=args.variations)
     print(
         f"OK: {len(modes)} systems agree on all 22 TPC-H queries "

@@ -247,6 +247,9 @@ class PartialMapSet:
             entry = area.tape[idx]
             assert isinstance(entry, DeleteEntry)
             self._bring_to(key_pmap, chunk, area, idx)
+            if chunk.head_dropped:
+                # Already at ``idx``, so _bring_to left the head dropped.
+                self._recover_head(key_pmap, chunk, area)
             entry.positions = locate_deletions(
                 chunk.index, chunk.head, chunk.tail,
                 entry.values, entry.keys, self._recorder,

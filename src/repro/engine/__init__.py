@@ -16,6 +16,10 @@ directly:
   full or partial maps (this paper);
 * :class:`~repro.engine.rowstore.RowStoreEngine` — N-ary row-at-a-time
   reference ("MySQL", optionally presorted).
+
+:data:`ENGINE_FACTORIES` is the one table of systems: every harness,
+registry, TPC-H plan and ``python -m repro verify`` builds its engines from
+it by name.
 """
 
 from repro.engine.database import Database
@@ -26,7 +30,19 @@ from repro.engine.scan import PlainEngine
 from repro.engine.selection_cracking import SelectionCrackingEngine
 from repro.engine.sideways_engine import SidewaysEngine
 
+#: System name -> ``factory(db)`` building that system's engine over ``db``.
+ENGINE_FACTORIES = {
+    "monetdb": PlainEngine,
+    "presorted": PresortedEngine,
+    "selection_cracking": SelectionCrackingEngine,
+    "sideways": lambda db: SidewaysEngine(db, partial=False),
+    "partial_sideways": lambda db: SidewaysEngine(db, partial=True),
+    "rowstore": RowStoreEngine,
+    "rowstore_presorted": lambda db: RowStoreEngine(db, presorted=True),
+}
+
 __all__ = [
+    "ENGINE_FACTORIES",
     "Database",
     "Query",
     "JoinQuery",

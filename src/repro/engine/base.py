@@ -20,7 +20,7 @@ from repro.analysis.sanitizer import checkpoint_query
 from repro.engine.database import Database
 from repro.engine.join import hash_join
 from repro.engine.operators import grouped
-from repro.errors import FaultError, InvariantError
+from repro.errors import FaultError, InvariantError, PlanError
 from repro.faults.guard import RECOVERABLE
 from repro.faults.plan import active_plan
 from repro.engine.query import (
@@ -56,6 +56,8 @@ class Engine(abc.ABC):
     """Common engine machinery: framing, timing, aggregates."""
 
     name: str = "engine"
+    #: Seconds spent building presorted copies (only presorted systems do).
+    presort_seconds: float = 0.0
 
     def __init__(self, db: Database) -> None:
         self.db = db
@@ -83,7 +85,10 @@ class Engine(abc.ABC):
         result = QueryResult()
         with self.recorder.frame() as stats:
             with result.timer.phase("total"):
-                columns = self._execute(query, result.timer)
+                if query.predicates:
+                    columns = self._execute(query, result.timer)
+                else:
+                    columns = self._read_table(query, result.timer)
                 if query.group_by:
                     with result.timer.phase("group_by"):
                         columns = grouped(
@@ -102,7 +107,21 @@ class Engine(abc.ABC):
 
     @abc.abstractmethod
     def _execute(self, query: Query, timer: PhaseTimer) -> dict[str, np.ndarray]:
-        """Evaluate the query, returning positionally aligned projections."""
+        """Evaluate a query with predicates, returning positionally aligned
+        projections."""
+
+    def _read_table(self, query: Query, timer: PhaseTimer) -> dict[str, np.ndarray]:
+        """A query without predicates: every live row of the needed columns,
+        one sequential pass per column, whatever the system's structures."""
+        relation = self.db.table(query.table)
+        live = ~self.db.tombstones(query.table)
+        out: dict[str, np.ndarray] = {}
+        with timer.phase("reconstruct"):
+            for attr in query.needed_columns:
+                values = relation.values(attr)
+                self.recorder.sequential(len(values))
+                out[attr] = values[live]
+        return out
 
     # -- fault recovery ------------------------------------------------------------------
 
@@ -147,6 +166,9 @@ class Engine(abc.ABC):
             return self._recover(exc, lambda engine: engine._run_join_raw(query))
 
     def _run_join_raw(self, query: JoinQuery) -> QueryResult:
+        for side in (query.left, query.right):
+            if not side.predicates:
+                raise PlanError(f"join side {side.table} needs a predicate")
         result = QueryResult()
         timer = result.timer
         with self.recorder.frame() as stats:

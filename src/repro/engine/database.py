@@ -391,10 +391,6 @@ class Database:
             return copy.relation, copy.build_seconds
         return copy.relation, 0.0
 
-    def presort_seconds(self) -> float:
-        """Total time spent building all presorted copies so far."""
-        return sum(c.build_seconds for c in self._sorted.values())
-
     def _invalidate_sorted(self, table: str) -> None:
         for key, copy in self._sorted.items():
             if key[0] == table:

@@ -82,14 +82,6 @@ class PresortedEngine(Engine):
         return copy, lo, hi, mask
 
     def _execute(self, query: Query, timer: PhaseTimer) -> dict[str, np.ndarray]:
-        if not query.predicates:
-            relation = self.db.table(query.table)
-            with timer.phase("reconstruct"):
-                live = ~self.db.tombstones(query.table)
-                return {
-                    attr: relation.values(attr)[live]
-                    for attr in query.needed_columns
-                }
         if not query.conjunctive:
             return self._execute_disjunctive(query, timer)
         copy, lo, hi, mask = self._select_slice(query.table, query.predicates, timer)

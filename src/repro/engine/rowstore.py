@@ -27,34 +27,27 @@ def _as_struct(relation: Relation) -> np.ndarray:
 
 
 class RowStoreEngine(Engine):
-    """Tuple-at-a-time row store, optionally with presorted row copies."""
+    """Tuple-at-a-time row store, optionally with presorted row copies.
+
+    Rows follow updates: the unsorted rows are built from the live relation
+    on every call, and each presorted row array is built from the
+    database's sorted copy, which updates mark stale.
+    """
 
     def __init__(self, db, presorted: bool = False) -> None:
         super().__init__(db)
         self.presorted = presorted
         self.name = "rowstore_presorted" if presorted else "rowstore"
-        self._rows: dict[str, np.ndarray] = {}
-        self._sorted_rows: dict[tuple[str, str], np.ndarray] = {}
-        self.presort_seconds = 0.0
-
-    def _row_array(self, table: str) -> np.ndarray:
-        rows = self._rows.get(table)
-        if rows is None:
-            rows = _as_struct(self.db.table(table))
-            self._rows[table] = rows
-        return rows
+        self._sorted_rows: dict[tuple[str, str], tuple[Relation, np.ndarray]] = {}
 
     def _sorted_row_array(self, table: str, attr: str) -> np.ndarray:
-        import time
-
-        key = (table, attr)
-        rows = self._sorted_rows.get(key)
-        if rows is None:
-            start = time.perf_counter()
-            rows = np.sort(self._row_array(table), order=attr)
-            self.presort_seconds += time.perf_counter() - start
-            self._sorted_rows[key] = rows
-        return rows
+        copy, seconds = self.db.sorted_copy(table, attr)
+        self.presort_seconds += seconds
+        cached = self._sorted_rows.get((table, attr))
+        if cached is None or cached[0] is not copy:
+            cached = (copy, _as_struct(copy))
+            self._sorted_rows[(table, attr)] = cached
+        return cached[1]
 
     def _width(self, table: str) -> int:
         return len(self.db.table(table).attributes)
@@ -69,6 +62,7 @@ class RowStoreEngine(Engine):
                 ordered = self.order_by_selectivity(table, list(predicates))
                 first = ordered[0]
                 rows = self._sorted_row_array(table, first.attr)
+                self.recorder.event("index_lookups", 2)
                 lo, hi = sorted_range(rows[first.attr], first.interval)
                 segment = rows[lo:hi]
                 self.recorder.sequential((hi - lo) * width)
@@ -76,7 +70,7 @@ class RowStoreEngine(Engine):
                 for pred in ordered[1:]:
                     mask &= pred.interval.mask(segment[pred.attr])
                 return segment[mask]
-            rows = self._row_array(table)
+            rows = _as_struct(self.db.table(table))
             self.recorder.sequential(len(rows) * width)
             if not predicates:
                 return rows[live]
@@ -84,6 +78,10 @@ class RowStoreEngine(Engine):
             mask = np.logical_and.reduce(masks) if conjunctive else np.logical_or.reduce(masks)
             mask &= live
             return rows[mask]
+
+    def _read_table(self, query: Query, timer: PhaseTimer) -> dict[str, np.ndarray]:
+        # A row store reads whole rows even without a predicate.
+        return self._execute(query, timer)
 
     def _execute(self, query: Query, timer: PhaseTimer) -> dict[str, np.ndarray]:
         rows = self._select_rows(

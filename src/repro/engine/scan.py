@@ -31,11 +31,6 @@ class PlainEngine(Engine):
         relation = self.db.table(table)
         live = self._live_mask(table)
         with timer.phase("select"):
-            if not predicates:
-                positions = np.arange(len(relation), dtype=np.int64)
-                if live is not None:
-                    positions = positions[live]
-                return positions
             ordered = self.order_by_selectivity(table, list(predicates))
             if conjunctive:
                 first = ordered[0]

@@ -39,9 +39,6 @@ class SelectionCrackingEngine(Engine):
     ) -> np.ndarray:
         relation = self.db.table(table)
         with timer.phase("select"):
-            if not predicates:
-                live = ~self.db.tombstones(table)
-                return np.flatnonzero(live).astype(np.int64)
             ordered = sorted(
                 predicates, key=lambda p: (self._estimate(table, p), p.attr)
             )

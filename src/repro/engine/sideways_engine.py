@@ -12,7 +12,6 @@ import numpy as np
 from repro.core.bitvector import BitVector
 from repro.engine.base import Engine, SideHandle
 from repro.engine.query import JoinSide, Query
-from repro.errors import PlanError
 from repro.stats.timing import PhaseTimer
 
 
@@ -33,15 +32,13 @@ class SidewaysEngine(Engine):
         facade = self._facade(query.table)
         predicates = query.predicate_map
         needed = list(query.needed_columns)
-        if not predicates:
-            with timer.phase("select"):
-                relation = self.db.table(query.table)
-                live = ~self.db.tombstones(query.table)
-                return {attr: relation.values(attr)[live] for attr in needed}
-        if len(predicates) == 1:
+        if len(predicates) == 1 and not self.partial:
             # The first map access carries the selection work; the remaining
             # maps are pure tuple reconstruction (they reuse the aligned
-            # cracks), mirroring the paper's Sel/TR cost split.
+            # cracks), mirroring the paper's Sel/TR cost split.  Full maps
+            # align to the tape's end, so the two calls agree on the row
+            # order; partial alignment only reaches the highest cursor among
+            # one call's chunks, so partial maps answer in one call.
             (attr, interval), = predicates.items()
             out: dict[str, np.ndarray] = {}
             with timer.phase("select"):
@@ -65,8 +62,6 @@ class SidewaysEngine(Engine):
         ``w`` so post-join reconstruction stays clustered."""
         facade = self._facade(side.table)
         predicates = side.predicate_map
-        if not predicates:
-            raise PlanError("sideways join sides need at least one predicate")
         with timer.phase("select"):
             head = facade.choose_head(predicates, conjunctive=True)
             mapset = facade.set_for(head)

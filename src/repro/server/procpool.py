@@ -168,7 +168,7 @@ def _shard_worker_main(spec: dict, conn) -> None:
     cracker = CrackerColumn(
         base.as_bat(),
         global_recorder(),
-        policy=resolve_policy(spec["policy"]),
+        policy=resolve_policy(*spec["policy"]),
         budget=spec["budget"],
         rng=policy_rng(spec["seed"], "shard", spec["table"], spec["attr"],
                        spec["index"]),
@@ -324,7 +324,7 @@ class _ShardWorker:
             "attr": self.pool.attr,
             "index": self.index,
             "seed": self.pool.crack_seed,
-            "policy": self.pool.policy_name,
+            "policy": self.pool.policy_spec,
             "budget": self.pool.budget,
         }
 
@@ -632,9 +632,11 @@ class ProcessShardPool(ShardedColumn):
         self.resilience = resilience if resilience is not None else ResilienceConfig()
         # Workers rebuild policy/budget from specs: policy objects carry
         # per-structure state that must live worker-side, so only the name
-        # crosses the process boundary.
+        # and the minimum piece size cross the process boundary.
         policy = resolve_policy(policy)
-        self.policy_name = None if policy is None else policy.name
+        self.policy_spec = (
+            (None, None) if policy is None else (policy.name, policy.min_piece)
+        )
         self.budget = budget
         self.context = _mp_context()
         self._stats_mutex = Mutex(f"procpool[{table}.{attr}].stats")

@@ -5,9 +5,10 @@
   day ordinals, strings dictionary-encoded in lexicographic code order so
   equality and prefix predicates become integer ranges).
 * :mod:`~repro.workloads.tpch.executor` — the mode-specific table-selection
-  path: plain scans, presorted copies, cracker columns, or sideways cracking
-  handle each query's selections and tuple reconstructions; joins, group-bys
-  and aggregations use the common operators, as in the paper.
+  path: each system's engine (plain scans, presorted copies, cracker
+  columns, sideways cracking, row stores) handles the query's selections
+  and tuple reconstructions; joins, group-bys and aggregations use the
+  common operators, as in the paper.
 * :mod:`~repro.workloads.tpch.queries` — Q1, 3, 4, 6, 7, 8, 10, 12, 14, 15,
   19, 20 (every TPC-H query with a selection on a non-string attribute) with
   the benchmark's parameter-variation rules.

@@ -3,10 +3,10 @@
 
 Each query is a function ``(executor, params) -> canonical result``.  The
 mode-specific work (selections + tuple reconstruction on the cracked
-tables) goes through :class:`~repro.workloads.tpch.executor.ModeExecutor`;
-joins on dense primary keys are positional lookups (the standard
-column-store key join), group-bys and aggregations use the shared
-operators.  Results are canonicalized (sorted rows, money rounded to
+tables) goes through :class:`~repro.workloads.tpch.executor.ModeExecutor`,
+that is, through the system's engine; joins on dense primary keys are
+positional lookups (the standard column-store key join), group-bys and
+aggregations use the shared operators.  Results are canonicalized (sorted rows, money rounded to
 cents) so the four systems can be cross-checked for equality.
 
 ``ParamGen`` produces the per-variation parameters following the
@@ -14,6 +14,8 @@ benchmark's qgen substitution rules.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,7 +31,13 @@ from repro.workloads.tpch.datagen import (
     SHIPMODES,
     TYPES,
 )
-from repro.workloads.tpch.executor import ModeExecutor
+
+if TYPE_CHECKING:
+    from repro.workloads.tpch.executor import ModeExecutor
+
+#: Minor sort keys of the presorted system's copies, per ``table.attr``: the
+#: paper sub-sorts its TPC-H copies on group-by columns (Q1's here).
+PRESORT_THEN_BY = {"lineitem.l_shipdate": ("l_returnflag", "l_linestatus")}
 
 
 def _money(values: np.ndarray) -> np.ndarray:
@@ -156,7 +164,6 @@ def q1(ex: ModeExecutor, params: dict) -> list[tuple]:
             "l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice",
             "l_discount", "l_tax",
         ],
-        then_by=("l_returnflag", "l_linestatus"),
     )
     disc_price = cols["l_extendedprice"] * (1 - cols["l_discount"])
     charge = disc_price * (1 + cols["l_tax"])

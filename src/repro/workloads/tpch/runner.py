@@ -51,7 +51,7 @@ def run_query_sequence(
         run.model_ms.append(model.cost_ms(stats))
         if keep_results:
             run.results.append(result)
-    run.presort_seconds = executor.presort_seconds
+    run.presort_seconds = executor.engine.presort_seconds
     return run
 
 
@@ -87,7 +87,7 @@ def run_mixed_workload(
                 suite[query_id](executor, params)
                 run.seconds.append(time.perf_counter() - start)
             run.model_ms.append(model.cost_ms(stats))
-    run.presort_seconds = executor.presort_seconds
+    run.presort_seconds = executor.engine.presort_seconds
     return run
 
 

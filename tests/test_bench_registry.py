@@ -90,7 +90,7 @@ class TestBuiltinRegistrations:
                 assert spec.metrics in METRICS, name
 
     def test_engines_cover_harness_factories(self):
-        from repro.bench.harness import ENGINE_FACTORIES
+        from repro.engine import ENGINE_FACTORIES
 
         for name in ENGINE_FACTORIES:
             assert name in ENGINES

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.bench.harness import ENGINE_FACTORIES, SequenceRunner, SystemSetup
+from repro.bench.harness import SequenceRunner, SystemSetup
 from repro.bench.report import format_table, series_summary
 from repro.cracking.bounds import Interval
+from repro.engine import ENGINE_FACTORIES
 from repro.engine.query import Predicate, Query
 
 

@@ -453,6 +453,22 @@ def test_any_interleaving_evicts_what_the_scan_would(seed, ops):
     assert [chunk for chunk in model.seen if id(chunk) not in live] == []
 
 
+def test_locating_a_deletion_recovers_a_dropped_key_head():
+    """Deletes queued on an area whose ``M_Akey`` chunk lost its head at
+    exactly the delete entry's tape position: locating the victims must
+    rebuild that head first (it used to read the dropped ``None``)."""
+    model = StorageModel(1)
+    ops = [
+        ("crack", 3, 0), ("crack", 3, 0), ("crack", 0, 0), ("delete", 0, 0),
+        ("delete", 2, 0), ("align", 0, 0), ("insert", 0, 0), ("delete", 0, 0),
+        ("drop_head", 1, 0), ("align", 0, 0),
+    ]
+    with checked_against_scan(model.storage):
+        for step in ops:
+            model.apply(step)
+            model.check()
+
+
 # -- fault rollback ------------------------------------------------------------------
 
 

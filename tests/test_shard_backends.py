@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.cracking.bounds import Interval
+from repro.cracking.stochastic import resolve_policy
 from repro.errors import PlanError, ServerError
 from repro.server.locks import LockRegistry
 from repro.server.partition import PartitionedColumn, route_masks
@@ -217,3 +218,28 @@ def test_closed_column_refuses_selects(backend, values):
     column.close()  # idempotent
     with pytest.raises(ServerError, match="closed"):
         column.select(Interval.closed(0, 100))
+
+
+def test_both_backends_crack_identically_under_a_tuned_policy(values):
+    """A policy's ``min_piece`` reaches the worker processes too, so one
+    thread shard and one process shard leave the same pieces behind."""
+    bat = BAT(values, ColumnType.INT, None, None)
+    policy = resolve_policy("mdd1r", min_piece=64)
+    thread = PartitionedColumn(bat, 1, LockRegistry(), "t", "A", policy=policy)
+    process = ProcessShardPool(bat, 1, "t", "A", policy=policy)
+    try:
+        for lo in range(0, 9_000, 700):
+            interval = Interval.closed(lo, lo + 250)
+            assert np.array_equal(
+                np.sort(thread.select(interval).keys),
+                np.sort(process.select(interval).keys),
+            )
+        cracker = thread.shards[0].cracker
+        (snapshot,) = process.snapshot()
+        assert cracker.stochastic_cuts > 0
+        assert (snapshot["pieces"], snapshot["stochastic_cuts"]) == (
+            cracker.index.piece_count, cracker.stochastic_cuts
+        )
+    finally:
+        thread.close()
+        process.close()

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.engine import ENGINE_FACTORIES
 from repro.engine.database import Database
 from repro.engine.query import Predicate
 from repro.cracking.bounds import Interval
 from repro.errors import PlanError
-from repro.workloads.tpch import MODES, ModeExecutor, ParamGen, QUERIES, generate
+from repro.workloads.tpch import ModeExecutor, ParamGen, QUERIES, generate
 from repro.workloads.tpch.dates import CURRENT_DATE, END_DATE, START_DATE, add_months, add_years, d
 from repro.workloads.tpch.queries import results_equal
 from repro.workloads.tpch.runner import (
@@ -25,7 +26,7 @@ def data():
 @pytest.fixture(scope="module")
 def dbs(data):
     out = {}
-    for mode in list(MODES) + ["partial_sideways"]:
+    for mode in ENGINE_FACTORIES:
         db = Database()
         data.load_into(db)
         out[mode] = ModeExecutor(db, mode)
