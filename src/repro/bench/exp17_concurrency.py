@@ -3,8 +3,9 @@
 The serving subsystem (:mod:`repro.server`) claims two things:
 
 1. **Correctness** — any interleaving of concurrent clients produces, for
-   every query, a result bit-identical to a serial single-client run over
-   the same data (after the executor's canonicalization).  Cracking makes
+   every query, the same rows as a serial single-client run over the same
+   data (compared as value multisets: served rows come in tuple-key order,
+   an engine's in its physical order).  Cracking makes
    this non-trivial: every query may physically reorganize shared arrays,
    and the reorganization order differs per schedule.
 2. **Throughput** — a multi-worker server beats the single-client serial
@@ -20,9 +21,9 @@ their keys from a one-shard column of their lead attribute, built the
 first time a query names it.
 
 The serial baseline is a plain :class:`SelectionCrackingEngine` loop — no
-locks, no cache, no partitions — paying the same canonicalization the
-server pays.  The server is then measured at 1, 2, and 4 workers with the
-result cache and 8-way partitioning enabled, and once more at 4 workers
+locks, no cache, no partitions; both sides compute their comparison
+digests off the clock.  The server is then measured at 1, 2, and 4
+workers with the result cache and 8-way partitioning enabled, and once more at 4 workers
 with the cache disabled, so the summary can *decompose* where the speedup
 comes from (this box may have a single CPU — honest speedups come from
 serving-layer work avoidance, not from pretending Python threads scale
@@ -34,9 +35,9 @@ compute):
   touching only the shards whose value range intersects;
 * **batched admission** — identical in-flight requests are deduplicated.
 
-Acceptance (checked in ``summary``): every served digest equals the serial
-digest for the same request, and 4-worker throughput is at least ``2.5x``
-the serial baseline.
+Acceptance (checked in ``summary``): every served answer's value-multiset
+digest equals the serial one for the same request, and 4-worker
+throughput is at least ``2.5x`` the serial baseline.
 """
 
 from __future__ import annotations
@@ -112,6 +113,12 @@ def build_workload(
     return [templates[int(r - 1) % len(templates)] for r in ranks]
 
 
+def value_digest(columns: dict[str, np.ndarray]) -> str:
+    """The digest of a result's rows as a value multiset, so a served reply
+    (tuple-key order) and an engine result (physical order) compare."""
+    return digest_columns(canonicalize(columns))
+
+
 def _fresh_database(arrays: dict[str, np.ndarray]) -> Database:
     db = Database()
     db.create_table("R", {k: v.copy() for k, v in arrays.items()})
@@ -125,11 +132,13 @@ def run_serial(
     db = _fresh_database(arrays)
     engine = SelectionCrackingEngine(db)
     digests: list[str] = []
-    start = time.perf_counter()
+    elapsed = 0.0
     for query in workload:
+        start = time.perf_counter()
         result = engine.run(query)
-        digests.append(digest_columns(canonicalize(result.columns)))
-    return digests, time.perf_counter() - start
+        elapsed += time.perf_counter() - start
+        digests.append(value_digest(result.columns))
+    return digests, elapsed
 
 
 def run_served(
@@ -148,11 +157,12 @@ def run_served(
         if partitions:
             executor.partition("R", "A")
         digests: list[str] = []
-        start = time.perf_counter()
+        elapsed = 0.0
         for at in range(0, len(workload), BATCH):
+            start = time.perf_counter()
             results = executor.run_batch(workload[at:at + BATCH])
-            digests.extend(r.digest() for r in results)
-        elapsed = time.perf_counter() - start
+            elapsed += time.perf_counter() - start
+            digests.extend(value_digest(r.columns) for r in results)
         stats = executor.stats()
     return digests, elapsed, stats
 
@@ -244,7 +254,7 @@ def run(
 
 def describe(result: dict) -> str:
     headers = ["configuration", "qps", "speedup", "p99 (ms)",
-               "cache hits", "bit-identical"]
+               "cache hits", "rows match"]
     rows = [[
         "serial (baseline)",
         f"{result['summary']['serial_throughput_qps']:,.0f}",
@@ -273,7 +283,7 @@ def describe(result: dict) -> str:
         f"speedup at 4 workers: {s['speedup_at_4_workers']:.2f}x "
         f"(target >= {s['target_speedup']}x: "
         + ("ok)" if s["speedup_ok"] else "MISSED)"),
-        "all served results bit-identical to serial: "
+        "all served results match serial (value multisets): "
         + ("yes" if s["all_digests_match_serial"] else "NO"),
         "decomposition: "
         f"cache {d['cache_speedup_at_4_workers']:.2f}x "

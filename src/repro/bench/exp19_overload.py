@@ -18,8 +18,9 @@ three promises:
    retry under the remaining deadline budget with seeded decorrelated
    jitter; a shard whose breaker opens is served by the parent-side scan
    fallback and the result is marked ``degraded`` (and never cached).
-   Every *non-degraded* result must stay bit-identical to the serial
-   ground truth — chaos may cost throughput, never answers.
+   Every *non-degraded* result must hold the serial ground truth's rows
+   (compared as value multisets) — chaos may cost throughput, never
+   answers.
 
 3. **A deterministic breaker lifecycle.**  A sequential phase pins the
    whole circuit-breaker state machine with exact shot arithmetic under
@@ -28,8 +29,8 @@ three promises:
    retry).  One query burns 4 shots and opens the breaker (two failures
    fill its all-failure window); the next is shed instantly (0 shots);
    four half-open probes each burn 2 shots and reopen; the final probe
-   finds the plan exhausted, succeeds, and recloses the breaker with a
-   bit-identical answer.  The retry pauses come from a seeded tape, so
+   finds the plan exhausted, succeeds, and recloses the breaker with the
+   serial answer.  The retry pauses come from a seeded tape, so
    the run — jitter included — replays exactly.
 
 All phases run with the result cache off: caching is exp17's subject, and
@@ -47,7 +48,7 @@ import time
 import numpy as np
 
 from repro.analysis.checks import Checks, current
-from repro.bench.exp17_concurrency import build_templates
+from repro.bench.exp17_concurrency import build_templates, value_digest
 from repro.bench.harness import default_scale
 from repro.bench.registry.components import uniform_table
 from repro.bench.report import format_table
@@ -56,7 +57,7 @@ from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
 from repro.engine.selection_cracking import SelectionCrackingEngine
 from repro.errors import QueryTimeout, ReproError, ServerOverloaded
-from repro.server.executor import ServerExecutor, canonicalize, digest_columns
+from repro.server.executor import ServerExecutor
 from repro.server.resilience import ResilienceConfig
 
 #: Chaos plan for the concurrent overload phase when ``--faults`` did not
@@ -94,10 +95,7 @@ def _serial_digests(
     baseline; :func:`run` calls it with the ambient plan suspended)."""
     db = _fresh_database(arrays)
     engine = SelectionCrackingEngine(db)
-    return [
-        digest_columns(canonicalize(engine.run(query).columns))
-        for query in queries
-    ]
+    return [value_digest(engine.run(query).columns) for query in queries]
 
 
 def run_unloaded(
@@ -116,7 +114,7 @@ def run_unloaded(
             started = time.perf_counter()
             result = executor.run(template_list[t])
             latencies.append(time.perf_counter() - started)
-            if result.digest() != serial_digests[t]:
+            if value_digest(result.columns) != serial_digests[t]:
                 mismatches += 1
     return {
         "queries": len(order),
@@ -170,7 +168,7 @@ def run_overloaded(
                     out["latencies"].append(time.perf_counter() - started)
                     if result.degraded:
                         out["degraded"] += 1
-                    elif result.digest() != serial_digests[t]:
+                    elif value_digest(result.columns) != serial_digests[t]:
                         out["mismatches"] += 1
 
         with Checks(faults=chaos or "").armed(seed=seed) as armed:
@@ -258,7 +256,7 @@ def run_breaker_lifecycle(arrays: dict[str, np.ndarray], seed: int) -> dict:
                     "step": label,
                     "degraded": result.degraded,
                     "recovered": result.fault_recovered,
-                    "digest_matches_serial": result.digest() == serial,
+                    "digest_matches_serial": value_digest(result.columns) == serial,
                     "breaker": worker.breaker.state,
                 })
 
@@ -277,13 +275,13 @@ def run_breaker_lifecycle(arrays: dict[str, np.ndarray], seed: int) -> dict:
     expected_states = ["open"] * 6 + ["closed"]
     expected_degraded = [True] * 6 + [False]
     ok = (
-        warm.digest() == serial and not warm.degraded
+        value_digest(warm.columns) == serial and not warm.degraded
         and [t["breaker"] for t in timeline] == expected_states
         and [t["degraded"] for t in timeline] == expected_degraded
         and all(t["digest_matches_serial"] for t in timeline)
         and timeline[-1]["recovered"]
         and len(plan.injected) == 12
-        and after.digest() == serial
+        and value_digest(after.columns) == serial
         and not after.degraded and not after.fault_recovered
     )
     return {
@@ -299,7 +297,7 @@ def run_breaker_lifecycle(arrays: dict[str, np.ndarray], seed: int) -> dict:
         "jitter_tape": shard["jitter_tapes"][0],
         "degraded_serves": shard["degraded_serves"],
         "retries": shard["retries"],
-        "recovery_digest_matches_serial": after.digest() == serial,
+        "recovery_digest_matches_serial": value_digest(after.columns) == serial,
         "ok": bool(ok),
     }
 
@@ -435,7 +433,7 @@ def describe(result: dict) -> str:
         + ("ok" if s["p99_ok"] else "MISSED"),
         f"load shed under overload: {result['overload_clean']['shed']} "
         + ("(ok)" if s["shed_ok"] else "(NONE -- not overloaded?)"),
-        "all non-degraded results bit-identical to serial: "
+        "all non-degraded results match serial (value multisets): "
         + ("yes" if s["bit_identical_ok"] else "NO"),
         f"chaos plan {result['chaos_spec']!r}: "
         f"{len(result['overload_chaos']['injected'])} faults injected, "

@@ -353,11 +353,11 @@ def _bench_ripple(kind: str, rows: int, batch: int, name: str, seed: int) -> dic
 def _bench_encode_reply(name: str, rows: int, replies: int, seed: int) -> dict:
     """``replies`` served reply lines of one ``rows``-row, two-column result:
     the vectorized encoder against ``tolist()`` + ``json.dumps``."""
-    from repro.server.executor import ServedResult, canonicalize
+    from repro.server.executor import ServedResult
     from repro.server.serve import _result_frame
 
     rng = np.random.default_rng(seed)
-    columns = canonicalize({c: rng.integers(1, 10**7 + 1, rows) for c in "BC"})
+    columns = {c: rng.integers(1, 10**7 + 1, rows) for c in "BC"}
     result = ServedResult(
         columns=columns, aggregates={"max(C)": float(columns["C"].max())},
         row_count=rows, path="process", elapsed_seconds=0.0042,

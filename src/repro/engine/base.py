@@ -94,12 +94,15 @@ class Engine(abc.ABC):
                         columns = grouped(
                             columns, query.group_by, query.aggregates, self.recorder
                         )
-        result.columns = columns
+        result.row_count = len(next(iter(columns.values()))) if columns else 0
         if query.group_by:
             result.aggregates = {}
         else:
             result.aggregates = compute_aggregates(query.aggregates, columns)
-        result.row_count = len(next(iter(columns.values()))) if columns else 0
+            # Outside the recorder frame: dropping the columns only the
+            # aggregates read moves no counter.
+            columns = {attr: columns[attr] for attr in query.projections}
+        result.columns = columns
         result.stats = stats
         # Outside the recorder frame, so sanitizer sweeps never skew counters.
         checkpoint_query()

@@ -118,6 +118,8 @@ class JoinQuery:
 class QueryResult:
     """What an engine hands back: values, aggregates, and cost breakdowns.
 
+    ``columns`` holds the projections only (a group-by query: its keys and
+    per-group aggregates); a column only an aggregate reads is not kept.
     ``timer`` holds wall-clock seconds per phase (``select``, ``tr_before``,
     ``join``, ``tr_after``); ``stats`` holds the classified element touches
     of the whole query.

@@ -11,8 +11,8 @@ every structure.  This package layers concurrent serving on top of them:
 :mod:`repro.server.executor`
     The session/executor front: a thread pool serving SQL or programmatic
     queries with per-query deadlines, statistics, batched admission, and a
-    version-keyed result cache; results are canonicalized so concurrent
-    interleavings stay bit-identical to a serial run.
+    version-keyed result cache; result rows come in tuple-key order, so
+    concurrent interleavings stay bit-identical to each other.
 :mod:`repro.server.partition`
     Partition-parallel execution: one range-sharded column
     (:class:`~repro.server.partition.ShardedColumn`) owning layout,

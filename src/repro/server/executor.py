@@ -10,7 +10,7 @@ version-keyed result cache, and serves SQL strings or programmatic
 Every answer takes one of three paths, fastest first:
 
 ``cache``
-    The canonical result of an identical query at the same logical data
+    The result of an identical query at the same logical data
     version is returned without touching any structure.  Serving workloads
     repeat query templates heavily ("millions of users" ≠ millions of
     distinct queries); the cache key includes
@@ -53,18 +53,19 @@ entries are admitted at their payload size and evicted
 least-recently-served-first once the budget is exceeded; admission and
 eviction counts surface in :meth:`ServerExecutor.stats`.
 
-Every result is **canonicalized** — rows sorted lexicographically over the
-result columns, aggregates recomputed from the sorted columns — so the
+Every result's rows come in **ascending tuple-key order**: the qualifying
+keys are dense tuple ids, sorted once before the gathers (which are then
+in-order positional lookups, the paper's ordered reconstruction), so the
 bytes a client sees are a pure function of (data version, query), not of
-how concurrent cracking happened to interleave.  The data version is
-sampled *inside* the table lock that serialized the query against
-updates, and results enter the cache under that captured version — never
-under a version sampled racily before execution.  ``ServedResult.digest()``
-is the sha1 of those bytes; the determinism tests and ``exp17`` compare it
-against a serial baseline.  The order is computed as one ``np.sort`` over
-packed int64 row keys when the result columns are integers whose value
-ranges fit 63 bits together, and as a ``np.lexsort`` otherwise; both give
-the same order and bytes.
+how concurrent cracking happened to interleave.  A result carries the
+query's projections only (a group-by result: its keys and aggregates);
+the columns aggregates read are not shipped.  The data version is sampled
+*inside* the table lock that serialized the query against updates, and
+results enter the cache under that captured version — never under a
+version sampled racily before execution.  ``ServedResult.digest()`` is the
+sha1 of those bytes.  An engine result is in its own physical order, so
+the determinism tests and ``exp17``–``exp19`` compare the two as value
+multisets, ``digest_columns(canonicalize(columns))`` on both sides.
 
 ``ServedResult.as_payload`` writes a result as its wire bytes, the same
 bytes ``json.dumps`` gives the result dict with ``tolist()`` columns.  Long
@@ -101,7 +102,7 @@ from repro.server.resilience import Deadline, ResilienceConfig
 #: Default per-query deadline (seconds) for the blocking entry points.
 DEFAULT_TIMEOUT = 30.0
 
-#: Default result-cache budget: 64 MiB of canonical result payloads.
+#: Default result-cache budget: 64 MiB of served result payloads.
 DEFAULT_CACHE_BYTES = 64 * 1024 * 1024
 
 #: Admission shed policies (the ``--shed-policy`` CLI knob).
@@ -115,7 +116,7 @@ LATENCY_WINDOW = 1024
 
 
 class ResultCacheLRU:
-    """A bytes-budgeted LRU over canonical served results.
+    """A bytes-budgeted LRU over served results.
 
     Entries cost their result-column payload bytes (plus a small fixed
     overhead for the key and bookkeeping).  A hit refreshes recency; an
@@ -184,71 +185,25 @@ class ResultCacheLRU:
 
 
 def canonicalize(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Sort result rows into a schedule-independent canonical order.
+    """Rows sorted lexicographically over the result columns.
 
-    Rows are ordered lexicographically over the result columns (attribute
-    name order fixes the sort-key priority).  Result *membership* is exact
-    under every execution path, so canonical results are bit-identical
-    across serial, concurrent, partitioned, and budgeted runs.  Returns
+    The value-multiset normal form of a result: two answers hold the same
+    rows exactly when their canonical forms are equal, whatever order each
+    came in.  It compares a served reply (in tuple-key order) with an
+    engine result (in its physical order); nothing on the serving path
+    calls it.  Attribute name order fixes the sort-key priority.  Returns
     fresh C-contiguous arrays in the input's key order.
     """
     names = sorted(columns)
-    if not names or len(columns[names[0]]) <= 1:
-        return {name: arr.copy() for name, arr in columns.items()}
-    packed = _canonicalize_packed(columns, names)
-    if packed is not None:
-        return packed
+    if not names:
+        return {}
     # np.lexsort keys: last key is the primary sort key.
     order = np.lexsort(tuple(columns[name] for name in reversed(names)))
-    return {name: np.ascontiguousarray(arr[order]) for name, arr in columns.items()}
-
-
-def _canonicalize_packed(
-    columns: dict[str, np.ndarray], names: list[str]
-) -> dict[str, np.ndarray] | None:
-    """:func:`canonicalize` as one int64 sort, or ``None`` if rows do not pack.
-
-    Packs when every column is a 1-D integer array and the bit widths of
-    the value ranges sum to at most 63: each row becomes one non-negative
-    int64 holding ``value - min`` per column, ``names[0]`` in the highest
-    bits, so key order is row order.  Equal keys are equal rows, so an
-    unstable sort gives the same bytes as a stable lexsort.
-    """
-    fields = []
-    total = 0
-    for name in names:
-        arr = columns[name]
-        if arr.ndim != 1 or arr.dtype.kind not in "iu":
-            return None
-        lo = arr.min()
-        width = (int(arr.max()) - int(lo)).bit_length()
-        total += width
-        if total > 63:
-            return None
-        fields.append((name, lo, width))
-    key = np.zeros(len(columns[names[0]]), dtype=np.int64)
-    shift = total
-    for name, lo, width in fields:
-        shift -= width
-        if width:
-            # Subtract in the column's own (wrapping) dtype, then read the
-            # bits as unsigned: the offset is below 2**width, so it is exact
-            # even where ``value - min`` overflows the signed type.
-            offset = (columns[name] - lo).view(f"u{lo.itemsize}")
-            key |= offset.astype(np.int64) << shift
-    key.sort()
-    out = {}
-    shift = total
-    for name, lo, width in fields:
-        shift -= width
-        values = ((key >> shift) & ((1 << width) - 1)).astype(columns[name].dtype)
-        values += lo  # wraps back exactly as the subtraction did
-        out[name] = values
-    return {name: out[name] for name in columns}
+    return {name: arr[order] for name, arr in columns.items()}
 
 
 def digest_columns(columns: dict[str, np.ndarray]) -> str:
-    """sha1 over the canonical result bytes (names, dtypes, and values)."""
+    """sha1 over a result's bytes: names, dtypes, and values in row order."""
     h = hashlib.sha1()
     for name in sorted(columns):
         arr = columns[name]
@@ -364,7 +319,7 @@ class ServedQuery:
 
 @dataclass
 class ServedResult:
-    """A canonicalized query answer plus per-query serving statistics."""
+    """A query answer in tuple-key order plus per-query serving statistics."""
 
     columns: dict[str, np.ndarray] = field(default_factory=dict)
     aggregates: dict[str, float] = field(default_factory=dict)
@@ -492,7 +447,6 @@ class ServerExecutor:
         db: Database,
         workers: int = 4,
         partitions: int = 0,
-        default_timeout: float | None = DEFAULT_TIMEOUT,
         processes: int = 0,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         max_queue: int | None = None,
@@ -517,7 +471,6 @@ class ServerExecutor:
         self.workers = workers
         self.partitions = partitions
         self.processes = processes
-        self.default_timeout = default_timeout
         self.registry = LockRegistry()
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
@@ -719,7 +672,7 @@ class ServerExecutor:
             return timeout
         if served.timeout is not None:
             return served.timeout
-        return self.default_timeout
+        return DEFAULT_TIMEOUT
 
     def admit(
         self,
@@ -835,13 +788,13 @@ class ServerExecutor:
                 "queued", policy=self.shed_policy,
             ) from None
         except FutureTimeout:
-            self._abandon(record)
+            self.abandon(record)
             raise QueryTimeout(
                 f"query on {record.served.query.table!r} missed its deadline",
                 seconds=record.deadline.budget,
             ) from None
 
-    def _abandon(self, record: _Request) -> None:
+    def abandon(self, record: _Request) -> None:
         """A waiter gave up: flag cooperative cancellation so the pool
         thread stops at its next scatter/probe boundary and its (stale)
         result is never admitted to the cache."""
@@ -1011,11 +964,13 @@ class ServerExecutor:
     def _select_keys(self, query: Query, deadline: Deadline) -> GatherResult:
         """The qualifying keys of a query, from its predicates' shards.
 
-        A conjunction takes its keys from the first partitioned predicate
-        and refines them by the others with base-column gathers; a
-        disjunction unions every predicate's keys.  Caller holds the
-        table's read lock, so no :meth:`insert`/:meth:`delete` routes
-        pending rows mid-selection; shard locks nest strictly inside.
+        A conjunction takes its keys from the first partitioned predicate,
+        sorts them, and refines them by the others with base-column
+        gathers; a disjunction unions every predicate's keys.  The keys
+        come back in ascending order on every path, which is the order of
+        the reply's rows.  Caller holds the table's read lock, so no
+        :meth:`insert`/:meth:`delete` routes pending rows mid-selection;
+        shard locks nest strictly inside.
         """
         table = query.table
         if not query.predicates:
@@ -1042,7 +997,8 @@ class ServerExecutor:
         if query.conjunctive:
             lead = next(p for p in query.predicates if p.attr in sharded)
             selected = source(lead)
-            keys = selected.keys
+            # Not in place: the keys may be a view of a shard's result buffer.
+            keys = np.sort(selected.keys)
             relation = self.db.table(table)
             for pred in query.predicates:
                 if pred is not lead:
@@ -1083,24 +1039,25 @@ class ServerExecutor:
     def _finish_from_keys(
         self, query: Query, selected: GatherResult, version: int
     ) -> ServedResult:
-        """Reconstruct, canonicalize, and aggregate (or group) from
-        qualifying keys."""
+        """Reconstruct, then aggregate (or group), from qualifying keys in
+        ascending order; the result keeps the projections only."""
         relation = self.db.table(query.table)
-        columns = canonicalize({
+        columns = {
             attr: random_gather(relation.values(attr), selected.keys, self.db.recorder)
             for attr in query.needed_columns
-        })
+        }
         if query.group_by:
-            # Grouped over canonical rows, so float aggregates sum in one
-            # order whichever shards produced the keys.
-            columns = canonicalize(grouped(
+            # group_by's stable sort over rows in key order fixes both the
+            # group order and each group's float summation order.
+            columns = grouped(
                 columns, query.group_by, query.aggregates, self.db.recorder
-            ))
+            )
             aggregates = {}
             row_count = len(next(iter(columns.values())))
         else:
             aggregates = compute_aggregates(query.aggregates, columns)
             row_count = len(selected.keys)
+            columns = {attr: columns[attr] for attr in query.projections}
         checkpoint_query()
         return ServedResult(
             columns=columns,

@@ -37,8 +37,8 @@ Because the shards partition the *value* domain, a shard's result is exactly
 the interval's restriction to that range, and the merged multiset of keys is
 identical to an unpartitioned column's answer for every interleaving of
 concurrent shard cracks — order differs, membership never does.  The
-serving layer canonicalizes row order, so partitioned and serial executions
-stay bit-identical.
+serving layer sorts the merged keys into tuple-key order, so partitioned and
+serial executions stay bit-identical.
 """
 
 from __future__ import annotations

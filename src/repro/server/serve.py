@@ -119,7 +119,6 @@ class ServerHandle:
         max_queue: "int | None" = None,
         max_inflight: "int | None" = None,
         shed_policy: str = "reject-newest",
-        resilience=None,
     ) -> None:
         from repro.server.executor import DEFAULT_CACHE_BYTES
 
@@ -128,7 +127,7 @@ class ServerHandle:
             processes=processes,
             cache_bytes=DEFAULT_CACHE_BYTES if cache_bytes is None else cache_bytes,
             max_queue=max_queue, max_inflight=max_inflight,
-            shed_policy=shed_policy, resilience=resilience,
+            shed_policy=shed_policy,
         )
         for table, attr in partition_attrs:
             self.executor.partition(table, attr)
@@ -238,38 +237,43 @@ class CrackServer:
     async def _dispatch(self, message: dict[str, object]) -> bytes:
         """Answer one frame with its reply line, never blocking on query work.
 
-        Query work is submitted to the executor's worker pool and *awaited*
+        Query work is admitted to the executor's worker pool and *awaited*
         (never nested: a pool worker waiting on another pool task would
         deadlock a saturated pool), so many connections share the workers.
-        The reply is encoded here, on the loop thread, after the await.
+        A wait past the request's deadline abandons it, as the in-process
+        wait does: the executor's future is left to run, so a queued
+        request still leaves the queue, and an abandoned answer is never
+        cached.  The reply is encoded here, on the loop thread, after the
+        await.
         """
         executor = self.handle.executor
         try:
             served = _open_frame(executor, message)
             if not isinstance(served, ServedQuery):
                 return _frame(served)
-            deadline = (
-                served.timeout if served.timeout is not None
-                else executor.default_timeout
-            )
-            future = asyncio.wrap_future(executor.submit(served))
-            try:
-                result = await asyncio.wait_for(future, deadline)
-            except asyncio.TimeoutError:
+            record = executor.admit(served)
+            future = asyncio.wrap_future(record.future)
+            # asyncio.wait, unlike wait_for, leaves the future running when
+            # the wait times out.
+            done, _ = await asyncio.wait({future}, timeout=record.deadline.remaining())
+            if not done:
+                executor.abandon(record)
+                # Its late answer, or QueryTimeout, is nobody's to read.
+                future.add_done_callback(
+                    lambda late: late.cancelled() or late.exception()
+                )
                 raise QueryTimeout(
                     f"query on {served.query.table!r} missed its deadline",
-                    seconds=deadline,
-                ) from None
-            except asyncio.CancelledError:
+                    seconds=record.deadline.budget,
+                )
+            if future.cancelled():
                 # A later admission shed this queued request (its future
-                # was cancelled under the admission mutex).  A cancellation
-                # of *this coroutine* must keep propagating, though.
-                if future.cancelled():
-                    raise ServerOverloaded(
-                        f"query on {served.query.table!r} was shed while "
-                        "queued", policy=executor.shed_policy,
-                    ) from None
-                raise
+                # was cancelled under the admission mutex).
+                raise ServerOverloaded(
+                    f"query on {served.query.table!r} was shed while "
+                    "queued", policy=executor.shed_policy,
+                )
+            result = future.result()
             return _result_frame(result.as_payload())
         except ReproError as exc:
             return _error_frame(exc)

@@ -1,172 +1,37 @@
-"""canonicalize: the packed int64 sort is byte-equal to a multi-column lexsort.
+"""The served reply contract, and ``canonicalize`` as its comparison form.
 
-The differential tests keep the original ``np.lexsort`` implementation
-inline as the oracle.  The golden digests pin the canonical wire bytes of
-every serving path across versions: they were captured before the packed
-sort existed, so any change to the canonical order fails them.
+A served reply holds the qualifying rows in ascending tuple-key order and
+only the query's projections (a group-by reply: its keys and aggregates).
+Engines return rows in their physical order, so a reply is compared with
+an engine result as a value multiset: ``canonicalize`` sorts rows
+lexicographically.  The golden digests pin the wire bytes of every serving
+path across versions.
 """
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
+from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
+from repro.engine import ENGINE_FACTORIES
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
 from repro.server.executor import (
     ServerExecutor,
-    _canonicalize_packed,
     canonicalize,
     digest_columns,
 )
-
-INT_DTYPES = [np.dtype(t) for t in (
-    "int8", "int16", "int32", "int64", "uint8", "uint16", "uint32", "uint64",
-)]
+from repro.server.serve import ServerHandle
 
 
-def lexsort_oracle(columns):
-    """The lexsort canonicalization, as it was before the packed sort."""
-    if not columns:
-        return columns
-    names = sorted(columns)
-    n = len(columns[names[0]])
-    if n <= 1:
-        return dict(columns)
-    order = np.lexsort(tuple(columns[name] for name in reversed(names)))
-    return {name: np.ascontiguousarray(arr[order]) for name, arr in columns.items()}
-
-
-def assert_canonical_equal(columns):
+def test_canonicalize_is_the_lexsort_of_the_rows():
+    columns = {"B": np.array([2, 1, 2, 1]), "A": np.array([0.5, 3.0, -1.0, 3.0])}
     got = canonicalize(columns)
-    want = lexsort_oracle(columns)
-    assert list(got) == list(columns)
-    for name, arr in got.items():
-        assert arr.dtype == want[name].dtype
-        assert np.array_equal(arr, want[name])
-        assert arr.flags.c_contiguous
-        for source in columns.values():
-            assert not np.shares_memory(arr, source)
-    assert digest_columns(got) == digest_columns(want)
-    return got
-
-
-# -- differential property test ----------------------------------------------
-
-
-def _int_column(rng, dtype, mode, bits, n):
-    """``n`` values of ``dtype`` whose range is about ``bits`` bits wide,
-    anchored at the type's minimum, maximum, zero, or a constant."""
-    info = np.iinfo(dtype)
-    span = min(1 << bits, int(info.max) - int(info.min) + 1)
-    if mode == "constant":
-        value = [info.min, info.max, 0, info.max // 3][int(rng.integers(0, 4))]
-        return np.full(n, value, dtype=dtype)
-    if mode == "low":
-        lo = int(info.min)
-    elif mode == "high":
-        lo = int(info.max) - span + 1
-    else:  # straddle zero where the type allows it
-        lo = max(int(info.min), min(-(span // 2), int(info.max) - span + 1))
-    offsets = rng.integers(0, span, size=n, dtype=np.uint64)
-    return (np.array(lo, dtype=dtype) + offsets.astype(dtype)).astype(dtype)
-
-
-_column_spec = st.one_of(
-    st.tuples(
-        st.sampled_from(INT_DTYPES),
-        st.sampled_from(["low", "high", "zero", "constant"]),
-        st.integers(0, 64),
-    ),
-    st.tuples(st.sampled_from([np.dtype("float64"), np.dtype("bool")]),
-              st.just("float"), st.just(0)),
-)
-
-
-@settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(
-    specs=st.lists(_column_spec, min_size=1, max_size=4),
-    n=st.sampled_from([0, 1, 2, 3, 17, 200, 10_000]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_canonicalize_equals_lexsort(specs, n, seed):
-    rng = np.random.default_rng(seed)
-    columns = {}
-    for i, (dtype, mode, bits) in enumerate(specs):
-        if dtype.kind == "f":
-            values = rng.normal(size=n)
-            values[rng.random(n) < 0.1] = 0.0  # ties across columns
-        elif dtype.kind == "b":
-            values = rng.random(n) < 0.5
-        else:
-            values = _int_column(rng, dtype, mode, bits, n)
-        # Hypothesis-chosen names in a shuffled order: the sort priority is
-        # name order, the output order is the input dict's order.
-        columns[f"c{int(rng.integers(0, 1000)):03d}_{i}"] = values
-    keys = list(columns)
-    rng.shuffle(keys)
-    assert_canonical_equal({k: columns[k] for k in keys})
-
-
-@pytest.mark.parametrize("widths, packs", [
-    ((31, 31), True),
-    ((31, 32), True),
-    ((32, 32), False),
-    ((21, 21, 21), True),
-    ((63,), True),
-    ((64,), False),
-])
-def test_total_width_63_packs_and_64_falls_back(widths, packs):
-    rng = np.random.default_rng(sum(widths))
-    n = 1_000
-    columns = {}
-    for i, width in enumerate(widths):
-        top = (1 << width) - 1
-        dtype = np.uint64 if width == 64 else np.int64
-        values = rng.integers(0, top, size=n, dtype=np.uint64, endpoint=True)
-        values[:2] = (0, top)  # pin the range to exactly ``width`` bits
-        values[2:20] = values[20:38]  # duplicate rows
-        columns[f"w{i}"] = values.astype(dtype)
-    names = sorted(columns)
-    assert (_canonicalize_packed(columns, names) is not None) is packs
-    assert_canonical_equal(columns)
-
-
-def test_uint64_narrow_range_above_2_63_packs():
-    rng = np.random.default_rng(5)
-    lo = np.uint64(2**63 + 12_345)
-    values = lo + rng.integers(0, 1 << 20, size=5_000).astype(np.uint64)
-    other = rng.integers(-3, 3, size=5_000).astype(np.int8)
-    columns = {"U": values, "S": other}
-    assert _canonicalize_packed(columns, sorted(columns)) is not None
-    got = assert_canonical_equal(columns)
-    assert got["U"].min() >= lo
-
-
-def test_extremes_and_constant_columns():
-    for dtype in INT_DTYPES:
-        info = np.iinfo(dtype)
-        columns = {
-            "K": np.full(6, info.max, dtype=dtype),
-            "L": np.array([info.min, info.max, 0, info.min, 1, info.max],
-                          dtype=dtype),
-        }
-        packed = _canonicalize_packed(columns, sorted(columns))
-        # Only the 64-bit types' full range is wider than 63 bits.
-        assert (packed is None) is (info.bits == 64)
-        got = assert_canonical_equal(columns)
-        assert np.all(got["K"] == info.max)
-
-
-def test_bool_and_float_columns_take_the_fallback():
-    columns = {"F": np.array([0.5, -1.0, 0.5]), "I": np.array([3, 1, 2])}
-    assert _canonicalize_packed(columns, sorted(columns)) is None
-    assert_canonical_equal(columns)
-    flags = {"B": np.array([True, False, True]), "I": np.array([3, 1, 2])}
-    assert _canonicalize_packed(flags, sorted(flags)) is None
-    assert_canonical_equal(flags)
+    assert list(got) == ["B", "A"]
+    assert got["A"].tolist() == [-1.0, 0.5, 3.0, 3.0]
+    assert got["B"].tolist() == [2, 2, 1, 1]
+    for arr in got.values():
+        assert not any(np.shares_memory(arr, src) for src in columns.values())
 
 
 def test_no_columns():
@@ -221,20 +86,21 @@ GOLDEN_QUERIES = [
           projections=("A", "B"), conjunctive=False), "partition", "partition", "process"),
 ]
 
-#: ``ServedResult.digest()`` of each ``GOLDEN_QUERIES`` entry, captured with
-#: the lexsort canonicalization; the last three, which name the
-#: partitioned ``A``, were captured while they still ran the engine over
-#: its own cracker column of ``A``.
+#: ``ServedResult.digest()`` of each ``GOLDEN_QUERIES`` entry: rows in
+#: tuple-key order, projections only.  Recaptured once when replies moved
+#: from value order (which also shipped aggregate-only columns) to key
+#: order; equal on serial, thread and process shards.  The group-by reply
+#: (the sixth) kept its digest: it was and is in group-key order.
 GOLDEN_DIGESTS = [
-    "c96cfa340f81fae277222453e2092cd0efe9e88d",
-    "c96cfa340f81fae277222453e2092cd0efe9e88d",
-    "1f4f5631bbea904188b4b706f6cd7f16c5d5c4ec",
-    "1e8127240656cf7f2ca10c1ec1b2acfcfc78a488",
-    "cddb52ffc8c0b12c4a1569a064167352ef80a746",
+    "48de1c0755e70200876166919f89ea381de14cb0",
+    "48de1c0755e70200876166919f89ea381de14cb0",
+    "b3847a170f9fa6bb43a1cd7bbd7fc8a23fdbd99e",
+    "f3fe513bfb0f43b55b8eb85e67fc5cf2b1bcf5b7",
+    "3deae5d03fac8b2c5dd997e8c2330cdb955e0540",
     "f9eb8459ea3d57c2be576379df8fa9fdd9f38e8d",
-    "d10fc687b1db060c5cfda310303cb6790bbade0a",
-    "f0df35539d026a6f8e9592883e5a242b17c504d0",
-    "8d8f114bd66dfb853fbf22690e4ad6ca072aae65",
+    "78f0e6e4ec4cda9d0078d3485ff9b89a07efb95d",
+    "767b05134925ac5c3daf5f04eae2cceaa7169962",
+    "00b37442e3f0eaea4c3d6f822c3fcb55b137330a",
 ]
 
 
@@ -253,3 +119,91 @@ def test_golden_digests_on_every_path(backend):
     assert [r.digest() for r in results] == GOLDEN_DIGESTS
     # Shards answer every selection and group-by: no database cracker.
     assert db._crackers == {}
+
+
+# -- rows in tuple-key order, projections only -------------------------------
+
+
+def _mask(arrays, query):
+    masks = [p.interval.mask(arrays[p.attr]) for p in query.predicates]
+    if not masks:
+        return np.ones(len(arrays["A"]), dtype=bool)
+    return np.logical_and.reduce(masks) if query.conjunctive \
+        else np.logical_or.reduce(masks)
+
+
+KEY_ORDER_QUERIES = [
+    _two("B", (5_000, 30_000), "C", (10_000, 40_000), projections=("B", "D")),
+    _two("A", (15_000, 16_000), "B", (5_000, 30_000),
+         projections=("A", "B"), conjunctive=False),
+    Query("R", projections=("G", "W")),
+    Query("R", (Predicate("A", Interval.half_open(4_000, 6_000)),),
+          projections=("F", "W"), aggregates=(("max", "B"),)),
+]
+
+
+def _served(arrays, history=(), faults=""):
+    """Replies to ``KEY_ORDER_QUERIES`` after ``history`` ran on the same
+    executor, with the live mask they were answered over."""
+    db = Database()
+    db.create_table("R", {k: v.copy() for k, v in arrays.items()})
+    with Checks(faults=faults).armed(), \
+            ServerExecutor(db, workers=2, partitions=4, cache_bytes=0) as ex:
+        ex.partition("R", "A")
+        ex.delete("R", np.arange(0, len(arrays["A"]), 97))
+        for query in history:
+            ex.run(query)
+        replies = [ex.run(query) for query in KEY_ORDER_QUERIES]
+        live = ~db.tombstones("R")
+    return replies, live
+
+
+def test_served_rows_are_the_base_rows_at_the_sorted_keys():
+    arrays = _golden_arrays()
+    history = [
+        Query("R", (Predicate(attr, Interval.half_open(lo, lo + 7_000)),),
+              projections=(attr,))
+        for attr, lo in (("A", 500), ("B", 21_000), ("A", 12_345), ("C", 3_000))
+    ]
+    fresh, live = _served(arrays)
+    cracked, _ = _served(arrays, history=history)
+    recovered, _ = _served(arrays, faults="kernels.crack_three=error")
+    assert [r.path for r in fresh] == ["partition", "partition", "read", "partition"]
+    assert recovered[0].fault_recovered
+    for query, *replies in zip(KEY_ORDER_QUERIES, fresh, cracked, recovered):
+        keys = np.sort(np.flatnonzero(_mask(arrays, query) & live))
+        want = {attr: arrays[attr][keys] for attr in query.projections}
+        for reply in replies:
+            assert list(reply.columns) == list(query.projections)
+            for attr, values in want.items():
+                assert np.array_equal(reply.columns[attr], values)
+            assert reply.digest() == digest_columns(want)
+
+
+def test_aggregate_only_columns_stay_off_every_result():
+    """``select B, max(C)`` returns ``B`` alone, served and on every engine,
+    with ``max(C)`` equal to a scan's."""
+    arrays = _golden_arrays()
+    sql = "select B, max(C) from R where A < 500"
+    rows = arrays["A"] < 500
+    want_b = np.sort(arrays["B"][rows])
+    want_max = float(arrays["C"][rows].max())
+
+    def fresh():
+        db = Database()
+        db.create_table("R", {k: v.copy() for k, v in arrays.items()})
+        return db
+
+    with ServerHandle(fresh(), workers=2) as handle:
+        reply = handle.request({"sql": sql})["result"]
+    assert list(reply["columns"]) == ["B"]
+    assert reply["aggregates"] == {"max(C)": want_max}
+    assert np.array_equal(np.sort(reply["columns"]["B"]), want_b)
+    query = Query("R", (Predicate("A", Interval.half_open(0, 500)),),
+                  projections=("B",), aggregates=(("max", "C"),))
+    for name, factory in ENGINE_FACTORIES.items():
+        result = factory(fresh()).run(query)
+        assert list(result.columns) == ["B"], name
+        assert result.aggregates == {"max(C)": want_max}, name
+        assert result.row_count == int(rows.sum()), name
+        assert np.array_equal(np.sort(result.columns["B"]), want_b), name

@@ -1,10 +1,12 @@
 """Concurrent-determinism stress: N clients, engines x policies, deep CrackSan.
 
 The serving subsystem's central claim: whatever the interleaving, every
-client's canonical result is bit-identical to a serial single-client run.
-Each case here spins N client threads over one shared database — with the
-deep invariant sanitizer watching every structure — and compares every
-served digest against a serial baseline engine run on a private copy.
+client gets the same reply bytes for a query, holding the same rows as a
+serial single-client run.  Each case here spins N client threads over one
+shared database — with the deep invariant sanitizer watching every
+structure — and compares every served answer against a serial baseline
+engine run on a private copy, as value multisets (the engine's rows come
+in its physical order, the reply's in tuple-key order).
 """
 
 import threading
@@ -54,6 +56,10 @@ def _workload(seed: int, queries: int = 20) -> list[Query]:
     return out
 
 
+def _value_digest(columns: dict[str, np.ndarray]) -> str:
+    return digest_columns(canonicalize(columns))
+
+
 def _fresh(arrays: dict[str, np.ndarray], **kwargs) -> Database:
     db = Database(**kwargs)
     db.create_table("R", {k: v.copy() for k, v in arrays.items()})
@@ -72,13 +78,11 @@ def test_concurrent_clients_bit_identical_to_serial(make_engine, policy):
 
     serial_db = _fresh(arrays, crack_policy=policy)
     serial_engine = make_engine(serial_db)
-    serial = [
-        digest_columns(canonicalize(serial_engine.run(q).columns))
-        for q in workload
-    ]
+    serial = [_value_digest(serial_engine.run(q).columns) for q in workload]
 
     served_db = _fresh(arrays, crack_policy=policy)
     failures: list[str] = []
+    wire: dict[int, set[str]] = {}
     # Every engine's serial answers are the one served path's answers.
     with (
         Checks(sanitize="deep").armed(),
@@ -89,8 +93,9 @@ def test_concurrent_clients_bit_identical_to_serial(make_engine, policy):
         def client(ident: int) -> None:
             order = np.random.default_rng((11, ident)).permutation(len(workload))
             for at in order:
-                got = executor.run(workload[at], timeout=60).digest()
-                if got != serial[at]:
+                got = executor.run(workload[at], timeout=60)
+                wire.setdefault(at, set()).add(got.digest())
+                if _value_digest(got.columns) != serial[at]:
                     failures.append(f"client {ident} query {at}")
 
         threads = [
@@ -104,6 +109,7 @@ def test_concurrent_clients_bit_identical_to_serial(make_engine, policy):
         stats = executor.stats()
 
     assert failures == []
+    assert all(len(digests) == 1 for digests in wire.values())
     assert stats["queries_served"] == CLIENTS * len(workload)
 
 
@@ -114,10 +120,7 @@ def test_concurrent_clients_with_progressive_budget():
 
     serial_db = _fresh(arrays, crack_budget=0.1)
     serial_engine = SelectionCrackingEngine(serial_db)
-    serial = [
-        digest_columns(canonicalize(serial_engine.run(q).columns))
-        for q in workload
-    ]
+    serial = [_value_digest(serial_engine.run(q).columns) for q in workload]
 
     served_db = _fresh(arrays, crack_budget=0.1)
     failures: list[str] = []
@@ -130,8 +133,8 @@ def test_concurrent_clients_with_progressive_budget():
         def client(ident: int) -> None:
             order = np.random.default_rng((13, ident)).permutation(len(workload))
             for at in order:
-                got = executor.run(workload[at], timeout=60).digest()
-                if got != serial[at]:
+                got = executor.run(workload[at], timeout=60)
+                if _value_digest(got.columns) != serial[at]:
                     failures.append(f"client {ident} query {at}")
 
         threads = [

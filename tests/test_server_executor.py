@@ -41,8 +41,7 @@ def test_canonicalize_is_schedule_independent(rng):
     one = canonicalize({"A": a, "B": b})
     other = canonicalize({"A": a[shuffled], "B": b[shuffled]})
     assert digest_columns(one) == digest_columns(other)
-    # The lexsort fallback: a float column, and an int column whose value
-    # range is 64 bits wide (too wide to pack into one int64 key).
+    # A float column, and an int column whose value range is 64 bits wide.
     f = rng.integers(0, 10, size=200) / 4.0
     w = rng.integers(0, 50, size=200).astype(np.int64)
     w[:2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
@@ -64,8 +63,14 @@ def test_partition_path_and_cache(executor):
     assert again.digest() == first.digest()
 
 
+def _value_digest(columns):
+    """A result's rows as a value multiset: served replies come in tuple-key
+    order, engine results in their physical order."""
+    return digest_columns(canonicalize(columns))
+
+
 def _scan_digest(db, query):
-    return digest_columns(canonicalize(PlainEngine(db).run(query).columns))
+    return _value_digest(PlainEngine(db).run(query).columns)
 
 
 def test_serial_conjunction_reads_keys_from_a_one_shard_column(db):
@@ -99,7 +104,7 @@ def test_serial_conjunction_reads_keys_from_a_one_shard_column(db):
     assert first.path == second.path == "partition"
     assert paths == ["probe"]
     assert db._crackers == {}
-    assert second.digest() == _scan_digest(db, repeat)
+    assert _value_digest(second.columns) == _scan_digest(db, repeat)
 
 
 def test_explicit_partition_replaces_the_one_shard_key_source(db):
@@ -118,7 +123,7 @@ def test_explicit_partition_replaces_the_one_shard_key_source(db):
         assert len(column.shards) == 4
         assert executor.partition("R", "B") is column
         again = executor.run(_span(0, 30_000, attr="B", projections=("B",)))
-    assert first.digest() == _scan_digest(db, query)
+    assert _value_digest(first.columns) == _scan_digest(db, query)
     assert again.row_count == first.row_count
     assert again.path == "partition"
 
@@ -145,9 +150,7 @@ def test_all_paths_agree_with_serial(small_arrays, rng):
     serial_db = Database()
     serial_db.create_table("R", {k: v.copy() for k, v in small_arrays.items()})
     engine = SelectionCrackingEngine(serial_db)
-    serial = [
-        digest_columns(canonicalize(engine.run(q).columns)) for q in queries
-    ]
+    serial = [_value_digest(engine.run(q).columns) for q in queries]
 
     served_db = Database()
     served_db.create_table("R", {k: v.copy() for k, v in small_arrays.items()})
@@ -155,8 +158,8 @@ def test_all_paths_agree_with_serial(small_arrays, rng):
         ex.partition("R", "A")
         results = ex.run_batch(queries)
         repeats = ex.run_batch(queries)  # the second pass hits the cache
-        assert [r.digest() for r in results] == serial
-        assert [r.digest() for r in repeats] == serial
+        assert [_value_digest(r.columns) for r in results] == serial
+        assert [r.digest() for r in repeats] == [r.digest() for r in results]
         assert set(ex.path_counts) >= {"partition", "cache"}
 
 
@@ -564,12 +567,13 @@ def test_served_fault_recovers_by_scan(small_arrays, backend, spec):
         assert reply["ok"], reply
         want = _scan_digest(db, ServedQuery.from_sql(FAULT_SQL, db).query)
         assert reply["result"]["fault_recovered"]
-        assert reply["result"]["digest"] == want
         assert handle.executor.stats()["cache"]["admissions"] == 0
         again = handle.executor.run(FAULT_SQL)
         later = handle.executor.run(_span(40_000, 60_000, projections=("A",)))
     assert not again.cached and not again.fault_recovered
-    assert again.digest() == want
+    # The recovered reply's bytes are the clean answer's, row for row.
+    assert reply["result"]["digest"] == again.digest()
+    assert _value_digest(again.columns) == want
     assert not later.fault_recovered
     site, kind = spec.split("=")
     assert armed.plan.injected == [f"{site}@1={kind}"]
@@ -598,7 +602,7 @@ def test_served_fault_rebuilds_a_quarantined_shard(small_arrays, monkeypatch):
         ]
         after = executor.run(_span(1_000, 30_001, projections=("A", "B")))
     assert got.fault_recovered
-    assert got.digest() == _scan_digest(db, query)
+    assert _value_digest(got.columns) == _scan_digest(db, query)
     assert len(rebuilt) == 1
     (shard,) = rebuilt
     assert guard.is_quarantined(before[column.shards.index(shard)])

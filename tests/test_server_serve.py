@@ -3,6 +3,7 @@
 import asyncio
 import contextlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -56,22 +57,57 @@ def test_handle_rejects_bad_requests(handle):
 
 def _with_server(db, scenario):
     """Run ``scenario(host, port)`` against a live TCP server."""
+    with ServerHandle(db, workers=2, partitions=4,
+                      partition_attrs=(("R", "A"),)) as handle:
+        return _over_tcp(handle, scenario)
+
+
+def _over_tcp(handle, scenario):
+    """Run ``scenario(host, port)`` against a TCP server over ``handle``."""
 
     async def main():
-        with ServerHandle(db, workers=2, partitions=4,
-                          partition_attrs=(("R", "A"),)) as handle:
-            server = CrackServer(handle, port=0)
-            host, port = await server.start()
-            task = asyncio.create_task(server.serve_forever())
-            try:
-                return await scenario(host, port)
-            finally:
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-                await server.stop()
+        server = CrackServer(handle, port=0)
+        host, port = await server.start()
+        task = asyncio.create_task(server.serve_forever())
+        try:
+            return await scenario(host, port)
+        finally:
+            task.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
+            await server.stop()
 
     return asyncio.run(main())
+
+
+@contextlib.contextmanager
+def _write_locked(handle, table="R"):
+    """Hold ``table``'s write lock from another thread, so every query on
+    it blocks inside a worker until the block exits."""
+    lock = handle.executor.registry.lock_for(table)
+    acquired, release = threading.Event(), threading.Event()
+
+    def holder():
+        with lock.write():
+            acquired.set()
+            release.wait(timeout=30)
+
+    thread = threading.Thread(target=holder)
+    thread.start()
+    assert acquired.wait(timeout=5)
+    try:
+        yield
+    finally:
+        release.set()
+        thread.join(timeout=10)
+
+
+async def _until(condition, what):
+    for _ in range(1_000):
+        if condition():
+            return
+        await asyncio.sleep(0.005)
+    pytest.fail(f"never reached: {what}")
 
 
 def test_tcp_roundtrip(db):
@@ -230,7 +266,6 @@ def test_stats_and_health_wire_schema_is_pinned(db, path, backend):
 def test_tcp_overload_sheds_with_typed_error(db):
     """A shed request answers a typed ``ServerOverloaded`` frame (clients
     back off) while the admitted request still completes."""
-    import threading
 
     async def main():
         with ServerHandle(db, workers=1, max_inflight=1,
@@ -279,3 +314,53 @@ def test_tcp_overload_sheds_with_typed_error(db):
             await server.stop()
 
     asyncio.run(main())
+
+
+def test_tcp_timeouts_of_queued_requests_leave_the_queue(db):
+    """Two TCP requests time out while queued behind a blocked worker; once
+    it frees, both leave the queue and the server admits again."""
+
+    async def scenario(host, port):
+        sql = "select A from R where A < 20000"
+        executor = handle.executor
+        with _write_locked(handle):
+            blocked = asyncio.create_task(client_request(host, port, {"sql": sql}))
+            await _until(lambda: executor.stats()["inflight"] == 1, "one running")
+            timed_out = await asyncio.gather(*(
+                client_request(host, port, {
+                    "sql": f"select B from R where B < {hi}", "timeout": 0.1,
+                })
+                for hi in (100, 200)
+            ))
+        assert [r["kind"] for r in timed_out] == ["QueryTimeout"] * 2
+        assert (await blocked)["ok"]
+        def idle():
+            stats = executor.stats()
+            return stats["queue_depth"] == stats["inflight"] == 0
+
+        await _until(idle, "an empty queue")
+        assert executor.stats()["abandoned"] == 2
+        later = await client_request(host, port, {"sql": sql})
+        assert later["ok"], later
+
+    with ServerHandle(db, workers=1, max_queue=2) as handle:
+        _over_tcp(handle, scenario)
+
+
+def test_tcp_timeout_abandons_a_running_request(db):
+    """A TCP request that times out while running is abandoned: counted,
+    and its late answer never cached."""
+
+    async def scenario(host, port):
+        frame = {"sql": "select A, B from R where A < 30000"}
+        executor = handle.executor
+        with _write_locked(handle):
+            reply = await client_request(host, port, {**frame, "timeout": 0.1})
+        assert reply["kind"] == "QueryTimeout"
+        await _until(lambda: executor.stats()["inflight"] == 0, "no request running")
+        assert executor.stats()["abandoned"] == 1
+        again = await client_request(host, port, frame)
+        assert again["ok"] and not again["result"]["cached"]
+
+    with ServerHandle(db, workers=2) as handle:
+        _over_tcp(handle, scenario)

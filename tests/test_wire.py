@@ -22,8 +22,10 @@ from repro.engine.database import Database
 from repro.server.executor import (
     JSON_ARRAY_CUTOVER,
     ServedResult,
+    _Request,
     encode_json_array,
 )
+from repro.server.resilience import Deadline
 from repro.server.serve import CrackServer, ServerHandle
 
 INT_DTYPES = [np.dtype(t) for t in (
@@ -249,12 +251,12 @@ def test_tcp_reply_bytes_equal_json_dumps(wire_db, monkeypatch):
 def _serving(handle: ServerHandle, result: ServedResult) -> None:
     """Make ``handle`` answer every query with ``result``."""
 
-    def submit(_served):
+    def admit(served, timeout=None, enqueued=None):
         future = Future()
         future.set_result(result)
-        return future
+        return _Request(served, Deadline(None), 0.0, future=future)
 
-    handle.executor.submit = submit
+    handle.executor.admit = admit
     handle.executor.run = lambda _served, timeout=None: result
 
 
