@@ -3,9 +3,9 @@
 The serving subsystem (:mod:`repro.server`) claims two things:
 
 1. **Correctness** — any interleaving of concurrent clients produces, for
-   every query, the same rows as a serial single-client run over the same
-   data (compared as value multisets: served rows come in tuple-key order,
-   an engine's in its physical order).  Cracking makes
+   every query, the same rows and aggregates as a serial single-client run
+   over the same data (compared as value multisets: served rows come in
+   tuple-key order, an engine's in its physical order).  Cracking makes
    this non-trivial: every query may physically reorganize shared arrays,
    and the reorganization order differs per schedule.
 2. **Throughput** — a multi-worker server beats the single-client serial
@@ -36,7 +36,7 @@ compute):
 * **batched admission** — identical in-flight requests are deduplicated.
 
 Acceptance (checked in ``summary``): every served answer's value-multiset
-digest equals the serial one for the same request, and 4-worker
+digest (rows and aggregates) equals the serial one for the same request, and 4-worker
 throughput is at least ``2.5x`` the serial baseline.
 """
 
@@ -53,12 +53,7 @@ from repro.cracking.bounds import Interval
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
 from repro.engine.selection_cracking import SelectionCrackingEngine
-from repro.server.executor import (
-    DEFAULT_CACHE_BYTES,
-    ServerExecutor,
-    canonicalize,
-    digest_columns,
-)
+from repro.server.executor import DEFAULT_CACHE_BYTES, ServerExecutor, value_digest
 
 #: The acceptance floor: served throughput at 4 workers vs serial.
 TARGET_SPEEDUP = 2.5
@@ -113,12 +108,6 @@ def build_workload(
     return [templates[int(r - 1) % len(templates)] for r in ranks]
 
 
-def value_digest(columns: dict[str, np.ndarray]) -> str:
-    """The digest of a result's rows as a value multiset, so a served reply
-    (tuple-key order) and an engine result (physical order) compare."""
-    return digest_columns(canonicalize(columns))
-
-
 def _fresh_database(arrays: dict[str, np.ndarray]) -> Database:
     db = Database()
     db.create_table("R", {k: v.copy() for k, v in arrays.items()})
@@ -137,7 +126,7 @@ def run_serial(
         start = time.perf_counter()
         result = engine.run(query)
         elapsed += time.perf_counter() - start
-        digests.append(value_digest(result.columns))
+        digests.append(value_digest(result))
     return digests, elapsed
 
 
@@ -162,7 +151,7 @@ def run_served(
             start = time.perf_counter()
             results = executor.run_batch(workload[at:at + BATCH])
             elapsed += time.perf_counter() - start
-            digests.extend(value_digest(r.columns) for r in results)
+            digests.extend(value_digest(r) for r in results)
         stats = executor.stats()
     return digests, elapsed, stats
 

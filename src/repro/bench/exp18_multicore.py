@@ -17,8 +17,8 @@ and proves it costs nothing in correctness:
 
 Every configuration serves the identical Zipf-template workload
 (:func:`repro.bench.exp17_concurrency.build_workload`) and every answer's
-value-multiset digest is compared against serial — the acceptance bar is
-*the same rows everywhere* plus ``>= 2.5x`` served throughput at 4
+value-multiset digest (rows and aggregates) is compared against serial —
+the acceptance bar is *the same answers everywhere* plus ``>= 2.5x`` served throughput at 4
 process workers vs serial.
 
 The per-phase decomposition separates where process-mode time goes —
@@ -44,14 +44,13 @@ from repro.bench.exp17_concurrency import (
     build_templates,
     build_workload,
     run_serial,
-    value_digest,
 )
 from repro.bench.harness import default_scale
 from repro.bench.registry.components import uniform_table
 from repro.bench.report import format_table
 from repro.engine.database import Database
 from repro.engine.query import Query
-from repro.server.executor import DEFAULT_CACHE_BYTES, ServerExecutor
+from repro.server.executor import DEFAULT_CACHE_BYTES, ServerExecutor, value_digest
 
 #: The acceptance floor: served throughput at 4 process workers vs serial.
 TARGET_SPEEDUP = 2.5
@@ -86,7 +85,7 @@ def run_served(
                 start = time.perf_counter()
                 results = executor.run_batch(workload[at:at + BATCH])
                 elapsed += time.perf_counter() - start
-                digests.extend(value_digest(r.columns) for r in results)
+                digests.extend(value_digest(r) for r in results)
             stats = executor.stats()
     finally:
         db.close()

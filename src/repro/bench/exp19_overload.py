@@ -19,7 +19,7 @@ three promises:
    jitter; a shard whose breaker opens is served by the parent-side scan
    fallback and the result is marked ``degraded`` (and never cached).
    Every *non-degraded* result must hold the serial ground truth's rows
-   (compared as value multisets) — chaos may cost throughput, never
+   and aggregates (compared as value multisets) — chaos may cost throughput, never
    answers.
 
 3. **A deterministic breaker lifecycle.**  A sequential phase pins the
@@ -48,7 +48,7 @@ import time
 import numpy as np
 
 from repro.analysis.checks import Checks, current
-from repro.bench.exp17_concurrency import build_templates, value_digest
+from repro.bench.exp17_concurrency import build_templates
 from repro.bench.harness import default_scale
 from repro.bench.registry.components import uniform_table
 from repro.bench.report import format_table
@@ -57,7 +57,7 @@ from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
 from repro.engine.selection_cracking import SelectionCrackingEngine
 from repro.errors import QueryTimeout, ReproError, ServerOverloaded
-from repro.server.executor import ServerExecutor
+from repro.server.executor import ServerExecutor, value_digest
 from repro.server.resilience import ResilienceConfig
 
 #: Chaos plan for the concurrent overload phase when ``--faults`` did not
@@ -95,7 +95,7 @@ def _serial_digests(
     baseline; :func:`run` calls it with the ambient plan suspended)."""
     db = _fresh_database(arrays)
     engine = SelectionCrackingEngine(db)
-    return [value_digest(engine.run(query).columns) for query in queries]
+    return [value_digest(engine.run(query)) for query in queries]
 
 
 def run_unloaded(
@@ -114,7 +114,7 @@ def run_unloaded(
             started = time.perf_counter()
             result = executor.run(template_list[t])
             latencies.append(time.perf_counter() - started)
-            if value_digest(result.columns) != serial_digests[t]:
+            if value_digest(result) != serial_digests[t]:
                 mismatches += 1
     return {
         "queries": len(order),
@@ -168,7 +168,7 @@ def run_overloaded(
                     out["latencies"].append(time.perf_counter() - started)
                     if result.degraded:
                         out["degraded"] += 1
-                    elif value_digest(result.columns) != serial_digests[t]:
+                    elif value_digest(result) != serial_digests[t]:
                         out["mismatches"] += 1
 
         with Checks(faults=chaos or "").armed(seed=seed) as armed:
@@ -256,7 +256,7 @@ def run_breaker_lifecycle(arrays: dict[str, np.ndarray], seed: int) -> dict:
                     "step": label,
                     "degraded": result.degraded,
                     "recovered": result.fault_recovered,
-                    "digest_matches_serial": value_digest(result.columns) == serial,
+                    "digest_matches_serial": value_digest(result) == serial,
                     "breaker": worker.breaker.state,
                 })
 
@@ -275,13 +275,13 @@ def run_breaker_lifecycle(arrays: dict[str, np.ndarray], seed: int) -> dict:
     expected_states = ["open"] * 6 + ["closed"]
     expected_degraded = [True] * 6 + [False]
     ok = (
-        value_digest(warm.columns) == serial and not warm.degraded
+        value_digest(warm) == serial and not warm.degraded
         and [t["breaker"] for t in timeline] == expected_states
         and [t["degraded"] for t in timeline] == expected_degraded
         and all(t["digest_matches_serial"] for t in timeline)
         and timeline[-1]["recovered"]
         and len(plan.injected) == 12
-        and value_digest(after.columns) == serial
+        and value_digest(after) == serial
         and not after.degraded and not after.fault_recovered
     )
     return {
@@ -297,7 +297,7 @@ def run_breaker_lifecycle(arrays: dict[str, np.ndarray], seed: int) -> dict:
         "jitter_tape": shard["jitter_tapes"][0],
         "degraded_serves": shard["degraded_serves"],
         "retries": shard["retries"],
-        "recovery_digest_matches_serial": value_digest(after.columns) == serial,
+        "recovery_digest_matches_serial": value_digest(after) == serial,
         "ok": bool(ok),
     }
 

@@ -54,18 +54,18 @@ least-recently-served-first once the budget is exceeded; admission and
 eviction counts surface in :meth:`ServerExecutor.stats`.
 
 Every result's rows come in **ascending tuple-key order**: the qualifying
-keys are dense tuple ids, sorted once before the gathers (which are then
-in-order positional lookups, the paper's ordered reconstruction), so the
-bytes a client sees are a pure function of (data version, query), not of
-how concurrent cracking happened to interleave.  A result carries the
-query's projections only (a group-by result: its keys and aggregates);
-the columns aggregates read are not shipped.  The data version is sampled
-*inside* the table lock that serialized the query against updates, and
-results enter the cache under that captured version — never under a
-version sampled racily before execution.  ``ServedResult.digest()`` is the
-sha1 of those bytes.  An engine result is in its own physical order, so
+keys are dense tuple ids, sorted once (:func:`canonicalize`) before the
+gathers (which are then in-order positional lookups, the paper's ordered
+reconstruction), so the bytes a client sees are a pure function of (data
+version, query), not of how concurrent cracking happened to interleave.
+A result carries the query's projections only (a group-by result: its
+keys and aggregates); the columns aggregates read are not shipped.  The
+data version is sampled *inside* the table lock that serialized the query
+against updates, and results enter the cache under that captured version
+— never under a version sampled racily before execution.
+``ServedResult.digest()`` is the sha1 of those bytes.  An engine result is in its own physical order, so
 the determinism tests and ``exp17``–``exp19`` compare the two as value
-multisets, ``digest_columns(canonicalize(columns))`` on both sides.
+multisets, :func:`value_digest` (rows and aggregates) on both sides.
 
 ``ServedResult.as_payload`` writes a result as its wire bytes, the same
 bytes ``json.dumps`` gives the result dict with ``tolist()`` columns.  Long
@@ -90,7 +90,7 @@ from repro.analysis import racesan
 from repro.analysis.sanitizer import active_sanitizers, checkpoint_query
 from repro.engine.database import Database
 from repro.engine.operators import grouped, random_gather
-from repro.engine.query import Predicate, Query, compute_aggregates
+from repro.engine.query import Predicate, Query, QueryResult, compute_aggregates
 from repro.errors import QueryTimeout, ServerError, ServerOverloaded
 from repro.faults.guard import RECOVERABLE
 from repro.faults.plan import active_plan
@@ -184,22 +184,16 @@ class ResultCacheLRU:
         }
 
 
-def canonicalize(columns: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Rows sorted lexicographically over the result columns.
+def canonicalize(keys: np.ndarray) -> np.ndarray:
+    """A reply's canonical row order: its qualifying tuple keys, ascending.
 
-    The value-multiset normal form of a result: two answers hold the same
-    rows exactly when their canonical forms are equal, whatever order each
-    came in.  It compares a served reply (in tuple-key order) with an
-    engine result (in its physical order); nothing on the serving path
-    calls it.  Attribute name order fixes the sort-key priority.  Returns
-    fresh C-contiguous arrays in the input's key order.
+    Keys are dense tuple ids, so sorting them (never the values) makes a
+    reply's bytes a pure function of (data version, query), whatever order
+    concurrent cracking left them in, and makes the gathers in-order
+    positional lookups.  Returns a new array: the keys may be a view of a
+    shard's result buffer.
     """
-    names = sorted(columns)
-    if not names:
-        return {}
-    # np.lexsort keys: last key is the primary sort key.
-    order = np.lexsort(tuple(columns[name] for name in reversed(names)))
-    return {name: arr[order] for name, arr in columns.items()}
+    return np.sort(keys)
 
 
 def digest_columns(columns: dict[str, np.ndarray]) -> str:
@@ -210,6 +204,25 @@ def digest_columns(columns: dict[str, np.ndarray]) -> str:
         h.update(name.encode())
         h.update(str(arr.dtype).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def value_digest(result: "ServedResult | QueryResult") -> str:
+    """sha1 of a result as a value multiset: its rows sorted
+    lexicographically (attribute name order fixes the key priority), then
+    its aggregates.
+
+    A served reply (tuple-key order) and an engine result (its physical
+    order) hold the same answer exactly when these digests are equal.
+    """
+    columns = result.columns
+    if columns:
+        # np.lexsort keys: last key is the primary sort key.
+        rows = np.lexsort([columns[name] for name in sorted(columns, reverse=True)])
+        columns = {name: arr[rows] for name, arr in columns.items()}
+    h = hashlib.sha1(digest_columns(columns).encode())
+    # repr: NaN (an empty input's aggregate) equals itself.
+    h.update(repr(sorted(result.aggregates.items())).encode())
     return h.hexdigest()
 
 
@@ -766,14 +779,6 @@ class ServerExecutor:
         # admission mutex); the window bounds the cost either way.
         return sorted(recent)[len(recent) // 2] if recent else 0.0
 
-    def submit(self, request: "ServedQuery | Query | str"):
-        """Enqueue one query; returns a ``concurrent.futures.Future``.
-
-        May raise :class:`~repro.errors.ServerOverloaded` at submission
-        when admission control sheds the newcomer.
-        """
-        return self.admit(request).future
-
     def _await(self, record: _Request) -> ServedResult:
         """Wait out one admitted request, mapping the future's failure
         modes to the wire errors: a cancelled future was shed by a later
@@ -997,8 +1002,7 @@ class ServerExecutor:
         if query.conjunctive:
             lead = next(p for p in query.predicates if p.attr in sharded)
             selected = source(lead)
-            # Not in place: the keys may be a view of a shard's result buffer.
-            keys = np.sort(selected.keys)
+            keys = canonicalize(selected.keys)
             relation = self.db.table(table)
             for pred in query.predicates:
                 if pred is not lead:

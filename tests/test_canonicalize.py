@@ -1,11 +1,11 @@
-"""The served reply contract, and ``canonicalize`` as its comparison form.
+"""The served reply contract.
 
-A served reply holds the qualifying rows in ascending tuple-key order and
-only the query's projections (a group-by reply: its keys and aggregates).
-Engines return rows in their physical order, so a reply is compared with
-an engine result as a value multiset: ``canonicalize`` sorts rows
-lexicographically.  The golden digests pin the wire bytes of every serving
-path across versions.
+A served reply holds the qualifying rows in ascending tuple-key order
+(``canonicalize`` sorts the keys, never the values) and only the query's
+projections (a group-by reply: its keys and aggregates).  Engines return
+rows in their physical order, so a reply is compared with an engine
+result as a value multiset (``value_digest``).  The golden digests pin the
+wire bytes of every serving path across versions.
 """
 
 import numpy as np
@@ -15,27 +15,30 @@ from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
 from repro.engine import ENGINE_FACTORIES
 from repro.engine.database import Database
-from repro.engine.query import Predicate, Query
+from repro.engine.query import Predicate, Query, QueryResult
 from repro.server.executor import (
     ServerExecutor,
     canonicalize,
     digest_columns,
+    value_digest,
 )
 from repro.server.serve import ServerHandle
 
 
-def test_canonicalize_is_the_lexsort_of_the_rows():
-    columns = {"B": np.array([2, 1, 2, 1]), "A": np.array([0.5, 3.0, -1.0, 3.0])}
-    got = canonicalize(columns)
-    assert list(got) == ["B", "A"]
-    assert got["A"].tolist() == [-1.0, 0.5, 3.0, 3.0]
-    assert got["B"].tolist() == [2, 2, 1, 1]
-    for arr in got.values():
-        assert not any(np.shares_memory(arr, src) for src in columns.values())
+def test_canonicalize_sorts_the_keys_into_a_new_array():
+    buffer = np.array([7, 3, 9, 0, 5, 1], dtype=np.int64)
+    view = buffer[1:5]
+    got = canonicalize(view)
+    assert got.tolist() == [0, 3, 5, 9]
+    assert buffer.tolist() == [7, 3, 9, 0, 5, 1]
+    assert not np.shares_memory(got, buffer)
 
 
 def test_no_columns():
-    assert canonicalize({}) == {}
+    assert canonicalize(np.empty(0, dtype=np.int64)).size == 0
+    empty = QueryResult()
+    assert value_digest(empty) == value_digest(QueryResult())
+    assert value_digest(empty) != value_digest(QueryResult(aggregates={"count(A)": 0.0}))
 
 
 # -- golden wire bytes ---------------------------------------------------------

@@ -236,9 +236,9 @@ def test_racesan_redetects_unlocked_version_capture(monkeypatch):
     db = _serving_db()
     with RaceSan(strict=False, seed=db.crack_seed).activated() as rs:
         with ServerExecutor(db, workers=2, cache_bytes=0) as executor:
-            executor.submit("SELECT A FROM R WHERE A < 100").result(timeout=10)
+            executor.admit("SELECT A FROM R WHERE A < 100").future.result(timeout=10)
             executor.insert("R", {"A": [1], "B": [2]})
-            executor.submit("SELECT A FROM R WHERE A < 200").result(timeout=10)
+            executor.admit("SELECT A FROM R WHERE A < 200").future.result(timeout=10)
     races = [v for v in rs.violations if v.kind == "data-race"]
     assert races, rs.report()
     violation = races[0]
@@ -256,9 +256,9 @@ def test_disciplined_executor_is_race_free():
     with RaceSan(strict=False, seed=db.crack_seed).activated() as rs:
         with ServerExecutor(db, workers=2) as executor:
             for lo in (100, 300, 500):
-                executor.submit(
+                executor.admit(
                     f"SELECT A FROM R WHERE A < {lo}"
-                ).result(timeout=10)
+                ).future.result(timeout=10)
                 executor.insert("R", {"A": [lo], "B": [lo]})
-            executor.submit("SELECT A FROM R WHERE A < 100").result(timeout=10)
+            executor.admit("SELECT A FROM R WHERE A < 100").future.result(timeout=10)
     assert rs.violations == [], rs.report()

@@ -277,7 +277,7 @@ def test_reject_newest_sheds_the_incoming_request(db):
     ) as executor:
         holder = _LockHolder(executor)
         try:
-            stuck = executor.submit(_blocked_query())
+            stuck = executor.admit(_blocked_query()).future
             _wait_inflight(executor, 1)
             with pytest.raises(ServerOverloaded) as caught:
                 executor.run(_blocked_query(1, 2))
@@ -296,10 +296,10 @@ def test_reject_oldest_cancels_the_queued_victim(db):
     ) as executor:
         holder = _LockHolder(executor)
         try:
-            running = executor.submit(_blocked_query())      # occupies worker
+            running = executor.admit(_blocked_query()).future       # occupies worker
             _wait_inflight(executor, 1)
-            victim = executor.submit(_blocked_query(1, 2))   # waits in queue
-            survivor = executor.submit(_blocked_query(2, 3))  # evicts victim
+            victim = executor.admit(_blocked_query(1, 2)).future   # waits in queue
+            survivor = executor.admit(_blocked_query(2, 3)).future  # evicts victim
             assert victim.cancelled()
             assert not survivor.cancelled()
         finally:
@@ -325,12 +325,12 @@ def test_deadline_aware_sheds_the_hopeless_victim(db, served_before):
         assert stats["latency_p99"] >= stats["latency_p50"] > 0.0
         holder = _LockHolder(executor)
         try:
-            running = executor.submit(_blocked_query())
+            running = executor.admit(_blocked_query()).future
             _wait_inflight(executor, 1)
             # Queued with (effectively) no budget left: by the time a slot
             # frees up this request cannot possibly finish in time.
-            hopeless = executor.submit(ServedQuery(_blocked_query(1, 2), timeout=1e-6))
-            healthy = executor.submit(_blocked_query(2, 3))
+            hopeless = executor.admit(ServedQuery(_blocked_query(1, 2), timeout=1e-6)).future
+            healthy = executor.admit(_blocked_query(2, 3)).future
             assert hopeless.cancelled()
             assert not healthy.cancelled()
         finally:
@@ -348,9 +348,9 @@ def test_deadline_aware_falls_back_to_reject_newest(db):
         executor.run(_span(0, 50_000))
         holder = _LockHolder(executor)
         try:
-            executor.submit(_blocked_query())
+            executor.admit(_blocked_query())
             _wait_inflight(executor, 1)
-            queued = executor.submit(ServedQuery(_blocked_query(1, 2), timeout=60))
+            queued = executor.admit(ServedQuery(_blocked_query(1, 2), timeout=60)).future
             with pytest.raises(ServerOverloaded):
                 executor.run(_blocked_query(2, 3))
             assert not queued.cancelled()
@@ -364,9 +364,9 @@ def test_queue_wait_counts_against_the_budget(db):
     with ServerExecutor(db, workers=1, max_inflight=4) as executor:
         holder = _LockHolder(executor)
         try:
-            executor.submit(_blocked_query())
+            executor.admit(_blocked_query())
             _wait_inflight(executor, 1)
-            doomed = executor.submit(ServedQuery(_blocked_query(1, 2), timeout=0.05))
+            doomed = executor.admit(ServedQuery(_blocked_query(1, 2), timeout=0.05)).future
             time.sleep(0.2)  # budget expires in the queue
         finally:
             holder.release()
@@ -391,9 +391,9 @@ def test_close_sheds_the_queue_and_refuses_new_work(db):
     with ServerExecutor(db, workers=1) as executor:
         holder = _LockHolder(executor)
         try:
-            executor.submit(_blocked_query())
+            executor.admit(_blocked_query())
             _wait_inflight(executor, 1)
-            queued = executor.submit(_blocked_query(1, 2))
+            queued = executor.admit(_blocked_query(1, 2)).future
             closer = threading.Thread(target=executor.close)
             closer.start()
             time.sleep(0.1)  # close() is draining, waiting on the runner

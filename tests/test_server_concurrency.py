@@ -19,7 +19,7 @@ from repro.cracking.bounds import Interval
 from repro.engine import SelectionCrackingEngine, SidewaysEngine
 from repro.engine.database import Database
 from repro.engine.query import Predicate, Query
-from repro.server.executor import ServerExecutor, canonicalize, digest_columns
+from repro.server.executor import ServerExecutor, value_digest
 
 CLIENTS = 4
 ROWS = 4_000
@@ -56,10 +56,6 @@ def _workload(seed: int, queries: int = 20) -> list[Query]:
     return out
 
 
-def _value_digest(columns: dict[str, np.ndarray]) -> str:
-    return digest_columns(canonicalize(columns))
-
-
 def _fresh(arrays: dict[str, np.ndarray], **kwargs) -> Database:
     db = Database(**kwargs)
     db.create_table("R", {k: v.copy() for k, v in arrays.items()})
@@ -78,7 +74,7 @@ def test_concurrent_clients_bit_identical_to_serial(make_engine, policy):
 
     serial_db = _fresh(arrays, crack_policy=policy)
     serial_engine = make_engine(serial_db)
-    serial = [_value_digest(serial_engine.run(q).columns) for q in workload]
+    serial = [value_digest(serial_engine.run(q)) for q in workload]
 
     served_db = _fresh(arrays, crack_policy=policy)
     failures: list[str] = []
@@ -95,7 +91,7 @@ def test_concurrent_clients_bit_identical_to_serial(make_engine, policy):
             for at in order:
                 got = executor.run(workload[at], timeout=60)
                 wire.setdefault(at, set()).add(got.digest())
-                if _value_digest(got.columns) != serial[at]:
+                if value_digest(got) != serial[at]:
                     failures.append(f"client {ident} query {at}")
 
         threads = [
@@ -120,7 +116,7 @@ def test_concurrent_clients_with_progressive_budget():
 
     serial_db = _fresh(arrays, crack_budget=0.1)
     serial_engine = SelectionCrackingEngine(serial_db)
-    serial = [_value_digest(serial_engine.run(q).columns) for q in workload]
+    serial = [value_digest(serial_engine.run(q)) for q in workload]
 
     served_db = _fresh(arrays, crack_budget=0.1)
     failures: list[str] = []
@@ -134,7 +130,7 @@ def test_concurrent_clients_with_progressive_budget():
             order = np.random.default_rng((13, ident)).permutation(len(workload))
             for at in order:
                 got = executor.run(workload[at], timeout=60)
-                if _value_digest(got.columns) != serial[at]:
+                if value_digest(got) != serial[at]:
                     failures.append(f"client {ident} query {at}")
 
         threads = [

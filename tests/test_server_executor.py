@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.checks import Checks
 from repro.cracking.bounds import Interval
 from repro.engine.database import Database
-from repro.engine.query import Predicate, Query
+from repro.engine.query import Predicate, Query, QueryResult
 from repro.engine.scan import PlainEngine
 from repro.engine.selection_cracking import SelectionCrackingEngine
 from repro.errors import QueryTimeout, ServerError
@@ -20,7 +20,7 @@ from repro.server.executor import (
     ServedQuery,
     ServerExecutor,
     canonicalize,
-    digest_columns,
+    value_digest,
 )
 
 
@@ -35,20 +35,29 @@ def _span(lo, hi, attr="A", **kwargs):
 
 
 def test_canonicalize_is_schedule_independent(rng):
+    """Keys in any cracked order canonicalize to one row order; the
+    comparison digest ignores row order, whatever the dtypes, and sees
+    every row and aggregate."""
+    keys = rng.choice(10_000, size=200, replace=False).astype(np.int64)
+    shuffled = rng.permutation(200)
+    assert np.array_equal(canonicalize(keys[shuffled]), canonicalize(keys))
     a = rng.integers(0, 50, size=200).astype(np.int64)
     b = rng.integers(0, 50, size=200).astype(np.int64)
-    shuffled = rng.permutation(200)
-    one = canonicalize({"A": a, "B": b})
-    other = canonicalize({"A": a[shuffled], "B": b[shuffled]})
-    assert digest_columns(one) == digest_columns(other)
     # A float column, and an int column whose value range is 64 bits wide.
     f = rng.integers(0, 10, size=200) / 4.0
     w = rng.integers(0, 50, size=200).astype(np.int64)
     w[:2] = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-    for wide in ({"A": a, "F": f}, {"A": a, "W": w}):
-        one = canonicalize(wide)
-        other = canonicalize({k: v[shuffled] for k, v in wide.items()})
-        assert digest_columns(one) == digest_columns(other)
+    aggregates = {"sum(A)": float(a.sum()), "max(B)": float("nan")}
+    for columns in ({"A": a, "B": b}, {"A": a, "F": f}, {"A": a, "W": w}):
+        one = value_digest(QueryResult(columns, dict(aggregates)))
+        other = QueryResult({k: v[shuffled] for k, v in columns.items()},
+                            dict(aggregates))
+        assert value_digest(other) == one
+        dropped = QueryResult({k: v[1:] for k, v in columns.items()},
+                              dict(aggregates))
+        assert value_digest(dropped) != one
+        other.aggregates["sum(A)"] += 1
+        assert value_digest(other) != one
 
 
 def test_partition_path_and_cache(executor):
@@ -63,14 +72,8 @@ def test_partition_path_and_cache(executor):
     assert again.digest() == first.digest()
 
 
-def _value_digest(columns):
-    """A result's rows as a value multiset: served replies come in tuple-key
-    order, engine results in their physical order."""
-    return digest_columns(canonicalize(columns))
-
-
 def _scan_digest(db, query):
-    return _value_digest(PlainEngine(db).run(query).columns)
+    return value_digest(PlainEngine(db).run(query))
 
 
 def test_serial_conjunction_reads_keys_from_a_one_shard_column(db):
@@ -104,7 +107,7 @@ def test_serial_conjunction_reads_keys_from_a_one_shard_column(db):
     assert first.path == second.path == "partition"
     assert paths == ["probe"]
     assert db._crackers == {}
-    assert _value_digest(second.columns) == _scan_digest(db, repeat)
+    assert value_digest(second) == _scan_digest(db, repeat)
 
 
 def test_explicit_partition_replaces_the_one_shard_key_source(db):
@@ -123,7 +126,7 @@ def test_explicit_partition_replaces_the_one_shard_key_source(db):
         assert len(column.shards) == 4
         assert executor.partition("R", "B") is column
         again = executor.run(_span(0, 30_000, attr="B", projections=("B",)))
-    assert _value_digest(first.columns) == _scan_digest(db, query)
+    assert value_digest(first) == _scan_digest(db, query)
     assert again.row_count == first.row_count
     assert again.path == "partition"
 
@@ -150,7 +153,7 @@ def test_all_paths_agree_with_serial(small_arrays, rng):
     serial_db = Database()
     serial_db.create_table("R", {k: v.copy() for k, v in small_arrays.items()})
     engine = SelectionCrackingEngine(serial_db)
-    serial = [_value_digest(engine.run(q).columns) for q in queries]
+    serial = [value_digest(engine.run(q)) for q in queries]
 
     served_db = Database()
     served_db.create_table("R", {k: v.copy() for k, v in small_arrays.items()})
@@ -158,7 +161,7 @@ def test_all_paths_agree_with_serial(small_arrays, rng):
         ex.partition("R", "A")
         results = ex.run_batch(queries)
         repeats = ex.run_batch(queries)  # the second pass hits the cache
-        assert [_value_digest(r.columns) for r in results] == serial
+        assert [value_digest(r) for r in results] == serial
         assert [r.digest() for r in repeats] == [r.digest() for r in results]
         assert set(ex.path_counts) >= {"partition", "cache"}
 
@@ -328,7 +331,7 @@ def test_invalid_requests_rejected(db):
         with pytest.raises(ServerError, match="cannot partition"):
             ex.partition("R", "A")  # partitions=0 by default
     with pytest.raises(ServerError, match="closed"):
-        ex.submit(_span(0, 10))
+        ex.admit(_span(0, 10))
 
 
 def test_stats_report(executor):
@@ -573,7 +576,7 @@ def test_served_fault_recovers_by_scan(small_arrays, backend, spec):
     assert not again.cached and not again.fault_recovered
     # The recovered reply's bytes are the clean answer's, row for row.
     assert reply["result"]["digest"] == again.digest()
-    assert _value_digest(again.columns) == want
+    assert value_digest(again) == want
     assert not later.fault_recovered
     site, kind = spec.split("=")
     assert armed.plan.injected == [f"{site}@1={kind}"]
@@ -602,7 +605,7 @@ def test_served_fault_rebuilds_a_quarantined_shard(small_arrays, monkeypatch):
         ]
         after = executor.run(_span(1_000, 30_001, projections=("A", "B")))
     assert got.fault_recovered
-    assert _value_digest(got.columns) == _scan_digest(db, query)
+    assert value_digest(got) == _scan_digest(db, query)
     assert len(rebuilt) == 1
     (shard,) = rebuilt
     assert guard.is_quarantined(before[column.shards.index(shard)])
